@@ -4,9 +4,9 @@ from .diffengine import AdamState, adam_step, finite_diff_check
 from .evaluation import (AblationVariant, EvalReport, evaluate,
                          export_memory_attention, run_ablation, sparsity_report)
 from .hetgraph import (HeteroGraph, Split, build_graph, load_edge_file,
-                       sample_bpr_triplet, split_leave_one_out)
+                       split_leave_one_out)
 from .model import (EdgeType, FULL_VARIANT, MemoryBank, ModelParams, ModelVariant,
-                    forward, predict, recalibrate)
+                    forward)
 from .training import (Checkpoint, TrainingConfig, bpr_loss, check_model_gradients,
                        load_checkpoint, save_checkpoint, train_epoch, train_model)
 
@@ -18,7 +18,6 @@ __all__ = [
     "Split", "TrainingConfig", "adam_step", "bpr_loss", "build_graph",
     "check_model_gradients", "evaluate", "export_memory_attention",
     "finite_diff_check", "forward", "load_checkpoint", "load_edge_file",
-    "predict", "recalibrate", "run_ablation", "sample_bpr_triplet",
-    "save_checkpoint", "sparsity_report", "split_leave_one_out", "train_epoch",
-    "train_model",
+    "run_ablation", "save_checkpoint", "sparsity_report", "split_leave_one_out",
+    "train_epoch", "train_model",
 ]

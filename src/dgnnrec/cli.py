@@ -3,14 +3,13 @@ grad-check / bench.
 
 Runs are reproducible: a config file (plain ``key = value`` lines) plus a
 root seed fully determine every output except wall-clock fields. CLI
-flags override config-file values. The default thread count can be set
-via the DGNNREC_THREADS environment variable.
+flags override config-file values. A split manifest already in the output
+directory is reused only when its seed is the configured one.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -50,17 +49,11 @@ class RunConfig:
     epochs: int = 80
     seed: int = 0
     cutoffs: str = "5,10,20"
-    threads: int = 0  # 0 -> DGNNREC_THREADS or 1
     variant: str = "full"
     eval_every: int = 0
 
     def cutoff_list(self) -> tuple[int, ...]:
         return tuple(int(x) for x in self.cutoffs.split(",") if x.strip())
-
-    def thread_count(self) -> int:
-        if self.threads > 0:
-            return self.threads
-        return int(os.environ.get("DGNNREC_THREADS", "1"))
 
     def training(self) -> TrainingConfig:
         return TrainingConfig(dim=self.dim, layers=self.layers,
@@ -105,9 +98,8 @@ def _resolve_config(args) -> RunConfig:
         "item_relations": args.item_relations, "out": args.out,
         "dim": args.dim, "layers": args.layers, "memory_units": args.memory_units,
         "lr": args.lr, "batch_size": args.batch, "reg": getattr(args, "reg", None),
-        "epochs": args.epochs, "seed": args.seed, "threads": args.threads,
-        "variant": args.variant, "cutoffs": args.cutoffs,
-        "eval_every": getattr(args, "eval_every", None),
+        "epochs": args.epochs, "seed": args.seed, "variant": args.variant,
+        "cutoffs": args.cutoffs, "eval_every": getattr(args, "eval_every", None),
     }
     cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     return cfg
@@ -134,15 +126,27 @@ def _manifest_path(cfg: RunConfig) -> Path:
     return Path(cfg.out) / "split.txt"
 
 
-def _get_split(cfg: RunConfig, graph, write: bool = True):
+def _get_split(cfg: RunConfig, graph):
     path = _manifest_path(cfg)
     if path.exists():
-        return load_split_manifest(path, graph)
+        split = load_split_manifest(path, graph)
+        if split.seed != cfg.seed:
+            raise SplitError(f"{path} holds the split of seed {split.seed}, not {cfg.seed}; "
+                             f"rebuild it or use --seed {split.seed}")
+        return split
     split = split_leave_one_out(graph, cfg.seed)
-    if write:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_split_manifest(split, path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_split_manifest(split, path)
     return split
+
+
+def _load_matching_checkpoint(path, graph):
+    """Load a checkpoint and check it was trained on data with this graph's I, J, R."""
+    ckpt = load_checkpoint(path)
+    if (ckpt.num_users, ckpt.num_items, ckpt.num_relations) != (
+            graph.num_users, graph.num_items, graph.num_relations):
+        raise CheckpointError("checkpoint dimensions do not match the data")
+    return ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +193,7 @@ def cmd_train(args) -> int:
         hr10 = ndcg10 = ""
         if cfg.eval_every and (epoch % cfg.eval_every == 0 or epoch == tc.epochs):
             state = forward(train_graph, params, model_variant)
-            rep = evaluate(state.hstar, split, train_graph, (10,), model_variant,
-                           cfg.thread_count())
+            rep = evaluate(state.hstar, split, train_graph, (10,), model_variant)
             hr10, ndcg10 = f"{rep.hr[10]:.6f}", f"{rep.ndcg[10]:.6f}"
         log_rows.append(f"{epoch}\t{mean_loss:.10f}\t{seconds:.3f}\t{hr10}\t{ndcg10}")
         print(f"epoch {epoch:>4d}  loss {mean_loss:.6f}  {seconds:.2f}s"
@@ -215,14 +218,11 @@ def cmd_eval(args) -> int:
     variant = AblationVariant.parse(cfg.variant)
     eval_graph = strip_graph(split.train_graph, variant.drops_social,
                              variant.drops_relations)
-    ckpt = load_checkpoint(args.checkpoint or out / "model.ckpt")
-    if (ckpt.num_users, ckpt.num_items, ckpt.num_relations) != (
-            graph.num_users, graph.num_items, graph.num_relations):
-        raise CheckpointError("checkpoint dimensions do not match the data")
+    ckpt = _load_matching_checkpoint(args.checkpoint or out / "model.ckpt", graph)
     model_variant = variant.model_variant()
     state = forward(eval_graph, ckpt.params, model_variant)
     report = evaluate(state.hstar, replace(split, train_graph=eval_graph), eval_graph,
-                      cfg.cutoff_list(), model_variant, cfg.thread_count())
+                      cfg.cutoff_list(), model_variant)
     (out / "metrics.tsv").write_text(report_lines(report), encoding="utf-8")
     (out / "report.txt").write_text(report_table(report), encoding="utf-8")
     print(report_table(report), end="")
@@ -239,8 +239,7 @@ def cmd_ablate(args) -> int:
     wanted = (list(AblationVariant) if args.variant in (None, "all")
               else [AblationVariant.parse(args.variant)])
     for variant in wanted:
-        report = run_ablation(variant, graph, split, cfg.training(),
-                              cfg.cutoff_list(), cfg.thread_count())
+        report = run_ablation(variant, graph, split, cfg.training(), cfg.cutoff_list())
         tag = variant.value.lstrip("-") or "full"
         (out / f"metrics_{tag}.tsv").write_text(report_lines(report), encoding="utf-8")
         n = cfg.cutoff_list()[min(1, len(cfg.cutoff_list()) - 1)]
@@ -257,7 +256,7 @@ def cmd_export_attn(args) -> int:
     variant = AblationVariant.parse(cfg.variant)
     eval_graph = strip_graph(split.train_graph, variant.drops_social,
                              variant.drops_relations)
-    ckpt = load_checkpoint(args.checkpoint or out / "model.ckpt")
+    ckpt = _load_matching_checkpoint(args.checkpoint or out / "model.ckpt", graph)
     model_variant = variant.model_variant()
     state = forward(eval_graph, ckpt.params, model_variant)
     path = out / "attention.tsv"
@@ -297,7 +296,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--item-relations", dest="item_relations")
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--dim", type=int)
     p.add_argument("--layers", type=int)
     p.add_argument("--memory-units", dest="memory_units", type=int)

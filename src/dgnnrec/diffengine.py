@@ -1,10 +1,10 @@
 """Dense numeric kernels with exact hand-written backward passes.
 
 The model has a fixed architecture, so there is no taped autodiff graph:
-each forward helper is paired with a function returning its analytical
-gradient, and ``finite_diff_check`` is the harness that verifies those
-gradients against central differences (used by the test suite and the
-``grad-check`` CLI command).
+each differentiable helper is paired with a function returning its
+analytical gradient, and ``finite_diff_check`` is the harness that
+verifies gradients against central differences (used by the test suite,
+the model's gradient check and the ``grad-check`` CLI command).
 
 Everything operates on float64 and is pure: no function mutates its
 arguments.
@@ -12,7 +12,7 @@ arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,26 +33,6 @@ def _as_f64(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# matrix-vector product
-
-
-def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """y = A @ x with y_i = sum_k A_ik x_k."""
-    a, x = _as_f64(a), _as_f64(x)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ShapeError(f"matvec shapes {a.shape} and {x.shape} do not conform")
-    return a @ x
-
-
-def matvec_backward(a: np.ndarray, x: np.ndarray, grad_out: np.ndarray):
-    """Gradients of y = A @ x: dA = g x^T, dx = A^T g."""
-    a, x, g = _as_f64(a), _as_f64(x), _as_f64(grad_out)
-    if g.shape != (a.shape[0],):
-        raise ShapeError(f"upstream gradient shape {g.shape} does not match output ({a.shape[0]},)")
-    return np.outer(g, x), a.T @ g
-
-
-# ---------------------------------------------------------------------------
 # activations
 
 
@@ -68,25 +48,11 @@ def leaky_relu_grad(x: np.ndarray, alpha: float = LEAKY_SLOPE) -> np.ndarray:
     return np.where(x >= 0.0, 1.0, alpha)
 
 
-def leaky_relu_backward(x: np.ndarray, grad_out: np.ndarray, alpha: float = LEAKY_SLOPE) -> np.ndarray:
-    return _as_f64(grad_out) * leaky_relu_grad(x, alpha)
-
-
 def sigmoid(x):
     """1/(1+exp(-x)), stable for large |x|."""
     x = _as_f64(x)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def sigmoid_backward(x, grad_out):
-    s = sigmoid(x)
-    return _as_f64(grad_out) * s * (1.0 - s)
-
-
-def log_sigmoid(x):
-    """log(sigmoid(x)) without overflow; used by the BPR loss."""
-    return -np.logaddexp(0.0, -_as_f64(x))
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +147,7 @@ class FiniteDiffReport:
     worst_coord: int
     num_coords: int
     tol: float
+    errors: np.ndarray = field(repr=False)  # relative error per coordinate
 
     @property
     def passed(self) -> bool:
@@ -204,9 +171,7 @@ def finite_diff_check(f, params: np.ndarray, grad: np.ndarray, h: float = 1e-5,
         raise ShapeError(f"gradient shape {grad.shape} does not match params {params.shape}")
     work = params.copy()
     flat = work.ravel()
-    gflat = grad.ravel()
-    max_err = 0.0
-    worst = -1
+    numeric = np.empty(flat.size)
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + h
@@ -216,9 +181,9 @@ def finite_diff_check(f, params: np.ndarray, grad: np.ndarray, h: float = 1e-5,
         flat[i] = orig
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise NonFiniteError(f"non-finite evaluation while perturbing coordinate {i}")
-        numeric = (fp - fm) / (2.0 * h)
-        denom = max(abs(gflat[i]), abs(numeric), denom_floor)
-        err = abs(gflat[i] - numeric) / denom
-        if err > max_err:
-            max_err, worst = err, i
-    return FiniteDiffReport(max_err, worst, flat.size, tol)
+        numeric[i] = (fp - fm) / (2.0 * h)
+    analytic = grad.ravel()
+    errors = np.abs(analytic - numeric) / np.maximum(
+        np.maximum(np.abs(analytic), np.abs(numeric)), denom_floor)
+    worst = int(np.argmax(errors))
+    return FiniteDiffReport(float(errors[worst]), worst, flat.size, tol, errors)

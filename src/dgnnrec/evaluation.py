@@ -10,7 +10,6 @@ HR@N counts positives ranked within the top N and NDCG@N credits
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -18,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .hetgraph import HeteroGraph, Split, build_graph
-from .model import (EdgeType, FULL_VARIANT, LayerState, MemoryBank,
-                    ModelVariant, forward, recalibrated_users)
+from .model import (EdgeType, FULL_VARIANT, LayerState, ModelVariant,
+                    _batch_attention, forward, recalibrated_users)
 from .training import TrainingConfig, train_model
 
 DEFAULT_CUTOFFS = (5, 10, 20)
@@ -59,6 +58,10 @@ def _candidate_ranks(q_users: np.ndarray, hstar: np.ndarray, num_users: int,
     if any(np.unique(row).size != row.size for row in cands):
         raise EvaluationError("duplicate candidate ids (positive overlaps negatives?)")
     scores = np.einsum("ud,ucd->uc", q_users[users], hstar[num_users + cands])
+    # NaN compares false both ways, so a NaN score would rank the positive first.
+    bad = ~np.isfinite(scores)
+    if bad.any():
+        raise EvaluationError(f"non-finite score for user {users[np.argwhere(bad)[0][0]]}")
     pos_score = scores[:, 0][:, None]
     pos_id = cands[:, 0][:, None]
     better = (scores > pos_score) | ((scores == pos_score) & (cands < pos_id))
@@ -92,27 +95,18 @@ def _metrics_at(ranks: np.ndarray, cutoffs) -> tuple[dict, dict]:
 
 
 def _all_ranks(hstar: np.ndarray, split: Split, graph: HeteroGraph,
-               variant: ModelVariant, threads: int = 1) -> np.ndarray:
+               variant: ModelVariant) -> np.ndarray:
     q = recalibrated_users(hstar, graph, variant)
-    users, pos, neg = split.test_users, split.test_items, split.eval_negatives
-    if threads <= 1 or users.size < 2 * threads:
-        return _candidate_ranks(q, hstar, graph.num_users, users, pos, neg)
-    chunks = np.array_split(np.arange(users.size), threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda idx: _candidate_ranks(q, hstar, graph.num_users,
-                                         users[idx], pos[idx], neg[idx]),
-            chunks))
-    return np.concatenate(parts)
+    return _candidate_ranks(q, hstar, graph.num_users, split.test_users,
+                            split.test_items, split.eval_negatives)
 
 
 def evaluate(hstar: np.ndarray, split: Split, graph: HeteroGraph,
-             cutoffs=DEFAULT_CUTOFFS, variant: ModelVariant = FULL_VARIANT,
-             threads: int = 1) -> EvalReport:
+             cutoffs=DEFAULT_CUTOFFS, variant: ModelVariant = FULL_VARIANT) -> EvalReport:
     """Average rank_and_score over every test user; deterministic."""
     if split.test_users.size == 0:
         raise EvaluationError("empty test set")
-    ranks = _all_ranks(hstar, split, graph, variant, threads)
+    ranks = _all_ranks(hstar, split, graph, variant)
     hr, ndcg = _metrics_at(ranks, cutoffs)
     groups = (_group_metrics(ranks, split, cutoffs)
               if split.test_users.size >= 4 else [])
@@ -201,8 +195,7 @@ def strip_graph(graph: HeteroGraph, drop_social: bool, drop_relations: bool) -> 
 
 
 def run_ablation(variant: AblationVariant, graph: HeteroGraph, split: Split,
-                 config: TrainingConfig, cutoffs=DEFAULT_CUTOFFS,
-                 threads: int = 1) -> EvalReport:
+                 config: TrainingConfig, cutoffs=DEFAULT_CUTOFFS) -> EvalReport:
     """Train the variant from scratch on (possibly stripped) data and evaluate.
 
     -ST is by construction the Full model run on a graph built with empty
@@ -215,7 +208,7 @@ def run_ablation(variant: AblationVariant, graph: HeteroGraph, split: Split,
     cfg = variant.adjust_config(config)
     params, _, _ = train_model(train_graph, cfg, model_variant)
     state = forward(train_graph, params, model_variant)
-    return evaluate(state.hstar, eval_split, train_graph, cutoffs, model_variant, threads)
+    return evaluate(state.hstar, eval_split, train_graph, cutoffs, model_variant)
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +219,16 @@ def export_memory_attention(state: LayerState, graph: HeteroGraph, banks,
                             path, variant: ModelVariant = FULL_VARIANT) -> None:
     """Per user, the unit-attention vector under the social and item banks.
 
-    Rows are `user_id<TAB>bank<TAB>eta_1,...,eta_M` with bank in {uu, ui};
-    weights are taken at the last propagation layer. Raw numbers only.
+    Rows are `user_id<TAB>bank<TAB>eta_1,...,eta_M` with bank in {uu, ui}:
+    the weights the last propagation layer applied, conditioned on that
+    layer's input H^(L-1). Raw numbers only.
     """
-    top = state.layers[-1][:graph.num_users]
-    lines = []
-    for u in range(graph.num_users):
-        for label, et in (("uu", EdgeType.UU), ("ui", EdgeType.UI)):
-            bank: MemoryBank = banks[et]
-            if variant.memory_attention:
-                from .model import memory_attention
-                eta = memory_attention(top[u], bank)
-            else:
-                eta = np.ones(bank.num_units)
-            lines.append(f"{u}\t{label}\t" + ",".join(format(x, ".17g") for x in eta))
+    if state.num_layers == 0:
+        raise EvaluationError("the model has no propagation layer, so no attention to export")
+    targets = state.layers[-2][:graph.num_users]
+    att = [_batch_attention(targets, banks[et], variant)[0] for et in (EdgeType.UU, EdgeType.UI)]
+    lines = [f"{u}\t{label}\t" + ",".join(format(x, ".17g") for x in eta[u])
+             for u in range(graph.num_users) for label, eta in zip(("uu", "ui"), att)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -326,7 +326,12 @@ def save_split_manifest(split: Split, path) -> None:
 
 
 def load_split_manifest(path, graph: HeteroGraph) -> Split:
-    """Rebuild a Split against ``graph`` (the full, unsplit graph)."""
+    """Rebuild a Split against ``graph`` (the full, unsplit graph).
+
+    Raises SplitError when the manifest does not fit the graph: an id out
+    of range, a held-out pair that is not an interaction, or a negative
+    the user interacted with.
+    """
     text = Path(path).read_text(encoding="utf-8").splitlines()
     body = [ln for ln in text if ln and not ln.startswith("#")]
     try:
@@ -346,17 +351,33 @@ def load_split_manifest(path, graph: HeteroGraph) -> Split:
         negs.append(row)
     users_a = np.asarray(users, dtype=np.int64)
     items_a = np.asarray(items, dtype=np.int64)
+    negs_a = np.asarray(negs, dtype=np.int64).reshape(len(users), NUM_EVAL_NEGATIVES)
+    J = graph.num_items
+    # Range first: the u*J+item keys below are only unique for in-range ids.
+    if users_a.size and (users_a.min() < 0 or users_a.max() >= graph.num_users
+                         or min(items_a.min(), negs_a.min()) < 0
+                         or max(items_a.max(), negs_a.max()) >= J):
+        raise SplitError(f"{path}: user or item id out of range for this graph")
     all_pairs = graph.interaction_pairs()
-    held_keys = users_a * graph.num_items + items_a
-    all_keys = all_pairs[:, 0] * graph.num_items + all_pairs[:, 1]
+    all_keys = all_pairs[:, 0] * J + all_pairs[:, 1]
+    held_keys = users_a * J + items_a
+    missing = ~np.isin(held_keys, all_keys)
+    if missing.any():
+        row = int(np.flatnonzero(missing)[0])
+        raise SplitError(f"{path}: held-out pair ({users_a[row]}, {items_a[row]}) "
+                         f"is not an interaction of the graph")
+    clash = np.isin(users_a[:, None] * J + negs_a, all_keys)
+    if clash.any():
+        row, col = np.argwhere(clash)[0]
+        raise SplitError(f"{path}: negative {negs_a[row, col]} of user {users_a[row]} "
+                         f"is one of that user's interactions")
     keep = ~np.isin(all_keys, held_keys)
     train_graph = replace(
         graph,
         ui=Adjacency.from_pairs(all_pairs[keep], graph.num_users),
         iu=Adjacency.from_pairs(_reverse_pairs(all_pairs[keep]), graph.num_items),
     )
-    return Split(train_graph, users_a, items_a,
-                 np.asarray(negs, dtype=np.int64).reshape(len(users), NUM_EVAL_NEGATIVES),
+    return Split(train_graph, users_a, items_a, negs_a,
                  int(meta["skipped"]), int(meta["seed"]))
 
 
@@ -364,34 +385,15 @@ def load_split_manifest(path, graph: HeteroGraph) -> Split:
 # BPR triplet sampling
 
 
-def _edge_user(graph: HeteroGraph, edge_index: int) -> int:
-    return int(np.searchsorted(graph.ui.indptr, edge_index, side="right") - 1)
-
-
-def sample_bpr_triplet(train_graph: HeteroGraph, rng: np.random.Generator,
-                       max_item_tries: int = 100, max_edge_tries: int = 50):
-    """Uniform observed edge (u, j+), negative j- by rejection.
-
-    If a user turns out to interact with every sampled candidate the edge
-    is resampled; after ``max_edge_tries`` edges a SamplingError is raised.
-    """
-    num_edges = train_graph.num_interactions
-    if num_edges == 0:
-        raise SamplingError("graph has no interactions to sample from")
-    for _ in range(max_edge_tries):
-        e = int(rng.integers(num_edges))
-        u = _edge_user(train_graph, e)
-        pos = int(train_graph.ui.indices[e])
-        for _ in range(max_item_tries):
-            cand = int(rng.integers(train_graph.num_items))
-            if not train_graph.has_interaction(u, cand):
-                return u, pos, cand
-    raise SamplingError("exhausted retry budget; users appear to interact with all items")
-
-
 def sample_bpr_batch(train_graph: HeteroGraph, rng: np.random.Generator, size: int,
                      max_rounds: int = 200):
-    """Vectorized batch with the same per-triplet distribution as above."""
+    """``size`` triplets (u, j+, j-): a uniform observed edge, j- by rejection.
+
+    Each negative is redrawn until it is not one of u's interactions. A
+    triplet still pending after every 50 rounds has its edge resampled, in
+    case its user interacts with every item; after ``max_rounds`` rounds a
+    SamplingError is raised.
+    """
     num_edges = train_graph.num_interactions
     if num_edges == 0:
         raise SamplingError("graph has no interactions to sample from")
@@ -413,7 +415,6 @@ def sample_bpr_batch(train_graph: HeteroGraph, rng: np.random.Generator, size: i
         if pending.size == 0:
             return users, pos, neg.copy()
         if round_no and round_no % 50 == 0:
-            # Likely saturated users: resample their edges, as the scalar op does.
             edges_new = rng.integers(0, num_edges, size=pending.size)
             users[pending] = np.searchsorted(train_graph.ui.indptr, edges_new, side="right") - 1
             pos[pending] = train_graph.ui.indices[edges_new]

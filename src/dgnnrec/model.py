@@ -137,11 +137,16 @@ class ModelParams:
         return cls(emb, banks,
                    np.ones((num_layers, dim)), np.zeros((num_layers, dim)), ln_eps)
 
+    @classmethod
+    def zeros(cls, num_nodes: int, dim: int, num_units: int, num_layers: int,
+              ln_eps: float = DEFAULT_LN_EPS) -> "ModelParams":
+        return cls(np.zeros((num_nodes, dim)),
+                   tuple(MemoryBank.zeros(et, num_units, dim) for et in EdgeType),
+                   np.zeros((num_layers, dim)), np.zeros((num_layers, dim)), ln_eps)
+
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            np.zeros_like(self.embeddings),
-            tuple(MemoryBank.zeros(b.edge_type, b.num_units, b.dim) for b in self.banks),
-            np.zeros_like(self.ln_scale), np.zeros_like(self.ln_shift), self.ln_eps)
+        return ModelParams.zeros(self.num_nodes, self.dim, self.num_units,
+                                 self.num_layers, self.ln_eps)
 
     def _arrays(self):
         """(name, array) in canonical order; drives vectors and checkpoints."""
@@ -248,67 +253,6 @@ def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-node operations (reference API; the batched path lives in layer_step)
-
-
-def memory_attention(target_emb: np.ndarray, bank: MemoryBank) -> np.ndarray:
-    """Unnormalized unit weights eta_m = leaky_relu(<x_t, k_m> + b_m)."""
-    target_emb = np.asarray(target_emb, dtype=np.float64)
-    if target_emb.shape != (bank.dim,):
-        raise de.ShapeError(f"target embedding shape {target_emb.shape} != ({bank.dim},)")
-    return de.leaky_relu(bank.keys @ target_emb + bank.biases)
-
-
-def encode_message(target_emb: np.ndarray, source_emb: np.ndarray,
-                   bank: MemoryBank, variant: ModelVariant = FULL_VARIANT) -> np.ndarray:
-    """(sum_m eta_m(target) W_m) @ source; attention on target, transform on source."""
-    source_emb = np.asarray(source_emb, dtype=np.float64)
-    if variant.memory_attention:
-        eta = memory_attention(target_emb, bank)
-    else:
-        eta = np.ones(bank.num_units)
-    mixed = np.tensordot(eta, bank.transforms, axes=1)
-    return mixed @ source_emb
-
-
-def _mean_messages(target: int, emb: np.ndarray, neighborhoods, variant) -> np.ndarray:
-    total = np.zeros(emb.shape[1])
-    count = 0
-    for bank, offset, neighbors in neighborhoods:
-        for nb in neighbors:
-            total += encode_message(emb[target], emb[offset + int(nb)], bank, variant)
-            count += 1
-    # Isolated nodes aggregate to zero; the self loop keeps them alive.
-    return total / count if count else total
-
-
-def aggregate_user(u: int, emb: np.ndarray, graph: HeteroGraph, banks,
-                   variant: ModelVariant = FULL_VARIANT) -> np.ndarray:
-    """Mean of social and item messages, denominator |N_S(u)| + |N_Y(u)|."""
-    return _mean_messages(u, emb, [
-        (banks[EdgeType.UU], 0, graph.uu.neighbors(u)),
-        (banks[EdgeType.UI], graph.num_users, graph.ui.neighbors(u)),
-    ], variant)
-
-
-def aggregate_item(v: int, emb: np.ndarray, graph: HeteroGraph, banks,
-                   variant: ModelVariant = FULL_VARIANT) -> np.ndarray:
-    """Mean of user and relation-node messages, denominator |N_Y(v)| + |N_T(v)|."""
-    return _mean_messages(graph.num_users + v, emb, [
-        (banks[EdgeType.IU], 0, graph.iu.neighbors(v)),
-        (banks[EdgeType.IR], graph.num_users + graph.num_items, graph.ir.neighbors(v)),
-    ], variant)
-
-
-def aggregate_relation(r: int, emb: np.ndarray, graph: HeteroGraph, banks,
-                       variant: ModelVariant = FULL_VARIANT) -> np.ndarray:
-    """Mean of connected-item messages."""
-    return _mean_messages(graph.num_users + graph.num_items + r, emb, [
-        (banks[EdgeType.RI], graph.num_users, graph.ri.neighbors(r)),
-    ], variant)
-
-
-# ---------------------------------------------------------------------------
 # vectorized layer
 
 
@@ -320,6 +264,10 @@ class _StepCache:
 
 
 def _batch_attention(rows: np.ndarray, bank: MemoryBank, variant: ModelVariant):
+    """(eta, pre-activation) of every unit, each row taken as a target.
+
+    Without memory attention eta is all ones and pre is None.
+    """
     if not variant.memory_attention:
         return np.ones((rows.shape[0], bank.num_units)), None
     pre = rows @ bank.keys.T + bank.biases
@@ -422,15 +370,6 @@ def forward(graph: HeteroGraph, params: ModelParams,
 # scoring
 
 
-def recalibrate(u: int, hstar: np.ndarray, graph: HeteroGraph) -> np.ndarray:
-    """Social average (sum of neighbor rows + own row) / (deg + 1)."""
-    neighbors = graph.uu.neighbors(u)
-    total = hstar[u].copy()
-    for nb in neighbors:
-        total += hstar[int(nb)]
-    return total / (neighbors.size + 1)
-
-
 def recalibrated_users(hstar: np.ndarray, graph: HeteroGraph,
                        variant: ModelVariant = FULL_VARIANT,
                        edge_cache: EdgeCache | None = None) -> np.ndarray:
@@ -443,17 +382,6 @@ def recalibrated_users(hstar: np.ndarray, graph: HeteroGraph,
     neigh = _segment_sum(users[te.src_ids], te.tgt_indptr)
     deg = graph.uu.degrees()[:, None]
     return users + (neigh + users) / (deg + 1.0)
-
-
-def predict(u: int, v: int, hstar: np.ndarray, graph: HeteroGraph,
-            variant: ModelVariant = FULL_VARIANT) -> float:
-    """Preference score xi(u, v); v is a type-local item id."""
-    item_row = hstar[graph.num_users + v]
-    if variant.recalibration:
-        q = hstar[u] + recalibrate(u, hstar, graph)
-    else:
-        q = hstar[u]
-    return float(q @ item_row)
 
 
 # ---------------------------------------------------------------------------

@@ -246,14 +246,6 @@ def save_checkpoint(path, params: ModelParams, num_users: int, num_items: int,
         fh.write(b"".join(chunks))
 
 
-def _empty_params(num_nodes: int, dim: int, num_units: int, num_layers: int,
-                  ln_eps: float) -> ModelParams:
-    from .model import MemoryBank
-    banks = tuple(MemoryBank.zeros(et, num_units, dim) for et in EdgeType)
-    return ModelParams(np.zeros((num_nodes, dim)), banks,
-                       np.zeros((num_layers, dim)), np.zeros((num_layers, dim)), ln_eps)
-
-
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         data = fh.read()
@@ -277,7 +269,7 @@ def load_checkpoint(path) -> Checkpoint:
         offset += nbytes
         return out
 
-    params = _empty_params(n_users + n_items + n_rel, dim, units, layers, ln_eps)
+    params = ModelParams.zeros(n_users + n_items + n_rel, dim, units, layers, ln_eps)
     for _, arr in params._arrays():
         arr[...] = take(arr.size).reshape(arr.shape)
 
@@ -401,28 +393,12 @@ def check_model_gradients(dims=(2, 4, 8), memory_units=(1, 2, 4), layers=(0, 1, 
                 users, pos, neg = triplets
                 _, grad = bpr_batch_grad(graph, params, users, pos, neg, reg, variant, cache)
 
-                def objective(vec, _p=params, _g=graph, _c=cache, _t=triplets):
-                    return bpr_batch_loss(_g, _p.with_vector(vec), _t[0], _t[1], _t[2],
-                                          reg, variant, _c)
+                def objective(vec):
+                    return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
+                                          reg, variant, cache)
 
-                vec = params.to_vector()
-                numeric = np.empty_like(vec)
-                work = vec.copy()
-                for i in range(vec.size):
-                    orig = work[i]
-                    work[i] = orig + h
-                    fp = objective(work)
-                    work[i] = orig - h
-                    fm = objective(work)
-                    work[i] = orig
-                    if not (np.isfinite(fp) and np.isfinite(fm)):
-                        raise de.NonFiniteError(f"non-finite objective at coordinate {i}")
-                    numeric[i] = (fp - fm) / (2.0 * h)
-                denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-5)
-                err = np.abs(grad - numeric) / denom
-                worst = int(np.argmax(err))
-                report = de.FiniteDiffReport(float(err[worst]), worst, vec.size, tol)
-                group_errors = {name: float(err[sl].max())
+                report = de.finite_diff_check(objective, params.to_vector(), grad, h, tol)
+                group_errors = {name: float(report.errors[sl].max())
                                 for name, sl in params.group_slices() if sl.stop > sl.start}
                 cases.append(GradCheckCase(dim, units, num_layers, report, group_errors))
     return GradCheckResult(cases, tol)

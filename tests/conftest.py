@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # dense_reference import
 
 from dgnnrec.hetgraph import build_graph
-from dgnnrec.model import ModelParams
+from dgnnrec.model import FULL_VARIANT, ModelParams, recalibrated_users
 from dgnnrec.seeding import PARAM_INIT, rng_for
 
 
@@ -31,6 +31,11 @@ def random_small_graph(rng, max_users=6, max_items=8, max_relations=4):
 def random_params(graph, dim, num_units, num_layers, seed=0):
     return ModelParams.init(graph.num_nodes, dim, num_units, num_layers,
                             rng_for(seed, PARAM_INIT, dim, num_units, num_layers))
+
+
+def score(u, v, hstar, graph, variant=FULL_VARIANT):
+    """Preference xi(u, v) through the batched scoring path; v is a type-local item id."""
+    return float(recalibrated_users(hstar, graph, variant)[u] @ hstar[graph.num_users + v])
 
 
 @pytest.fixture

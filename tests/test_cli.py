@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from dgnnrec import cli
 from dgnnrec.synthetic import make_planted_dataset
+from dgnnrec.training import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture
@@ -123,9 +125,34 @@ def test_eval_checkpoint_dimension_mismatch(dataset_dir, tmp_path):
                         ("social.tsv", other.social),
                         ("relations.tsv", other.item_relations)):
         (d2 / name).write_text("\n".join(f"{a}\t{b}" for a, b in pairs) + "\n")
-    code = cli.main(["eval", *_base_args(d2, tmp_path / "run2"),
-                     "--checkpoint", str(out / "model.ckpt")])
-    assert code == cli.EXIT_IO
+    for command in ("eval", "export-attn"):
+        code = cli.main([command, *_base_args(d2, tmp_path / "run2"),
+                         "--checkpoint", str(out / "model.ckpt")])
+        assert code == cli.EXIT_IO, command
+
+
+def test_eval_non_finite_checkpoint_exit_code(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    cli.main(["train", *_base_args(dataset_dir, out)])
+    ckpt = load_checkpoint(out / "model.ckpt")
+    ckpt.params.embeddings[:] = np.nan
+    save_checkpoint(out / "model.ckpt", ckpt.params, ckpt.num_users, ckpt.num_items,
+                    ckpt.num_relations)
+    assert cli.main(["eval", *_base_args(dataset_dir, out)]) == cli.EXIT_EVAL
+    assert "non-finite score" in capsys.readouterr().err
+    assert not (out / "metrics.tsv").exists()
+
+
+def test_split_of_another_seed_is_not_reused(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    args = _base_args(dataset_dir, out)
+    seed_at = args.index("--seed") + 1
+    args[seed_at] = "7"
+    assert cli.main(["build", *args]) == 0
+    args[seed_at] = "5"
+    assert cli.main(["train", *args]) == cli.EXIT_DATA
+    assert "seed 7" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
 
 
 def test_ablate_single_variant(dataset_dir, tmp_path, capsys):
@@ -167,9 +194,10 @@ def test_config_file_overridden_by_flags(dataset_dir, tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("bogus_key = 1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="unknown config key"):
-        cli.load_config(path)
+    for line in ("bogus_key = 1", "threads = 2"):  # threads: a removed key
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="unknown config key"):
+            cli.load_config(path)
 
 
 def test_grad_check_command(capsys):

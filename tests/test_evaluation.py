@@ -186,19 +186,18 @@ def test_metrics_invariant_under_affine_score_transform(a, b):
     assert r1.hr == r2.hr and r1.ndcg == r2.ndcg
 
 
-def test_evaluate_threads_match_single_thread():
-    rng = np.random.default_rng(5)
-    g = _flat_graph(40, 200)
-    hstar = rng.normal(size=(240, 5))
-    positives = rng.integers(0, 200, size=40)
-    negatives = np.empty((40, 100), dtype=np.int64)
-    for i, p in enumerate(positives):
-        pool = np.setdiff1d(np.arange(200), [p])
-        negatives[i] = rng.choice(pool, size=100, replace=False)
-    split = _split_for(g, np.arange(40), positives, negatives)
-    r1 = ev.evaluate(hstar, split, g)
-    r4 = ev.evaluate(hstar, split, g, threads=4)
-    assert r1.hr == r4.hr and r1.ndcg == r4.ndcg
+def test_evaluate_rejects_non_finite_scores():
+    g = _flat_graph(2, 102)
+    split = _split_for(g, [0, 1], [0, 1], [np.arange(2, 102), np.arange(2, 102)])
+    # NaN compares false, so an all-NaN H* used to rank every positive first.
+    with pytest.raises(ev.EvaluationError, match="non-finite"):
+        ev.evaluate(np.full((104, 2), np.nan), split, g)
+    hstar = _hstar_with_item_scores(2, np.arange(102.0))
+    hstar[2 + 57] = np.nan  # one negative of both users
+    with pytest.raises(ev.EvaluationError, match="non-finite score for user 0"):
+        ev.evaluate(hstar, split, g)
+    with pytest.raises(ev.EvaluationError, match="non-finite"):
+        ev.rank_and_score(1, 1, np.arange(2, 102), hstar, g, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +325,33 @@ def test_export_zero_banks_write_zero_rows(tmp_path, tiny_graph):
         user, bank, vec = line.split("\t")
         assert bank in ("uu", "ui")
         assert all(float(x) == 0.0 for x in vec.split(","))
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_export_is_the_attention_the_last_layer_applied(tmp_path, tiny_graph, num_layers):
+    from dgnnrec import diffengine as de
+    from dgnnrec.model import ModelParams
+    from dgnnrec.seeding import PARAM_INIT, rng_for
+    params = ModelParams.init(tiny_graph.num_nodes, 3, 2, num_layers, rng_for(2, PARAM_INIT))
+    for bank in params.banks:
+        bank.keys *= 20.0  # move attention away from the neutral init
+    state = forward(tiny_graph, params)
+    ev.export_memory_attention(state, tiny_graph, params.banks, tmp_path / "attn.tsv")
+    applied = state.step_caches[-1].att_pre
+    rows = [line.split("\t") for line in (tmp_path / "attn.tsv").read_text().splitlines()]
+    for user, label, vec in rows:
+        expected = de.leaky_relu(applied[EdgeType[label.upper()]][int(user)])
+        assert np.array_equal([float(x) for x in vec.split(",")], expected)
+
+
+def test_export_without_layers_errors(tmp_path, tiny_graph):
+    from dgnnrec.model import ModelParams
+    from dgnnrec.seeding import PARAM_INIT, rng_for
+    params = ModelParams.init(tiny_graph.num_nodes, 3, 2, 0, rng_for(0, PARAM_INIT))
+    with pytest.raises(ev.EvaluationError, match="no propagation layer"):
+        ev.export_memory_attention(forward(tiny_graph, params), tiny_graph,
+                                   params.banks, tmp_path / "attn.tsv")
+    assert not (tmp_path / "attn.tsv").exists()
 
 
 def test_export_is_deterministic(tmp_path, tiny_graph):

@@ -157,6 +157,51 @@ def test_manifest_round_trip(tmp_path):
     assert np.array_equal(loaded.train_graph.ui.indptr, split.train_graph.ui.indptr)
 
 
+def _rewrite_first_test_row(path, edit):
+    lines = path.read_text().splitlines()
+    row = 3  # after the header, seed and skipped lines
+    u, item, negs = lines[row].split("\t")
+    lines[row] = "\t".join(edit(int(u), int(item), negs.split(",")))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_manifest_rejects_held_pair_not_in_graph(tmp_path):
+    g = _chain_graph(num_users=10, num_items=150, per_user=4)
+    path = tmp_path / "split.txt"
+    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+
+    def hold_a_negative(u, item, negs):
+        # a negative is by construction not an interaction of u
+        return str(u), negs[0], ",".join(negs[1:] + [str(item)])
+
+    _rewrite_first_test_row(path, hold_a_negative)
+    with pytest.raises(hg.SplitError, match="not an interaction"):
+        hg.load_split_manifest(path, g)
+
+
+def test_manifest_rejects_negative_the_user_interacted_with(tmp_path):
+    g = _chain_graph(num_users=10, num_items=150, per_user=4)
+    path = tmp_path / "split.txt"
+    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    def swap_in_train_item(u, item, negs):
+        other = next(j for j in g.ui.neighbors(u).tolist() if j != item)
+        return str(u), str(item), ",".join([str(other)] + negs[1:])
+
+    _rewrite_first_test_row(path, swap_in_train_item)
+    with pytest.raises(hg.SplitError, match="one of that user's interactions"):
+        hg.load_split_manifest(path, g)
+
+
+def test_manifest_rejects_out_of_range_ids(tmp_path):
+    g = _chain_graph(num_users=10, num_items=150, per_user=4)
+    path = tmp_path / "split.txt"
+    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    _rewrite_first_test_row(path, lambda u, item, negs: (
+        str(u), str(item), ",".join(negs[:-1] + ["150"])))
+    with pytest.raises(hg.SplitError, match="out of range"):
+        hg.load_split_manifest(path, g)
+
+
 def test_manifest_same_seed_identical_bytes(tmp_path):
     g = _chain_graph(num_users=10, num_items=150, per_user=4)
     for name in ("a", "b"):
@@ -170,29 +215,24 @@ def test_manifest_same_seed_identical_bytes(tmp_path):
 
 def test_sample_triplet_single_edge():
     g = hg.build_graph([(0, 5)], [], [], 1, 10, 0)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        u, pos, neg = hg.sample_bpr_triplet(g, rng)
-        assert (u, pos) == (0, 5)
-        assert neg != 5 and 0 <= neg < 10
+    users, pos, neg = hg.sample_bpr_batch(g, np.random.default_rng(0), 20)
+    assert np.all(users == 0) and np.all(pos == 5)
+    assert np.all((neg != 5) & (neg >= 0) & (neg < 10))
 
 
 def test_sample_triplet_positive_frequencies_uniform():
     # chi-square-style check against the uniform-edge oracle on a 2-edge graph
     g = hg.build_graph([(0, 0), (1, 1)], [], [], 2, 10, 0)
-    rng = np.random.default_rng(42)
-    hits = 0
     n = 10_000
-    for _ in range(n):
-        u, pos, _ = hg.sample_bpr_triplet(g, rng)
-        hits += (u, pos) == (0, 0)
-    assert abs(hits / n - 0.5) < 0.05
+    users, pos, _ = hg.sample_bpr_batch(g, np.random.default_rng(42), n)
+    assert np.array_equal(users, pos)  # each user's only edge
+    assert abs(np.count_nonzero(users == 0) / n - 0.5) < 0.05
 
 
 def test_sample_triplet_saturated_user_errors():
     g = hg.build_graph([(0, 0)], [], [], 1, 1, 0)
     with pytest.raises(hg.SamplingError):
-        hg.sample_bpr_triplet(g, np.random.default_rng(0))
+        hg.sample_bpr_batch(g, np.random.default_rng(0), 4)
 
 
 def test_sample_batch_matches_contract():

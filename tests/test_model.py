@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_params, random_small_graph
-from dense_reference import dense_forward, dense_predict
+from conftest import random_params, random_small_graph, score
+from dense_reference import dense_forward, dense_predict, mixed_transform
 from dgnnrec import diffengine as de
 from dgnnrec.hetgraph import build_graph
 from dgnnrec.model import (EdgeType, FULL_VARIANT, MemoryBank, ModelParams,
-                           ModelVariant, aggregate_item, aggregate_relation,
-                           aggregate_user, encode_message, final_embeddings,
-                           forward, layer_step, memory_attention, predict,
-                           recalibrate)
+                           ModelVariant, _batch_attention, final_embeddings,
+                           forward, layer_step, recalibrated_users)
 
 
 def bank_of(et, transforms, keys, biases):
@@ -34,34 +32,55 @@ def params_with_banks(graph, dim, banks, num_layers=1, emb=None):
     return ModelParams(p.embeddings, tuple(banks), p.ln_scale, p.ln_shift, p.ln_eps)
 
 
+def _identity_banks(dim, **overrides):
+    return tuple(overrides.get(et.name, identity_bank(et, dim)) for et in EdgeType)
+
+
+def aggregation(graph, emb, banks):
+    """Mean of each node's incoming messages (the layer-norm input) in one layer_step."""
+    p = params_with_banks(graph, np.shape(emb)[1], banks, emb=emb)
+    record = []
+    layer_step(p.embeddings, graph, p, 0, _record=record)
+    return record[0].agg
+
+
 # ---------------------------------------------------------------------------
 # memory attention / message encoding
 
 
 def test_attention_zero_bank_gives_zero_weights():
     bank = zero_bank(EdgeType.UU, 2, units=3)
-    assert np.array_equal(memory_attention(np.array([1.0, -2.0]), bank), np.zeros(3))
+    att, _ = _batch_attention(np.array([[1.0, -2.0]]), bank, FULL_VARIANT)
+    assert np.array_equal(att, np.zeros((1, 3)))
 
 
 def test_attention_reference_values():
     bank = bank_of(EdgeType.UU, [np.eye(2)], [[0.5, 0.5]], [0.1])
+    att, pre = _batch_attention(np.array([[1.0, 2.0], [-1.0, -2.0]]), bank, FULL_VARIANT)
     # <[1,2],[.5,.5]> + .1 = 1.6, positive branch
-    assert memory_attention(np.array([1.0, 2.0]), bank)[0] == pytest.approx(1.6)
     # <[-1,-2],[.5,.5]> + .1 = -1.4 -> 0.2 * -1.4
-    assert memory_attention(np.array([-1.0, -2.0]), bank)[0] == pytest.approx(-0.28)
+    assert pre[:, 0] == pytest.approx([1.6, -1.4])
+    assert att[:, 0] == pytest.approx([1.6, -0.28])
+    ones, none = _batch_attention(np.array([[1.0, 2.0]]), bank,
+                                  ModelVariant(memory_attention=False))
+    assert np.array_equal(ones, [[1.0]]) and none is None
+
+
+# One interaction: the user's aggregation is the single UI message from the item.
+SINGLE_EDGE = build_graph([(0, 0)], [], [], 1, 1, 0)
 
 
 def test_encode_message_identity_transport():
-    bank = identity_bank(EdgeType.UI, 3)
     src = np.array([0.3, -1.0, 2.0])
-    assert np.allclose(encode_message(np.ones(3), src, bank), src)
+    agg = aggregation(SINGLE_EDGE, [np.ones(3), src], _identity_banks(3))
+    assert np.allclose(agg[0], src)
 
 
 def test_encode_message_zero_attention_annihilates():
     bank = zero_bank(EdgeType.UI, 3, units=2)
     bank.transforms[:] = np.eye(3)
-    out = encode_message(np.ones(3), np.ones(3), bank)
-    assert np.array_equal(out, np.zeros(3))
+    agg = aggregation(SINGLE_EDGE, np.ones((2, 3)), _identity_banks(3, UI=bank))
+    assert np.array_equal(agg[0], np.zeros(3))
 
 
 def test_encode_message_mixture_reference():
@@ -69,75 +88,69 @@ def test_encode_message_mixture_reference():
     bank = bank_of(EdgeType.UI, [np.eye(2), 2 * np.eye(2)],
                    np.zeros((2, 2)), [1.0, 0.5])
     src = np.array([3.0, -1.0])
-    assert np.allclose(encode_message(np.zeros(2), src, bank), 2 * src)
+    agg = aggregation(SINGLE_EDGE, [np.zeros(2), src], _identity_banks(2, UI=bank))
+    assert np.allclose(agg[0], 2 * src)
 
 
 def test_encode_message_attention_is_target_conditioned():
     rng = np.random.default_rng(5)
     bank = MemoryBank.init(EdgeType.UI, 3, 4, rng)
     t1, t2, s = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
-    m1, m2 = encode_message(t1, s, bank), encode_message(t2, s, bank)
-    assert not np.allclose(m1, m2)
+    banks = _identity_banks(4, UI=bank)
+    m1, m2 = aggregation(SINGLE_EDGE, [t1, s], banks), aggregation(SINGLE_EDGE, [t2, s], banks)
+    assert not np.allclose(m1[0], m2[0])
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 
 
-def _identity_banks(dim):
-    return tuple(identity_bank(et, dim) for et in EdgeType)
-
-
 def test_aggregate_user_identity_transport_mean():
     g = build_graph([(0, 0)], [(0, 1)], [], 2, 1, 0)
     emb = np.arange(9.0).reshape(3, 3)  # users 0,1 then item 0
-    banks = _identity_banks(3)
-    out = aggregate_user(0, emb, g, banks)
-    assert np.allclose(out, (emb[1] + emb[2]) / 2)
+    agg = aggregation(g, emb, _identity_banks(3))
+    assert np.allclose(agg[0], (emb[1] + emb[2]) / 2)
 
 
 def test_aggregate_user_isolated_returns_zero():
     g = build_graph([(1, 0)], [], [], 2, 1, 0)
-    out = aggregate_user(0, np.ones((3, 2)), g, _identity_banks(2))
-    assert np.array_equal(out, np.zeros(2))
+    agg = aggregation(g, np.ones((3, 2)), _identity_banks(2))
+    assert np.array_equal(agg[0], np.zeros(2))
 
 
 def test_aggregate_item_identity_transport():
     g = build_graph([(0, 0)], [], [(0, 0)], 1, 1, 1)
     emb = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])  # user, item, relation
-    out = aggregate_item(0, emb, g, _identity_banks(2))
-    assert np.allclose(out, (emb[0] + emb[2]) / 2)
+    agg = aggregation(g, emb, _identity_banks(2))
+    assert np.allclose(agg[1], (emb[0] + emb[2]) / 2)
 
 
 def test_aggregate_item_denominator_counts_both_types():
     g = build_graph([(0, 0), (1, 0)], [], [(0, 0), (0, 1)], 2, 1, 2)
-    emb = np.ones((5, 2))
-    out = aggregate_item(0, emb, g, _identity_banks(2))
+    agg = aggregation(g, np.ones((5, 2)), _identity_banks(2))
     # 4 identity messages of ones / 4 neighbors
-    assert np.allclose(out, np.ones(2))
+    assert np.allclose(agg[2], np.ones(2))
 
 
 def test_aggregate_relation_single_item():
     g = build_graph([(0, 0)], [], [(0, 0)], 1, 1, 1)
     emb = np.array([[5.0, 5.0], [1.0, -2.0], [0.0, 0.0]])
-    out = aggregate_relation(0, emb, g, _identity_banks(2))
-    assert np.allclose(out, emb[1])
+    agg = aggregation(g, emb, _identity_banks(2))
+    assert np.allclose(agg[2], emb[1])
 
 
 def test_aggregate_relation_isolated_returns_zero():
     g = build_graph([(0, 0)], [], [], 1, 1, 2)
-    out = aggregate_relation(1, np.ones((4, 2)), g, _identity_banks(2))
-    assert np.array_equal(out, np.zeros(2))
+    agg = aggregation(g, np.ones((4, 2)), _identity_banks(2))
+    assert np.array_equal(agg[3], np.zeros(2))
 
 
 def test_mean_property_equal_messages():
-    # every incoming message equals m -> aggregation returns m exactly
+    # every incoming message equals m -> every node's aggregation is m
     g = build_graph([(0, 0), (0, 1)], [(0, 1)], [], 2, 2, 0)
     m_vec = np.array([0.7, -0.2, 1.5])
-    emb = np.tile(m_vec, (4, 1))
-    for node_fn, idx in ((aggregate_user, 0),):
-        out = node_fn(idx, emb, g, _identity_banks(3))
-        assert np.allclose(out, m_vec)
+    agg = aggregation(g, np.tile(m_vec, (4, 1)), _identity_banks(3))
+    assert np.allclose(agg, m_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -197,37 +210,41 @@ def test_layer_state_invariant_hstar_is_normalized_concat(tiny_graph):
 def test_recalibrate_no_neighbors_is_identity():
     g = build_graph([(0, 0)], [], [], 2, 1, 0)
     hstar = np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]])
-    assert np.array_equal(recalibrate(0, hstar, g), hstar[0])
+    # q_u = H*[u] + tau(u), and tau(u) = H*[u] without friends
+    assert np.array_equal(recalibrated_users(hstar, g)[0], 2 * hstar[0])
 
 
 def test_recalibrate_equal_neighbor_is_fixed_point():
     g = build_graph([(0, 0)], [(0, 1)], [], 2, 1, 0)
     hstar = np.array([[1.0, -1.0], [1.0, -1.0], [0.0, 0.0]])
-    assert np.allclose(recalibrate(0, hstar, g), hstar[0])
+    assert np.allclose(recalibrated_users(hstar, g)[0], 2 * hstar[0])
 
 
 def test_recalibrate_reference_average():
     g = build_graph([(0, 0)], [(0, 1)], [], 2, 1, 0)
     hstar = np.array([[1.0, 0.0], [0.0, 1.0], [9.0, 9.0]])
-    assert np.allclose(recalibrate(0, hstar, g), [0.5, 0.5])
+    # tau(0) = ([1,0] + [0,1]) / 2
+    assert np.allclose(recalibrated_users(hstar, g)[0], hstar[0] + [0.5, 0.5])
+    no_tau = recalibrated_users(hstar, g, ModelVariant(recalibration=False))
+    assert np.array_equal(no_tau, hstar[:2])
 
 
 def test_predict_without_social_doubles_dot():
     g = build_graph([(0, 0)], [], [], 1, 1, 0)
     hstar = np.array([[0.5, 1.0], [2.0, -1.0]])
-    assert predict(0, 0, hstar, g) == pytest.approx(2 * float(hstar[0] @ hstar[1]))
+    assert score(0, 0, hstar, g) == pytest.approx(2 * float(hstar[0] @ hstar[1]))
 
 
 def test_predict_reference_with_friend():
     g = build_graph([(0, 0)], [(0, 1)], [], 2, 1, 0)
     hstar = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    assert predict(0, 0, hstar, g) == pytest.approx(2.0)
+    assert score(0, 0, hstar, g) == pytest.approx(2.0)
 
 
 def test_predict_orthogonal_item_scores_zero():
     g = build_graph([(0, 0)], [(0, 1)], [], 2, 1, 0)
     hstar = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert predict(0, 0, hstar, g) == pytest.approx(0.0)
+    assert score(0, 0, hstar, g) == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +294,7 @@ def test_forward_matches_dense_oracle(variant):
         for ours, ref in zip(st.layers, layers_d):
             assert np.max(np.abs(ours - ref)) <= 1e-10
         assert np.max(np.abs(st.hstar - hstar_d)) <= 1e-10
-        assert abs(predict(0, 0, st.hstar, g, variant)
+        assert abs(score(0, 0, st.hstar, g, variant)
                    - dense_predict(0, 0, hstar_d, g, variant)) <= 1e-10
 
 
@@ -287,19 +304,16 @@ def test_single_node_aggregates_match_dense_rows():
         g = random_small_graph(rng)
         p = random_params(g, dim=3, num_units=2, num_layers=1, seed=trial)
         emb = p.embeddings
-        I, J = g.num_users, g.num_items
+        I = g.num_users
+        agg = aggregation(g, emb, p.banks)
         for u in range(I):
-            via_step = aggregate_user(u, emb, g, p.banks)
-            ref = np.zeros(3)
-            from dense_reference import mixed_transform
             msgs = []
             for u2 in g.uu.neighbors(u):
                 msgs.append(mixed_transform(emb[u], p.banks[EdgeType.UU]) @ emb[int(u2)])
             for j in g.ui.neighbors(u):
                 msgs.append(mixed_transform(emb[u], p.banks[EdgeType.UI]) @ emb[I + int(j)])
-            if msgs:
-                ref = sum(msgs) / len(msgs)
-            assert np.max(np.abs(via_step - ref)) <= 1e-10
+            ref = sum(msgs) / len(msgs) if msgs else np.zeros(3)
+            assert np.max(np.abs(agg[u] - ref)) <= 1e-10
 
 
 def test_permutation_equivariance():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import score
 from dgnnrec import diffengine as de
 from dgnnrec.hetgraph import build_graph
 from dgnnrec.model import EdgeCache, FULL_VARIANT, ModelParams, forward
@@ -96,8 +97,7 @@ def test_margin_grows_with_embeddings_only():
 
     def margin_of(p):
         state = forward(g, p, FULL_VARIANT, cache)
-        from dgnnrec.model import predict
-        return predict(0, 0, state.hstar, g) - predict(0, 1, state.hstar, g)
+        return score(0, 0, state.hstar, g) - score(0, 1, state.hstar, g)
 
     margins = [margin_of(params)]
     vec = params.to_vector()
