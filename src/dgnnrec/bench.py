@@ -1,8 +1,9 @@
 """Scaling benchmark: propagation-layer cost vs edge count and unit count.
 
-The per-layer work is dominated by mixing memory-unit transforms over
-edges, so doubling either the edge count or the number of units should
-at most double the time (ratio <= 2.5 with measurement slack).
+The per-layer work is a neighbour sum per edge plus one mixing of the
+memory-unit transforms per target node, linear in the edge count and in
+the unit count respectively, so doubling either should at most double
+the time (ratio <= 2.5 with measurement slack).
 """
 
 from __future__ import annotations

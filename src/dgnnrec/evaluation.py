@@ -55,8 +55,11 @@ def _candidate_ranks(q_users: np.ndarray, hstar: np.ndarray, num_users: int,
                      negatives: np.ndarray) -> np.ndarray:
     """1-based rank of each user's positive among positive + negatives."""
     cands = np.concatenate([positives[:, None], negatives], axis=1)
-    if any(np.unique(row).size != row.size for row in cands):
-        raise EvaluationError("duplicate candidate ids (positive overlaps negatives?)")
+    ordered = np.sort(cands, axis=1)
+    dup = ordered[:, 1:] == ordered[:, :-1]
+    if dup.any():
+        raise EvaluationError(f"duplicate candidate ids for user {users[np.argwhere(dup)[0][0]]} "
+                              f"(positive overlaps negatives?)")
     scores = np.einsum("ud,ucd->uc", q_users[users], hstar[num_users + cands])
     # NaN compares false both ways, so a NaN score would rank the positive first.
     bad = ~np.isfinite(scores)

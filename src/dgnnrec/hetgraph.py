@@ -147,10 +147,10 @@ class HeteroGraph:
                 raise GraphBuildError(f"{name}: row count {adj.num_rows} != {n_src}")
             if adj.indices.size and (adj.indices.min() < 0 or adj.indices.max() >= n_dst):
                 raise GraphBuildError(f"{name}: neighbor id out of range")
-            for i in range(n_src):
-                row = adj.neighbors(i)
-                if row.size > 1 and np.any(np.diff(row) <= 0):
-                    raise GraphBuildError(f"{name}: row {i} not strictly ascending")
+            row_of = adj.pairs()[:, 0]
+            bad = np.flatnonzero((np.diff(adj.indices) <= 0) & (np.diff(row_of) == 0))
+            if bad.size:
+                raise GraphBuildError(f"{name}: row {row_of[bad[0]]} not strictly ascending")
         uu_pairs = self.uu.pairs()
         if uu_pairs.size and np.any(uu_pairs[:, 0] == uu_pairs[:, 1]):
             raise GraphBuildError("uu: self-loop present")
@@ -333,21 +333,26 @@ def load_split_manifest(path, graph: HeteroGraph) -> Split:
     the user interacted with.
     """
     text = Path(path).read_text(encoding="utf-8").splitlines()
-    body = [ln for ln in text if ln and not ln.startswith("#")]
+    body = [(no, ln) for no, ln in enumerate(text, start=1) if ln and not ln.startswith("#")]
     try:
-        meta = dict(ln.split("\t", 1) for ln in body[:2])
+        meta = {key: int(value) for key, value in (ln.split("\t", 1) for _, ln in body[:2])}
     except ValueError:
         raise SplitError(f"{path}: malformed header") from None
     if "seed" not in meta or "skipped" not in meta:
         raise SplitError(f"{path}: missing seed/skipped header lines")
     users, items, negs = [], [], []
-    for ln in body[2:]:
-        u, item, neg_csv = ln.split("\t")
-        users.append(int(u))
-        items.append(int(item))
-        row = [int(x) for x in neg_csv.split(",")]
+    for lineno, ln in body[2:]:
+        try:
+            u, item, neg_csv = ln.split("\t")
+            u, item, row = int(u), int(item), [int(x) for x in neg_csv.split(",")]
+        except ValueError:
+            raise SplitError(f"{path}: line {lineno}: expected 'user<TAB>item<TAB>negatives' "
+                             f"with integer ids, got {ln!r}") from None
         if len(row) != NUM_EVAL_NEGATIVES:
-            raise SplitError(f"{path}: user {u} has {len(row)} negatives, expected {NUM_EVAL_NEGATIVES}")
+            raise SplitError(f"{path}: line {lineno}: user {u} has {len(row)} negatives, "
+                             f"expected {NUM_EVAL_NEGATIVES}")
+        users.append(u)
+        items.append(item)
         negs.append(row)
     users_a = np.asarray(users, dtype=np.int64)
     items_a = np.asarray(items, dtype=np.int64)
@@ -377,8 +382,7 @@ def load_split_manifest(path, graph: HeteroGraph) -> Split:
         ui=Adjacency.from_pairs(all_pairs[keep], graph.num_users),
         iu=Adjacency.from_pairs(_reverse_pairs(all_pairs[keep]), graph.num_items),
     )
-    return Split(train_graph, users_a, items_a, negs_a,
-                 int(meta["skipped"]), int(meta["seed"]))
+    return Split(train_graph, users_a, items_a, negs_a, meta["skipped"], meta["seed"])
 
 
 # ---------------------------------------------------------------------------

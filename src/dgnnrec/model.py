@@ -15,8 +15,13 @@ typed-neighbor count, is layer-normalized and activated, and adds a
 self-loop message through its type's own bank. The final representation
 layer-normalizes the concatenation of all per-layer embeddings.
 
-``forward`` computes everything vectorized per edge type; ``backward``
-walks the same schedule in reverse with analytical gradients.
+Because eta depends on the target only, the messages into t sum to
+``(sum_m eta_m(t) W_m) (sum_s x_s)``. So each layer's per-edge work is a
+neighbour sum per edge type, and the mixing happens once per target node;
+a self loop mixes the node's own row the same way. ``forward`` computes
+everything vectorized per edge type; ``backward`` walks the same schedule
+in reverse with analytical gradients, sending the sum's gradient back to
+the sources through the transpose adjacency.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from enum import IntEnum
 import numpy as np
 
 from . import diffengine as de
-from .hetgraph import HeteroGraph
+from .hetgraph import Adjacency, HeteroGraph
 
 DEFAULT_LN_EPS = 1e-6
 
@@ -192,63 +197,47 @@ class ModelParams:
 
 @dataclass
 class _TypedEdges:
-    tgt_offset: int
-    src_offset: int
-    n_tgt: int
-    n_src: int
-    tgt_indptr: np.ndarray  # CSR over targets (edges sorted by target)
-    tgt_ids: np.ndarray     # (E,) local target per edge
-    src_ids: np.ndarray     # (E,) local source per edge
-    src_order: np.ndarray   # permutation sorting edges by source
-    src_indptr: np.ndarray  # CSR over sources after that permutation
+    tgt: slice          # target rows in the global embedding table
+    src: slice          # source rows in the global embedding table
+    adj: Adjacency      # target -> sources
+    rev: Adjacency      # source -> targets, the transpose of ``adj``
 
     @property
     def num_edges(self) -> int:
-        return self.src_ids.size
-
-
-def _typed_edges(adj, tgt_offset, src_offset, n_tgt, n_src) -> _TypedEdges:
-    tgt_ids = np.repeat(np.arange(n_tgt, dtype=np.int64), adj.degrees())
-    src_ids = adj.indices.astype(np.int64, copy=True)
-    order = np.argsort(src_ids, kind="stable")
-    src_indptr = np.zeros(n_src + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src_ids, minlength=n_src), out=src_indptr[1:])
-    return _TypedEdges(tgt_offset, src_offset, n_tgt, n_src,
-                       adj.indptr.astype(np.int64, copy=True), tgt_ids, src_ids,
-                       order, src_indptr)
+        return self.adj.num_edges
 
 
 class EdgeCache:
-    """Per-edge-type index arrays plus aggregation denominators."""
+    """Per-edge-type row slices and adjacencies plus aggregation denominators."""
 
     def __init__(self, graph: HeteroGraph):
         I, J, R = graph.num_users, graph.num_items, graph.num_relations
-        self.num_users, self.num_items, self.num_relations = I, J, R
+        users, items, rels = slice(0, I), slice(I, I + J), slice(I + J, I + J + R)
         self.slices = {
-            EdgeType.SELF_USER: slice(0, I),
-            EdgeType.SELF_ITEM: slice(I, I + J),
-            EdgeType.SELF_RELATION: slice(I + J, I + J + R),
+            EdgeType.SELF_USER: users,
+            EdgeType.SELF_ITEM: items,
+            EdgeType.SELF_RELATION: rels,
         }
         self.edges = {
-            EdgeType.UU: _typed_edges(graph.uu, 0, 0, I, I),
-            EdgeType.UI: _typed_edges(graph.ui, 0, I, I, J),
-            EdgeType.IU: _typed_edges(graph.iu, I, 0, J, I),
-            EdgeType.IR: _typed_edges(graph.ir, I, I + J, J, R),
-            EdgeType.RI: _typed_edges(graph.ri, I + J, I, R, J),
+            EdgeType.UU: _TypedEdges(users, users, graph.uu, graph.uu),
+            EdgeType.UI: _TypedEdges(users, items, graph.ui, graph.iu),
+            EdgeType.IU: _TypedEdges(items, users, graph.iu, graph.ui),
+            EdgeType.IR: _TypedEdges(items, rels, graph.ir, graph.ri),
+            EdgeType.RI: _TypedEdges(rels, items, graph.ri, graph.ir),
         }
         denom = np.zeros(I + J + R)
-        denom[0:I] = graph.uu.degrees() + graph.ui.degrees()
-        denom[I:I + J] = graph.iu.degrees() + graph.ir.degrees()
-        denom[I + J:] = graph.ri.degrees()
+        denom[users] = graph.uu.degrees() + graph.ui.degrees()
+        denom[items] = graph.iu.degrees() + graph.ir.degrees()
+        denom[rels] = graph.ri.degrees()
         self.node_denom = denom
 
 
-def _segment_sum(values: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Row sums of CSR-ordered per-edge values; empty rows give zeros."""
-    out = np.zeros((indptr.size - 1, values.shape[1]))
-    nz = np.flatnonzero(np.diff(indptr) > 0)
+def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
+    """Row t is the sum of ``rows[s]`` over the neighbours s of t; empty rows give zeros."""
+    out = np.zeros((adj.num_rows, rows.shape[1]))
+    nz = np.flatnonzero(adj.degrees() > 0)
     if nz.size:
-        out[nz] = np.add.reduceat(values, indptr[nz], axis=0)
+        out[nz] = np.add.reduceat(rows[adj.indices], adj.indptr[nz], axis=0)
     return out
 
 
@@ -261,6 +250,7 @@ class _StepCache:
     agg: np.ndarray                     # post-division aggregation (LN input)
     att_pre: dict                       # EdgeType -> (n_tgt, M) pre-activations
     self_pre: dict                      # EdgeType -> (n_type, M)
+    sums: dict                          # EdgeType -> (n_tgt, d) neighbour sums
 
 
 def _batch_attention(rows: np.ndarray, bank: MemoryBank, variant: ModelVariant):
@@ -274,9 +264,17 @@ def _batch_attention(rows: np.ndarray, bank: MemoryBank, variant: ModelVariant):
     return de.leaky_relu(pre), pre
 
 
-def _batch_transformed(rows: np.ndarray, bank: MemoryBank) -> np.ndarray:
-    # (M, n, d): transformed source embeddings per unit.
-    return np.stack([rows @ bank.transforms[m].T for m in range(bank.num_units)])
+def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVariant):
+    """(sum_m eta_m(rows) W_m sums, pre-activation), row by row.
+
+    ``sums`` is a neighbour sum for a message type and ``rows`` itself for
+    a self loop; attention depends on the target only, so mixing the sum
+    equals summing the mixed messages.
+    """
+    att, pre = _batch_attention(rows, bank, variant)
+    M, d = bank.num_units, bank.dim
+    trans = (sums @ bank.transforms.reshape(M * d, d).T).reshape(-1, M, d)
+    return np.einsum("nm,nmd->nd", att, trans), pre
 
 
 def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: int,
@@ -286,21 +284,14 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
     cache = edge_cache if edge_cache is not None else EdgeCache(graph)
     agg = np.zeros_like(emb)
     att_pre: dict = {}
+    sums: dict = {}
     for et in MESSAGE_TYPES:
         te = cache.edges[et]
         if te.num_edges == 0:
             continue
-        bank = params.banks[et]
-        tgt_rows = emb[te.tgt_offset:te.tgt_offset + te.n_tgt]
-        src_rows = emb[te.src_offset:te.src_offset + te.n_src]
-        att, pre = _batch_attention(tgt_rows, bank, variant)
-        att_pre[et] = pre
-        trans = _batch_transformed(src_rows, bank)
-        att_e = att[te.tgt_ids]
-        msg = np.zeros((te.num_edges, emb.shape[1]))
-        for m in range(bank.num_units):
-            msg += att_e[:, m, None] * trans[m][te.src_ids]
-        agg[te.tgt_offset:te.tgt_offset + te.n_tgt] += _segment_sum(msg, te.tgt_indptr)
+        sums[et] = _neighbor_sum(emb[te.src], te.adj)
+        mixed, att_pre[et] = _mix(emb[te.tgt], sums[et], params.banks[et], variant)
+        agg[te.tgt] += mixed
     denom = cache.node_denom[:, None]
     np.divide(agg, denom, out=agg, where=denom > 0)
 
@@ -316,14 +307,10 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
         rows = emb[sl]
         if rows.shape[0] == 0:
             continue
-        bank = params.banks[et]
-        att, pre = _batch_attention(rows, bank, variant)
-        self_pre[et] = pre
-        trans = _batch_transformed(rows, bank)
-        for m in range(bank.num_units):
-            out[sl] += att[:, m, None] * trans[m]
+        mixed, self_pre[et] = _mix(rows, rows, params.banks[et], variant)
+        out[sl] += mixed
     if _record is not None:
-        _record.append(_StepCache(agg, att_pre, self_pre))
+        _record.append(_StepCache(agg, att_pre, self_pre, sums))
     return out
 
 
@@ -371,15 +358,12 @@ def forward(graph: HeteroGraph, params: ModelParams,
 
 
 def recalibrated_users(hstar: np.ndarray, graph: HeteroGraph,
-                       variant: ModelVariant = FULL_VARIANT,
-                       edge_cache: EdgeCache | None = None) -> np.ndarray:
+                       variant: ModelVariant = FULL_VARIANT) -> np.ndarray:
     """Per-user scoring vector q_u = H*[u] + tau(H*[u]) for all users at once."""
     users = hstar[:graph.num_users]
     if not variant.recalibration:
         return users.copy()
-    te = (edge_cache.edges[EdgeType.UU] if edge_cache is not None
-          else EdgeCache(graph).edges[EdgeType.UU])
-    neigh = _segment_sum(users[te.src_ids], te.tgt_indptr)
+    neigh = _neighbor_sum(users, graph.uu)
     deg = graph.uu.degrees()[:, None]
     return users + (neigh + users) / (deg + 1.0)
 
@@ -388,8 +372,25 @@ def recalibrated_users(hstar: np.ndarray, graph: HeteroGraph,
 # backward
 
 
-def _scatter_to_source(values: np.ndarray, te: _TypedEdges) -> np.ndarray:
-    return _segment_sum(values[te.src_order], te.src_indptr)
+def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
+                 bank: MemoryBank, gbank: MemoryBank):
+    """Backward of ``_mix`` given dL/d(mixed) ``g``; adds into ``gbank``.
+
+    Returns (dL/d rows through the attention, dL/d sums).
+    """
+    n, M, d = g.shape[0], bank.num_units, bank.dim
+    att = de.leaky_relu(pre) if pre is not None else np.ones((n, M))
+    flat = bank.transforms.reshape(M * d, d)
+    d_trans = (att[:, :, None] * g[:, None, :]).reshape(n, M * d)
+    gbank.transforms += (d_trans.T @ sums).reshape(M, d, d)
+    d_sums = d_trans @ flat
+    if pre is None:
+        return np.zeros_like(rows), d_sums
+    trans = (sums @ flat.T).reshape(n, M, d)
+    d_pre = np.einsum("nmd,nd->nm", trans, g) * de.leaky_relu_grad(pre)
+    gbank.keys += d_pre.T @ rows
+    gbank.biases += d_pre.sum(axis=0)
+    return d_pre @ bank.keys, d_sums
 
 
 def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
@@ -398,28 +399,15 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
     """Backward of one layer_step; returns gradient w.r.t. the layer input."""
     d_emb = np.zeros_like(emb)
 
-    # Self-loop path.
+    # Self-loop path: the row is both the attention target and the "sum".
     for et in SELF_TYPES:
         sl = cache.slices[et]
         rows = emb[sl]
         if rows.shape[0] == 0:
             continue
-        bank, gbank = params.banks[et], grads.banks[et]
-        g = d_out[sl]
-        pre = scache.self_pre.get(et)
-        att = de.leaky_relu(pre) if pre is not None else np.ones((rows.shape[0], bank.num_units))
-        trans = _batch_transformed(rows, bank)
-        d_att = np.empty_like(att)
-        for m in range(bank.num_units):
-            d_att[:, m] = np.einsum("nd,nd->n", g, trans[m])
-            d_trans_rows = att[:, m, None] * g
-            gbank.transforms[m] += d_trans_rows.T @ rows
-            d_emb[sl] += d_trans_rows @ bank.transforms[m]
-        if pre is not None:
-            d_pre = d_att * de.leaky_relu_grad(pre)
-            gbank.keys += d_pre.T @ rows
-            gbank.biases += d_pre.sum(axis=0)
-            d_emb[sl] += d_pre @ bank.keys
+        d_rows, d_sums = _mix_backward(d_out[sl], rows, rows, scache.self_pre[et],
+                                       params.banks[et], grads.banks[et])
+        d_emb[sl] += d_rows + d_sums
 
     # Activation and normalization path.
     if variant.layer_norm:
@@ -437,32 +425,15 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
     d_msum = np.zeros_like(d_agg)
     np.divide(d_agg, denom, out=d_msum, where=denom > 0)
 
-    # Message path per edge type.
+    # Message path per edge type; sources get dL/d sums through the transpose.
     for et in MESSAGE_TYPES:
         te = cache.edges[et]
         if te.num_edges == 0:
             continue
-        bank, gbank = params.banks[et], grads.banks[et]
-        tgt_rows = emb[te.tgt_offset:te.tgt_offset + te.n_tgt]
-        src_rows = emb[te.src_offset:te.src_offset + te.n_src]
-        pre = scache.att_pre.get(et)
-        att = (de.leaky_relu(pre) if pre is not None
-               else np.ones((te.n_tgt, bank.num_units)))
-        trans = _batch_transformed(src_rows, bank)
-        d_msg = d_msum[te.tgt_offset:te.tgt_offset + te.n_tgt][te.tgt_ids]
-        att_e = att[te.tgt_ids]
-        d_att_e = np.empty((te.num_edges, bank.num_units))
-        for m in range(bank.num_units):
-            d_att_e[:, m] = np.einsum("ed,ed->e", d_msg, trans[m][te.src_ids])
-            d_trans_src = _scatter_to_source(att_e[:, m, None] * d_msg, te)
-            gbank.transforms[m] += d_trans_src.T @ src_rows
-            d_emb[te.src_offset:te.src_offset + te.n_src] += d_trans_src @ bank.transforms[m]
-        if pre is not None:
-            d_att = _segment_sum(d_att_e, te.tgt_indptr)
-            d_pre = d_att * de.leaky_relu_grad(pre)
-            gbank.keys += d_pre.T @ tgt_rows
-            gbank.biases += d_pre.sum(axis=0)
-            d_emb[te.tgt_offset:te.tgt_offset + te.n_tgt] += d_pre @ bank.keys
+        d_rows, d_sums = _mix_backward(d_msum[te.tgt], emb[te.tgt], scache.sums[et],
+                                       scache.att_pre[et], params.banks[et], grads.banks[et])
+        d_emb[te.tgt] += d_rows
+        d_emb[te.src] += _neighbor_sum(d_sums, te.rev)
     return d_emb
 
 

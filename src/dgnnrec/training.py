@@ -18,9 +18,8 @@ import numpy as np
 
 from . import diffengine as de
 from .hetgraph import HeteroGraph, sample_bpr_batch
-from .model import (EdgeCache, EdgeType, FULL_VARIANT, ModelParams,
-                    ModelVariant, _scatter_to_source, backward, forward,
-                    recalibrated_users)
+from .model import (EdgeCache, FULL_VARIANT, ModelParams, ModelVariant,
+                    _neighbor_sum, backward, forward, recalibrated_users)
 from .seeding import PARAM_INIT, TRIPLETS, rng_for
 
 
@@ -74,7 +73,7 @@ def bpr_batch_loss(graph: HeteroGraph, params: ModelParams,
     """Forward-only objective value for a fixed triplet batch."""
     cache = edge_cache if edge_cache is not None else EdgeCache(graph)
     state = forward(graph, params, variant, cache)
-    q_users = recalibrated_users(state.hstar, graph, variant, cache)
+    q_users = recalibrated_users(state.hstar, graph, variant)
     s_pos, s_neg, _ = _triplet_scores(state.hstar, q_users, graph.num_users, users, pos, neg)
     core = float(np.logaddexp(0.0, -(s_pos - s_neg)).mean())
     vec = params.to_vector()
@@ -94,7 +93,7 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
 
     state = forward(graph, params, variant, cache)
     hstar = state.hstar
-    q_users = recalibrated_users(hstar, graph, variant, cache)
+    q_users = recalibrated_users(hstar, graph, variant)
     s_pos, s_neg, qp = _triplet_scores(hstar, q_users, num_users, users, pos, neg)
     margin = s_pos - s_neg
     vec = params.to_vector()
@@ -111,10 +110,8 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
     if variant.recalibration:
         # q_u = H*[u] + (sum_neighbors + H*[u]) / (deg_u + 1)
         w = d_q / (graph.uu.degrees() + 1.0)[:, None]
-        d_hstar[:num_users] += d_q + w
-        te = cache.edges[EdgeType.UU]
-        if te.num_edges:
-            d_hstar[:num_users] += _scatter_to_source(w[te.tgt_ids], te)
+        # uu is symmetric, so summing w over neighbours is its transpose.
+        d_hstar[:num_users] += d_q + w + _neighbor_sum(w, graph.uu)
     else:
         d_hstar[:num_users] += d_q
 

@@ -155,6 +155,17 @@ def test_split_of_another_seed_is_not_reused(dataset_dir, tmp_path, capsys):
     assert not (out / "model.ckpt").exists()
 
 
+def test_eval_malformed_split_row_exit_code(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    cli.main(["train", *_base_args(dataset_dir, out)])
+    manifest = out / "split.txt"
+    lines = manifest.read_text().splitlines()
+    lines[3] = "0\t1"  # first test row, no negatives
+    manifest.write_text("\n".join(lines) + "\n")
+    assert cli.main(["eval", *_base_args(dataset_dir, out)]) == cli.EXIT_DATA
+    assert "split.txt: line 4:" in capsys.readouterr().err
+
+
 def test_ablate_single_variant(dataset_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["ablate", *_base_args(dataset_dir, out),

@@ -88,6 +88,14 @@ def test_rank_and_score_rejects_duplicates():
         ev.rank_and_score(0, 0, negs, hstar, g, 10)
     with pytest.raises(ev.EvaluationError):
         ev.rank_and_score(0, 0, np.arange(1, 50), hstar, g, 10)  # wrong count
+    # evaluate checks every row, not only the first
+    g3 = _flat_graph(3, 101)
+    for clash_at in (0, 99):
+        negs3 = np.tile(np.arange(1, 101), (3, 1))
+        negs3[2, clash_at] = 0 if clash_at else 50  # positive or another negative again
+        split = _split_for(g3, [0, 1, 2], [0, 0, 0], negs3)
+        with pytest.raises(ev.EvaluationError, match="duplicate candidate ids for user 2"):
+            ev.evaluate(_hstar_with_item_scores(3, np.zeros(101)), split, g3)
 
 
 # ---------------------------------------------------------------------------

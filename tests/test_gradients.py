@@ -4,12 +4,17 @@ The exhaustive (d, M, L) grid lives in the acceptance suite; here we keep
 a fast smoke grid plus coverage of the ablation variants' backward paths.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from dgnnrec import diffengine as de
+from dgnnrec.evaluation import strip_graph
+from dgnnrec.hetgraph import build_graph
 from dgnnrec.model import EdgeCache, FULL_VARIANT, ModelVariant
-from dgnnrec.training import (bpr_batch_grad, bpr_batch_loss,
-                              check_model_gradients, _random_instance)
+from dgnnrec.training import (bpr_batch_grad, bpr_batch_loss, check_model_gradients,
+                              _kink_margin, _random_instance)
 
 
 def test_gradients_smoke_grid():
@@ -52,3 +57,39 @@ def test_zero_regularization_drops_decay_term():
     without = bpr_batch_loss(graph, params, users, pos, neg, 0.0, FULL_VARIANT, cache)
     vec = params.to_vector()
     assert with_reg == pytest.approx(without + 1e-2 * float(vec @ vec))
+
+
+def _without_relation_nodes(graph, params):
+    graph = build_graph(graph.interaction_pairs(), graph.social_pairs(), [],
+                        graph.num_users, graph.num_items, 0)
+    return graph, replace(params, embeddings=params.embeddings[:graph.num_nodes])
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("reduce", ["strip_social_and_relations", "no_relation_nodes"])
+def test_gradients_on_graphs_with_empty_edge_types(reduce, num_layers):
+    """Banks whose edge type has no edges get no gradient, and the rest stay exact."""
+    graph, params, (users, pos, neg) = _random_instance(3, 2, num_layers, seed=4)
+    if reduce == "strip_social_and_relations":
+        graph = strip_graph(graph, True, True)
+    else:
+        graph, params = _without_relation_nodes(graph, params)
+    # Nodes without incoming edges aggregate to zero; a non-zero LN shift
+    # keeps their activation off the leaky_relu kink.
+    params.ln_shift[:] = 0.3
+    assert _kink_margin(graph, params, FULL_VARIANT) >= 1e-4
+    cache = EdgeCache(graph)
+    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    empty = {et.name.lower() for et, te in cache.edges.items() if te.num_edges == 0}
+    assert empty >= {"ir", "ri"}
+    decay = (2.0 * 1e-3) * params.to_vector()
+    for name, sl in params.group_slices():
+        if name.startswith("bank.") and name.split(".")[1] in empty:
+            assert np.array_equal(grad[sl], decay[sl]), f"{name} got a model gradient"
+
+    def objective(vec):
+        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
+                              1e-3, FULL_VARIANT, cache)
+
+    report = de.finite_diff_check(objective, params.to_vector(), grad)
+    assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"

@@ -56,6 +56,17 @@ def test_build_graph_empty_social_and_relations():
     g.validate()
 
 
+@pytest.mark.parametrize("row1", [[1, 0], [1, 1]])
+def test_validate_rejects_row_not_strictly_ascending(row1):
+    from dataclasses import replace
+    # Row 0 ends above where row 1 starts: a boundary is not a descent.
+    g = hg.build_graph([(0, 2), (1, 0), (1, 1)], [], [], 3, 3, 0)
+    g.validate()
+    bad = hg.Adjacency(np.array([0, 1, 3, 3]), np.array([2] + row1))
+    with pytest.raises(hg.GraphBuildError, match="ui: row 1 not strictly ascending"):
+        replace(g, ui=bad).validate()
+
+
 def test_build_graph_rejects_out_of_range():
     with pytest.raises(hg.GraphBuildError, match=r"\(0, 5\)"):
         hg.build_graph([(0, 5)], [], [], 2, 3, 0)
@@ -199,6 +210,19 @@ def test_manifest_rejects_out_of_range_ids(tmp_path):
     _rewrite_first_test_row(path, lambda u, item, negs: (
         str(u), str(item), ",".join(negs[:-1] + ["150"])))
     with pytest.raises(hg.SplitError, match="out of range"):
+        hg.load_split_manifest(path, g)
+
+
+@pytest.mark.parametrize("row", ["0\t1", "0\tx\t" + ",".join(["2"] * 100)],
+                         ids=["no_negatives", "non_integer_item"])
+def test_manifest_malformed_row_names_file_and_line(tmp_path, row):
+    g = _chain_graph(num_users=10, num_items=150, per_user=4)
+    path = tmp_path / "split.txt"
+    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    lines = path.read_text().splitlines()
+    lines[4] = row  # the second test user's row
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(hg.SplitError, match=r"split\.txt: line 5: "):
         hg.load_split_manifest(path, g)
 
 
