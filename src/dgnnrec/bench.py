@@ -1,9 +1,10 @@
 """Scaling benchmark: propagation-layer cost vs edge count and unit count.
 
-The per-layer work is a neighbour sum per edge plus one mixing of the
-memory-unit transforms per target node, linear in the edge count and in
-the unit count respectively, so doubling either should at most double
-the time (ratio <= 2.5 with measurement slack).
+The per-layer work is a neighbour sum per edge, taken one in-degree run
+at a time, plus one mixing of the memory-unit transforms per target node
+that has a neighbour, linear in the edge count and in the unit count
+respectively, so doubling either should at most double the time
+(ratio <= 2.5 with measurement slack).
 """
 
 from __future__ import annotations

@@ -22,6 +22,8 @@ from .model import (EdgeType, FULL_VARIANT, LayerState, ModelVariant,
 from .training import TrainingConfig, train_model
 
 DEFAULT_CUTOFFS = (5, 10, 20)
+# Users scored per block: bounds the gathered (users, candidates, d) tensor.
+SCORE_BLOCK_USERS = 256
 
 
 class EvaluationError(ValueError):
@@ -60,7 +62,10 @@ def _candidate_ranks(q_users: np.ndarray, hstar: np.ndarray, num_users: int,
     if dup.any():
         raise EvaluationError(f"duplicate candidate ids for user {users[np.argwhere(dup)[0][0]]} "
                               f"(positive overlaps negatives?)")
-    scores = np.einsum("ud,ucd->uc", q_users[users], hstar[num_users + cands])
+    scores = np.empty(cands.shape)
+    for lo in range(0, users.size, SCORE_BLOCK_USERS):
+        b = slice(lo, lo + SCORE_BLOCK_USERS)
+        scores[b] = np.einsum("ud,ucd->uc", q_users[users[b]], hstar[num_users + cands[b]])
     # NaN compares false both ways, so a NaN score would rank the positive first.
     bad = ~np.isfinite(scores)
     if bad.any():

@@ -10,6 +10,7 @@ shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -58,12 +59,17 @@ class Adjacency:
     @classmethod
     def from_pairs(cls, pairs: np.ndarray, num_rows: int) -> "Adjacency":
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        rows, cols = pairs[:, 0], pairs[:, 1]
         if pairs.shape[0]:
-            pairs = np.unique(pairs, axis=0)
-        counts = np.bincount(pairs[:, 0], minlength=num_rows)
+            if pairs.min() < 0:
+                raise GraphBuildError("adjacency pairs must be non-negative")
+            # One int64 key per pair sorts exactly as the (row, col) pairs do.
+            width = int(cols.max()) + 1
+            rows, cols = np.divmod(np.unique(rows * width + cols), width)
+        counts = np.bincount(rows, minlength=num_rows)
         indptr = np.zeros(num_rows + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, pairs[:, 1].copy())
+        return cls(indptr, cols.copy())
 
     @property
     def num_rows(self) -> int:
@@ -87,6 +93,53 @@ class Adjacency:
     def pairs(self) -> np.ndarray:
         src = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.degrees())
         return np.column_stack([src, self.indices])
+
+    @cached_property
+    def plan(self) -> "DegreeRuns":
+        """The rows that have neighbours and their edges grouped by degree; built once."""
+        deg = self.degrees()
+        rows = np.flatnonzero(deg)
+        order = np.argsort(deg[rows], kind="stable")  # by degree, ascending row within one
+        degs, starts, counts = np.unique(deg[rows[order]], return_index=True, return_counts=True)
+        runs, sources, e0 = [], [], 0
+        for k, r0, n in zip(degs.tolist(), starts.tolist(), counts.tolist()):
+            first = self.indptr[rows[order[r0:r0 + n]]]
+            # Edge-major: the j-th neighbours of all n rows lie together, so the
+            # run sums as k contiguous (n * width) slabs.
+            sources.append(self.indices[(np.arange(k)[:, None] + first).ravel()])
+            runs.append((k, slice(r0, r0 + n), slice(e0, e0 + n * k)))
+            e0 += n * k
+        sources = np.concatenate(sources) if sources else np.empty(0, dtype=np.int64)
+        unsort = None
+        if np.any(order[1:] < order[:-1]):
+            unsort = np.empty_like(order)
+            unsort[order] = np.arange(order.size)
+        targets = slice(0, self.num_rows) if rows.size == self.num_rows else rows
+        for arr in (rows, sources, unsort):
+            if arr is not None:
+                arr.setflags(write=False)
+        return DegreeRuns(targets, rows.size, sources, tuple(runs), unsort)
+
+
+@dataclass(frozen=True)
+class DegreeRuns:
+    """An adjacency's rows that have neighbours, with their edges regrouped by degree.
+
+    ``targets`` lists those rows in ascending order; it is a slice when
+    every row has a neighbour. The rows are also grouped into one run per
+    distinct degree k: ``runs`` holds ``(k, run rows, run edges)`` slices,
+    the run rows indexing the rows sorted by degree (ascending row within a
+    run) and the run edges indexing ``sources``, where the run's neighbour
+    ids lie edge-major, as a (k, rows) array. A neighbour sum is then one
+    gather of ``sources`` and one k-slab sum per run; ``unsort`` takes the
+    degree-sorted rows back to ascending order (None when they already are).
+    """
+
+    targets: slice | np.ndarray
+    num_targets: int
+    sources: np.ndarray
+    runs: tuple
+    unsort: np.ndarray | None
 
 
 def _reverse_pairs(pairs: np.ndarray) -> np.ndarray:

@@ -17,17 +17,22 @@ layer-normalizes the concatenation of all per-layer embeddings.
 
 Because eta depends on the target only, the messages into t sum to
 ``(sum_m eta_m(t) W_m) (sum_s x_s)``. So each layer's per-edge work is a
-neighbour sum per edge type, and the mixing happens once per target node;
-a self loop mixes the node's own row the same way. ``forward`` computes
-everything vectorized per edge type; ``backward`` walks the same schedule
-in reverse with analytical gradients, sending the sum's gradient back to
-the sources through the transpose adjacency.
+neighbour sum per edge type, and the mixing happens once per target node
+that has a neighbour of that type (a target without one receives
+nothing); a self loop mixes the node's own row the same way. A neighbour
+sum goes by in-degree run (``Adjacency.plan``): one gather of all the
+neighbours, then the targets of one degree k are summed as k contiguous
+(targets, d) slabs. ``forward`` computes everything vectorized per edge
+type; ``backward`` walks the same schedule in reverse with analytical
+gradients, sending the sum's gradient back to the sources through the
+transpose adjacency.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +40,9 @@ from . import diffengine as de
 from .hetgraph import Adjacency, HeteroGraph
 
 DEFAULT_LN_EPS = 1e-6
+# _mix_backward works through its rows in blocks whose (rows, M*d)
+# temporaries hold about this many float64, so its passes stay in cache.
+MIX_BLOCK_FLOATS = 1 << 18
 
 
 class EdgeType(IntEnum):
@@ -206,6 +214,22 @@ class _TypedEdges:
     def num_edges(self) -> int:
         return self.adj.num_edges
 
+    @cached_property
+    def receivers(self):
+        """Global rows of the targets that have a neighbour, ascending."""
+        return _shift(self.adj.plan.targets, self.tgt.start)
+
+    @cached_property
+    def senders(self):
+        """Global rows of the sources that have a neighbour, ascending."""
+        return _shift(self.rev.plan.targets, self.src.start)
+
+
+def _shift(rows, offset: int):
+    if isinstance(rows, slice):
+        return slice(rows.start + offset, rows.stop + offset)
+    return rows + offset
+
 
 class EdgeCache:
     """Per-edge-type row slices and adjacencies plus aggregation denominators."""
@@ -233,11 +257,25 @@ class EdgeCache:
 
 
 def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
-    """Row t is the sum of ``rows[s]`` over the neighbours s of t; empty rows give zeros."""
-    out = np.zeros((adj.num_rows, rows.shape[1]))
-    nz = np.flatnonzero(adj.degrees() > 0)
-    if nz.size:
-        out[nz] = np.add.reduceat(rows[adj.indices], adj.indptr[nz], axis=0)
+    """Sum of ``rows[s]`` over the neighbours s of each of ``adj.plan.targets``.
+
+    One output row per target that has a neighbour, in ascending order.
+    """
+    plan = adj.plan
+    gathered = rows[plan.sources]
+    out = np.empty((plan.num_targets, rows.shape[1]))
+    for k, run_rows, run_edges in plan.runs:
+        gathered[run_edges].reshape(k, -1).sum(axis=0, out=out[run_rows].reshape(-1))
+    return out if plan.unsort is None else out[plan.unsort]
+
+
+def _spread(sums: np.ndarray, adj: Adjacency) -> np.ndarray:
+    """``sums`` (one row per ``adj.plan.targets``) on all rows, zeros elsewhere."""
+    targets = adj.plan.targets
+    if isinstance(targets, slice):
+        return sums
+    out = np.zeros((adj.num_rows, sums.shape[1]))
+    out[targets] = sums
     return out
 
 
@@ -248,9 +286,10 @@ def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
 @dataclass
 class _StepCache:
     agg: np.ndarray                     # post-division aggregation (LN input)
-    att_pre: dict                       # EdgeType -> (n_tgt, M) pre-activations
+    normed: np.ndarray                  # LN output (agg itself without LN), the activation's input
+    att_pre: dict                       # EdgeType -> (n_receivers, M) pre-activations
     self_pre: dict                      # EdgeType -> (n_type, M)
-    sums: dict                          # EdgeType -> (n_tgt, d) neighbour sums
+    sums: dict                          # EdgeType -> (n_receivers, d) neighbour sums
 
 
 def _batch_attention(rows: np.ndarray, bank: MemoryBank, variant: ModelVariant):
@@ -290,8 +329,8 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
         if te.num_edges == 0:
             continue
         sums[et] = _neighbor_sum(emb[te.src], te.adj)
-        mixed, att_pre[et] = _mix(emb[te.tgt], sums[et], params.banks[et], variant)
-        agg[te.tgt] += mixed
+        mixed, att_pre[et] = _mix(emb[te.receivers], sums[et], params.banks[et], variant)
+        agg[te.receivers] += mixed
     denom = cache.node_denom[:, None]
     np.divide(agg, denom, out=agg, where=denom > 0)
 
@@ -310,7 +349,7 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
         mixed, self_pre[et] = _mix(rows, rows, params.banks[et], variant)
         out[sl] += mixed
     if _record is not None:
-        _record.append(_StepCache(agg, att_pre, self_pre, sums))
+        _record.append(_StepCache(agg, y, att_pre, self_pre, sums))
     return out
 
 
@@ -363,7 +402,7 @@ def recalibrated_users(hstar: np.ndarray, graph: HeteroGraph,
     users = hstar[:graph.num_users]
     if not variant.recalibration:
         return users.copy()
-    neigh = _neighbor_sum(users, graph.uu)
+    neigh = _spread(_neighbor_sum(users, graph.uu), graph.uu)
     deg = graph.uu.degrees()[:, None]
     return users + (neigh + users) / (deg + 1.0)
 
@@ -376,21 +415,29 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
                  bank: MemoryBank, gbank: MemoryBank):
     """Backward of ``_mix`` given dL/d(mixed) ``g``; adds into ``gbank``.
 
-    Returns (dL/d rows through the attention, dL/d sums).
+    Returns (dL/d rows through the attention, dL/d sums). Rows go in
+    blocks of about MIX_BLOCK_FLOATS / (M*d), one pass when they fit.
     """
     n, M, d = g.shape[0], bank.num_units, bank.dim
-    att = de.leaky_relu(pre) if pre is not None else np.ones((n, M))
     flat = bank.transforms.reshape(M * d, d)
-    d_trans = (att[:, :, None] * g[:, None, :]).reshape(n, M * d)
-    gbank.transforms += (d_trans.T @ sums).reshape(M, d, d)
-    d_sums = d_trans @ flat
-    if pre is None:
-        return np.zeros_like(rows), d_sums
-    trans = (sums @ flat.T).reshape(n, M, d)
-    d_pre = np.einsum("nmd,nd->nm", trans, g) * de.leaky_relu_grad(pre)
-    gbank.keys += d_pre.T @ rows
-    gbank.biases += d_pre.sum(axis=0)
-    return d_pre @ bank.keys, d_sums
+    d_rows = np.zeros_like(rows)
+    d_sums = np.empty_like(sums)
+    block = max(1, MIX_BLOCK_FLOATS // (M * d))
+    for lo in range(0, n, block):
+        b = slice(lo, lo + block)
+        gb, sb = g[b], sums[b]
+        att = de.leaky_relu(pre[b]) if pre is not None else np.ones((gb.shape[0], M))
+        d_trans = (att[:, :, None] * gb[:, None, :]).reshape(-1, M * d)
+        gbank.transforms += (d_trans.T @ sb).reshape(M, d, d)
+        d_sums[b] = d_trans @ flat
+        if pre is None:
+            continue
+        trans = (sb @ flat.T).reshape(-1, M, d)
+        d_pre = np.einsum("nmd,nd->nm", trans, gb) * de.leaky_relu_grad(pre[b])
+        gbank.keys += d_pre.T @ rows[b]
+        gbank.biases += d_pre.sum(axis=0)
+        d_rows[b] = d_pre @ bank.keys
+    return d_rows, d_sums
 
 
 def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
@@ -410,16 +457,14 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
         d_emb[sl] += d_rows + d_sums
 
     # Activation and normalization path.
+    d_y = d_out * de.leaky_relu_grad(scache.normed)
     if variant.layer_norm:
-        y = de.layer_normalize(scache.agg, params.ln_scale[step], params.ln_shift[step],
-                               params.ln_eps)
-        d_y = d_out * de.leaky_relu_grad(y)
         d_agg, d_scale, d_shift = de.layer_normalize_backward(
             scache.agg, params.ln_scale[step], params.ln_eps, d_y)
         grads.ln_scale[step] += d_scale
         grads.ln_shift[step] += d_shift
     else:
-        d_agg = d_out * de.leaky_relu_grad(scache.agg)
+        d_agg = d_y
 
     denom = cache.node_denom[:, None]
     d_msum = np.zeros_like(d_agg)
@@ -430,10 +475,11 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
         te = cache.edges[et]
         if te.num_edges == 0:
             continue
-        d_rows, d_sums = _mix_backward(d_msum[te.tgt], emb[te.tgt], scache.sums[et],
+        rows = te.receivers
+        d_rows, d_sums = _mix_backward(d_msum[rows], emb[rows], scache.sums[et],
                                        scache.att_pre[et], params.banks[et], grads.banks[et])
-        d_emb[te.tgt] += d_rows
-        d_emb[te.src] += _neighbor_sum(d_sums, te.rev)
+        d_emb[rows] += d_rows
+        d_emb[te.senders] += _neighbor_sum(_spread(d_sums, te.adj), te.rev)
     return d_emb
 
 

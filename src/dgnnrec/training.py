@@ -19,7 +19,7 @@ import numpy as np
 from . import diffengine as de
 from .hetgraph import HeteroGraph, sample_bpr_batch
 from .model import (EdgeCache, FULL_VARIANT, ModelParams, ModelVariant,
-                    _neighbor_sum, backward, forward, recalibrated_users)
+                    _neighbor_sum, _spread, backward, forward, recalibrated_users)
 from .seeding import PARAM_INIT, TRIPLETS, rng_for
 
 
@@ -111,7 +111,7 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
         # q_u = H*[u] + (sum_neighbors + H*[u]) / (deg_u + 1)
         w = d_q / (graph.uu.degrees() + 1.0)[:, None]
         # uu is symmetric, so summing w over neighbours is its transpose.
-        d_hstar[:num_users] += d_q + w + _neighbor_sum(w, graph.uu)
+        d_hstar[:num_users] += d_q + w + _spread(_neighbor_sum(w, graph.uu), graph.uu)
     else:
         d_hstar[:num_users] += d_q
 
@@ -355,16 +355,11 @@ def _kink_margin(graph, params, variant) -> float:
     """
     state = forward(graph, params, variant)
     margin = np.inf
-    for step, cache in enumerate(state.step_caches):
+    for cache in state.step_caches:
         for pre in list(cache.att_pre.values()) + list(cache.self_pre.values()):
             if pre is not None and pre.size:
                 margin = min(margin, float(np.min(np.abs(pre))))
-        if variant.layer_norm:
-            y = de.layer_normalize(cache.agg, params.ln_scale[step],
-                                   params.ln_shift[step], params.ln_eps)
-        else:
-            y = cache.agg
-        margin = min(margin, float(np.min(np.abs(y))))
+        margin = min(margin, float(np.min(np.abs(cache.normed))))
     return margin
 
 

@@ -208,6 +208,26 @@ def test_evaluate_rejects_non_finite_scores():
         ev.rank_and_score(1, 1, np.arange(2, 102), hstar, g, 10)
 
 
+def test_blocked_scoring_matches_one_block_and_names_later_users(monkeypatch):
+    rng = np.random.default_rng(5)
+    g = _flat_graph(5, 103)
+    negs = np.tile(np.arange(1, 101), (5, 1))
+    negs[3] += 2  # item 101 and 102 are negatives of user 3 alone
+    split = _split_for(g, range(5), [0] * 5, negs)
+    hstar = rng.standard_normal((5 + 103, 4))
+    one_block = ev.evaluate(hstar, split, g)
+    monkeypatch.setattr(ev, "SCORE_BLOCK_USERS", 2)
+    assert ev.evaluate(hstar, split, g) == one_block
+    bad = hstar.copy()
+    bad[5 + 102] = np.inf
+    with pytest.raises(ev.EvaluationError, match="non-finite score for user 3"):
+        ev.evaluate(bad, split, g)
+    negs = negs.copy()
+    negs[4, 10] = negs[4, 11]
+    with pytest.raises(ev.EvaluationError, match="duplicate candidate ids for user 4"):
+        ev.evaluate(hstar, _split_for(g, range(5), [0] * 5, negs), g)
+
+
 # ---------------------------------------------------------------------------
 # sparsity groups
 

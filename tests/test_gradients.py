@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from dgnnrec import diffengine as de
+from dgnnrec import model
 from dgnnrec.evaluation import strip_graph
 from dgnnrec.hetgraph import build_graph
 from dgnnrec.model import EdgeCache, FULL_VARIANT, ModelVariant
@@ -92,4 +93,23 @@ def test_gradients_on_graphs_with_empty_edge_types(reduce, num_layers):
                               1e-3, FULL_VARIANT, cache)
 
     report = de.finite_diff_check(objective, params.to_vector(), grad)
+    assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
+
+
+def test_blocked_mix_backward_matches_one_block(monkeypatch):
+    """The oracle and grad-check graphs fit in one block; force several here."""
+    dim, units = 3, 2
+    graph, params, (users, pos, neg) = _random_instance(dim, units, 2, seed=6)
+    cache = EdgeCache(graph)
+    assert graph.num_items > 3
+    _, whole = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    monkeypatch.setattr(model, "MIX_BLOCK_FLOATS", 3 * units * dim)  # 3 rows per block
+    _, blocked = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
+
+    def objective(vec):
+        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
+                              1e-3, FULL_VARIANT, cache)
+
+    report = de.finite_diff_check(objective, params.to_vector(), blocked, tol=1e-4)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"

@@ -272,3 +272,28 @@ def test_sample_batch_matches_contract():
 def test_adjacency_is_frozen(tiny_graph):
     with pytest.raises(ValueError):
         tiny_graph.ui.indices[0] = 99
+
+
+@pytest.mark.parametrize("case", ["random_with_duplicates", "empty", "rows_without_pairs"])
+def test_from_pairs_matches_unique_rows(case):
+    rng = np.random.default_rng(3)
+    num_rows = 9
+    if case == "empty":
+        pairs = np.empty((0, 2), dtype=np.int64)
+    elif case == "random_with_duplicates":
+        pairs = rng.integers(0, [num_rows, 12], size=(300, 2))
+    else:
+        pairs = np.column_stack([rng.choice([1, 4, 8], 60), rng.integers(0, 40, 60)])
+    adj = hg.Adjacency.from_pairs(pairs, num_rows)
+    expected = np.unique(pairs, axis=0) if pairs.size else pairs
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(expected[:, 0], minlength=num_rows))])
+    assert adj.indices.dtype == adj.indptr.dtype == np.int64
+    assert np.array_equal(adj.indices, expected[:, 1])
+    assert np.array_equal(adj.indptr, indptr)
+    if case == "rows_without_pairs":
+        assert set(np.flatnonzero(adj.degrees()).tolist()) == {1, 4, 8}
+
+
+def test_from_pairs_rejects_negative_ids():
+    with pytest.raises(hg.GraphBuildError, match="non-negative"):
+        hg.Adjacency.from_pairs([[0, 1], [1, -2]], 2)

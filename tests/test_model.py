@@ -4,10 +4,10 @@ import pytest
 from conftest import random_params, random_small_graph, score
 from dense_reference import dense_forward, dense_predict, mixed_transform
 from dgnnrec import diffengine as de
-from dgnnrec.hetgraph import build_graph
+from dgnnrec.hetgraph import Adjacency, build_graph
 from dgnnrec.model import (EdgeType, FULL_VARIANT, MemoryBank, ModelParams,
-                           ModelVariant, _batch_attention, final_embeddings,
-                           forward, layer_step, recalibrated_users)
+                           ModelVariant, _batch_attention, _neighbor_sum, _spread,
+                           final_embeddings, forward, layer_step, recalibrated_users)
 
 
 def bank_of(et, transforms, keys, biases):
@@ -379,3 +379,49 @@ def test_parameter_vector_round_trip(tiny_graph):
         assert np.array_equal(bp.transforms, bq.transforms)
         assert np.array_equal(bp.keys, bq.keys)
         assert np.array_equal(bp.biases, bq.biases)
+
+
+def _adjacency_case(case, rng):
+    num_src = 11
+    if case == "no_edges":
+        return Adjacency.from_pairs(np.empty((0, 2)), 5), num_src
+    if case == "no_rows":
+        return Adjacency.from_pairs(np.empty((0, 2)), 0), num_src
+    if case == "isolated_targets":
+        pairs = [(r, s) for r in (0, 2, 5) for s in rng.choice(num_src, r + 1, replace=False)]
+        return Adjacency.from_pairs(pairs, 7), num_src
+    if case == "single_run":
+        pairs = [(r, s) for r in range(6) for s in rng.choice(num_src, 3, replace=False)]
+        return Adjacency.from_pairs(pairs, 6), num_src
+    degrees = rng.integers(0, num_src + 1, size=40)
+    pairs = [(r, s) for r, k in enumerate(degrees) for s in rng.choice(num_src, k, replace=False)]
+    return Adjacency.from_pairs(pairs, 40), num_src
+
+
+@pytest.mark.parametrize("width", [16, 48])
+@pytest.mark.parametrize("case", ["no_edges", "no_rows", "isolated_targets", "single_run",
+                                  "many_runs"])
+def test_neighbor_sum_matches_dense_product(case, width):
+    rng = np.random.default_rng(width)
+    adj, num_src = _adjacency_case(case, rng)
+    dense = np.zeros((adj.num_rows, num_src))
+    pairs = adj.pairs()
+    dense[pairs[:, 0], pairs[:, 1]] = 1.0
+    x = rng.standard_normal((num_src, width))
+    expected = dense @ x
+    plan = adj.plan
+    assert adj.plan is plan
+    has_neighbors = np.flatnonzero(adj.degrees())
+    assert np.array_equal(np.arange(adj.num_rows)[plan.targets], has_neighbors)
+    assert isinstance(plan.targets, slice) == (has_neighbors.size == adj.num_rows)
+    runs = {"single_run": 1, "no_edges": 0, "no_rows": 0}
+    if case in runs:
+        assert len(plan.runs) == runs[case]
+    else:
+        assert len(plan.runs) > 1
+    if case == "many_runs":
+        assert plan.unsort is not None  # degree order differs from row order
+    sums = _neighbor_sum(x, adj)
+    assert sums.shape == (has_neighbors.size, width)
+    np.testing.assert_allclose(sums, expected[has_neighbors], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_spread(sums, adj), expected, rtol=0, atol=1e-12)
