@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import diffengine as de
 from .evaluation import (AblationVariant, EvaluationError, evaluate,
@@ -108,17 +110,16 @@ def _resolve_config(args) -> RunConfig:
 def _load_graph(cfg: RunConfig, users=None, items=None, relations=None):
     if not cfg.interactions:
         raise GraphBuildError("no interactions file configured")
+    no_edges = np.empty((0, 2), dtype=np.int64)
     ui = load_edge_file(cfg.interactions, "interaction")
-    uu = load_edge_file(cfg.social, "social") if cfg.social else []
-    ir = load_edge_file(cfg.item_relations, "item_relation") if cfg.item_relations else []
-    if not ui:
+    uu = load_edge_file(cfg.social, "social") if cfg.social else no_edges
+    ir = load_edge_file(cfg.item_relations, "item_relation") if cfg.item_relations else no_edges
+    if not ui.size:
         raise GraphBuildError("no interactions")
-    num_users = users if users is not None else 1 + max(
-        max(e[0] for e in ui), max((max(a, b) for a, b in uu), default=-1))
-    num_items = items if items is not None else 1 + max(
-        max(e[1] for e in ui), max((e[0] for e in ir), default=-1))
-    num_relations = relations if relations is not None else (
-        1 + max(e[1] for e in ir) if ir else 0)
+    num_users = users if users is not None else 1 + int(max(ui[:, 0].max(), uu.max(initial=-1)))
+    num_items = items if items is not None else 1 + int(max(ui[:, 1].max(),
+                                                            ir[:, 0].max(initial=-1)))
+    num_relations = relations if relations is not None else 1 + int(ir[:, 1].max(initial=-1))
     return build_graph(ui, uu, ir, num_users, num_items, num_relations)
 
 

@@ -37,9 +37,16 @@ def _as_f64(x) -> np.ndarray:
 
 
 def leaky_relu(x: np.ndarray, alpha: float = LEAKY_SLOPE) -> np.ndarray:
-    """Elementwise max(x, alpha*x)."""
+    """Elementwise x for x >= 0 and alpha*x below, computed as max(x, alpha*x).
+
+    The two forms agree bit for bit, -0.0, NaN and +-inf included, only for
+    0 < alpha <= 1 (at alpha = 0, max(inf, 0*inf) is NaN), so any other
+    slope raises ValueError.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"leaky_relu needs 0 < alpha <= 1, got {alpha}")
     x = _as_f64(x)
-    return np.where(x >= 0.0, x, alpha * x)
+    return np.maximum(x, alpha * x)
 
 
 def leaky_relu_grad(x: np.ndarray, alpha: float = LEAKY_SLOPE) -> np.ndarray:

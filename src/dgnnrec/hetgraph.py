@@ -221,31 +221,81 @@ class HeteroGraph:
 # ingestion
 
 
-def load_edge_file(path, kind: str) -> list[tuple[int, int]]:
-    """Parse a `src<TAB>dst` edge file; '#' lines and blank lines ignored.
+_NEWLINE, _TAB, _ZERO = ord("\n"), ord("\t"), ord("0")
+# Up to 18 digits always fit int64 (10**18 - 1 < 2**63 - 1).
+_PLAIN_DIGITS = 18
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-    Returns sorted, deduplicated pairs. Malformed lines and negative ids
-    raise EdgeFileError with the offending line number.
+
+def load_edge_file(path, kind: str) -> np.ndarray:
+    """Parse a `src<TAB>dst` edge file into sorted, deduplicated (N, 2) int64 pairs.
+
+    Lines end as in any text file read as UTF-8 (``\\n``, ``\\r\\n`` or ``\\r``).
+    A line that is blank or starts with '#' once surrounding whitespace is
+    stripped is skipped. Every other line holds two ids separated by one
+    tab; each id is what Python's ``int`` reads (surrounding spaces, a sign,
+    ``_`` between digits) and must be non-negative and fit int64. The first
+    line breaking a rule raises EdgeFileError with its line number.
     """
     if kind not in EDGE_KINDS:
         raise ValueError(f"unknown edge kind {kind!r}, expected one of {EDGE_KINDS}")
-    edges = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise EdgeFileError(f"expected 'src<TAB>dst' in {kind} file, got {line!r}", lineno)
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeFileError(f"non-integer id in {line!r}", lineno) from None
-            if src < 0 or dst < 0:
-                raise EdgeFileError(f"negative id in {line!r}", lineno)
-            edges.add((src, dst))
-    return sorted(edges)
+        raw = fh.read().encode("utf-8")
+    if raw and not raw.endswith(b"\n"):
+        raw += b"\n"
+    text = np.frombuffer(raw, dtype=np.uint8)
+    ends = np.flatnonzero(text == _NEWLINE)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    plain = _plain_lines(text, starts, ends)
+    # numpy reads the plain lines; only the others go through the line rules.
+    plain_text = raw if plain.all() else text[np.repeat(plain, ends - starts + 1)].tobytes()
+    ids = np.fromstring(plain_text, dtype=np.int64, sep=" ").reshape(-1, 2)
+    rest = [_parse_line(raw[starts[i]:ends[i]].decode("utf-8"), i + 1, kind)
+            for i in np.flatnonzero(~plain).tolist()]
+    rest = np.array([pair for pair in rest if pair is not None], dtype=np.int64)
+    return _sorted_unique(np.concatenate([ids, rest.reshape(-1, 2)]))
+
+
+def _plain_lines(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Lines that are exactly ``digits<TAB>digits`` with 1 to 18 digits per id."""
+    tabs = np.flatnonzero(text == _TAB)
+    line_of_tab = np.searchsorted(ends, tabs)
+    plain = np.bincount(line_of_tab, minlength=ends.size) == 1
+    tab = np.zeros_like(ends)
+    tab[line_of_tab] = tabs
+    for length in (tab - starts, ends - tab - 1):
+        plain &= (length >= 1) & (length <= _PLAIN_DIGITS)
+    other = ((text - np.uint8(_ZERO)) > 9) & (text != _TAB) & (text != _NEWLINE)
+    plain[np.searchsorted(ends, np.flatnonzero(other))] = False
+    return plain
+
+
+def _parse_line(line: str, lineno: int, kind: str) -> tuple[int, int] | None:
+    """One line by the edge-file rules: a pair, None for a skipped line, or EdgeFileError."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    parts = line.split("\t")
+    if len(parts) != 2:
+        raise EdgeFileError(f"expected 'src<TAB>dst' in {kind} file, got {line!r}", lineno)
+    try:
+        src, dst = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise EdgeFileError(f"non-integer id in {line!r}", lineno) from None
+    if src < 0 or dst < 0:
+        raise EdgeFileError(f"negative id in {line!r}", lineno)
+    if max(src, dst) > _INT64_MAX:
+        raise EdgeFileError(f"id beyond int64 in {line!r}", lineno)
+    return src, dst
+
+
+def _sorted_unique(pairs: np.ndarray) -> np.ndarray:
+    """Rows in ascending (src, dst) order, each once."""
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    keep = np.ones(pairs.shape[0], dtype=bool)
+    keep[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    return pairs[keep]
 
 
 def _check_range(pairs: np.ndarray, n_src: int, n_dst: int, label: str) -> None:
@@ -325,6 +375,12 @@ def split_leave_one_out(graph: HeteroGraph, seed: int,
     num_skipped = int(np.count_nonzero(deg == 1))
     if eligible.size == 0:
         raise SplitError("no user has >= 2 interactions; nothing to hold out")
+    too_many = np.flatnonzero(graph.num_items - deg[eligible] < num_negatives)
+    if too_many.size:
+        u = eligible[too_many[0]]
+        raise SplitError(
+            f"user {u} interacted with {deg[u]} of {graph.num_items} items; "
+            f"cannot draw {num_negatives} negatives")
 
     hold_rng = rng_for(seed, SPLIT)
     picks = np.floor(hold_rng.random(eligible.size) * deg[eligible]).astype(np.int64)
@@ -340,27 +396,77 @@ def split_leave_one_out(graph: HeteroGraph, seed: int,
         iu=Adjacency.from_pairs(_reverse_pairs(all_pairs[keep]), graph.num_items),
     )
 
-    neg_rng = rng_for(seed, NEGATIVES)
-    negatives = np.empty((eligible.size, num_negatives), dtype=np.int64)
-    for row, u in enumerate(eligible):
-        interacted = set(graph.ui.neighbors(u).tolist())
-        if graph.num_items - len(interacted) < num_negatives:
-            raise SplitError(
-                f"user {u} interacted with {len(interacted)} of {graph.num_items} items; "
-                f"cannot draw {num_negatives} negatives")
-        seen = set(interacted)
-        chosen: list[int] = []
-        while len(chosen) < num_negatives:
-            for cand in neg_rng.integers(0, graph.num_items, size=128).tolist():
-                if cand not in seen:
-                    seen.add(cand)
-                    chosen.append(cand)
-                    if len(chosen) == num_negatives:
-                        break
-        negatives[row] = chosen
-
+    negatives = _draw_negatives(graph, eligible, num_negatives, rng_for(seed, NEGATIVES))
     return Split(train_graph, eligible.astype(np.int64), held_items.astype(np.int64),
                  negatives, num_skipped, int(seed))
+
+
+# Candidates drawn per chunk; a user's negatives are the first fresh
+# candidates of its chunks, and it takes chunks until it has enough.
+_NEGATIVE_CHUNK = 128
+# Users whose first chunks are drawn and checked together. A block's arrays
+# (64 x 128 int64, 64 KiB) stay in cache, and a user who needs a second
+# chunk makes at most one block be redrawn and checked again.
+_NEGATIVE_BLOCK = 64
+
+
+def _draw_negatives(graph: HeteroGraph, users: np.ndarray, num_negatives: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Each user's negatives, drawn from ``rng`` chunk by chunk in user order.
+
+    A block of users' first chunks comes from one call, which yields the
+    same values as drawing them one chunk at a time. At the first user of a
+    block that needs more, the stream is rewound and replayed up to the end
+    of that user's first chunk, its further chunks are drawn, and the next
+    block starts after it.
+    """
+    keys = graph.interaction_keys()
+    num_items = graph.num_items
+    out = np.empty((users.size, num_negatives), dtype=np.int64)
+    done = 0
+    while done < users.size:
+        state = rng.bit_generator.state
+        block = users[done:done + _NEGATIVE_BLOCK]
+        chunks = rng.integers(0, num_items, size=(block.size, _NEGATIVE_CHUNK))
+        fresh = _fresh_candidates(chunks, block, keys, num_items)
+        short = np.flatnonzero(np.count_nonzero(fresh, axis=1) < num_negatives)
+        served = short[0] if short.size else block.size
+        out[done:done + served] = _first_fresh(chunks[:served], fresh[:served], num_negatives)
+        done += served
+        if short.size:
+            rng.bit_generator.state = state
+            rng.integers(0, num_items, size=(served + 1, _NEGATIVE_CHUNK))
+            row, fresh = chunks[served:served + 1], fresh[served:served + 1]
+            while np.count_nonzero(fresh) < num_negatives:
+                more = rng.integers(0, num_items, size=(1, _NEGATIVE_CHUNK))
+                row = np.concatenate([row, more], axis=1)
+                fresh = _fresh_candidates(row, users[done:done + 1], keys, num_items)
+            out[done] = _first_fresh(row, fresh, num_negatives)
+            done += 1
+    return out
+
+
+def _fresh_candidates(chunks: np.ndarray, users: np.ndarray, keys: np.ndarray,
+                      num_items: int) -> np.ndarray:
+    """Mask of candidates that are neither the row user's interaction nor an earlier repeat."""
+    width = chunks.shape[1]
+    shift = (width - 1).bit_length()
+    # value << shift | place sorts equal values by place, as a stable sort would.
+    ranked = np.sort((chunks << shift) | np.arange(width), axis=1)
+    value, place = ranked >> shift, ranked & ((1 << shift) - 1)
+    key = users[:, None] * num_items + value
+    at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+    fresh = keys[at] != key
+    fresh[:, 1:] &= value[:, 1:] != value[:, :-1]
+    out = np.empty_like(fresh)
+    np.put_along_axis(out, place, fresh, axis=1)
+    return out
+
+
+def _first_fresh(chunks: np.ndarray, fresh: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` fresh candidates of each row; every row has that many."""
+    take = fresh & (np.cumsum(fresh, axis=1) <= count)
+    return chunks[take].reshape(chunks.shape[0], count)
 
 
 # ---------------------------------------------------------------------------

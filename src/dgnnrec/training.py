@@ -80,6 +80,16 @@ def bpr_batch_loss(graph: HeteroGraph, params: ModelParams,
     return core + reg * float(vec @ vec)
 
 
+def _scatter_rows(rows: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
+    """Zeros of ``shape`` with each ``values[k]`` added to row ``rows[k]``, in input order.
+
+    Bitwise equal to ``np.add.at`` on zeros: bincount sums each bin in input order too.
+    """
+    width = shape[1]
+    flat = (rows[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=shape[0] * width).reshape(shape)
+
+
 def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
                    users, pos, neg, reg: float,
                    variant: ModelVariant = FULL_VARIANT,
@@ -101,11 +111,13 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
 
     # d(mean softplus(-margin))/d margin = -sigmoid(-margin)/B
     g_margin = -de.sigmoid(-margin) / margin.size
-    d_hstar = np.zeros_like(hstar)
-    d_q = np.zeros((num_users, hstar.shape[1]))
-    np.add.at(d_q, users, g_margin[:, None] * (hstar[num_users + pos] - hstar[num_users + neg]))
-    np.add.at(d_hstar, num_users + pos, g_margin[:, None] * qp)
-    np.add.at(d_hstar, num_users + neg, -g_margin[:, None] * qp)
+    d_q = _scatter_rows(users,
+                        g_margin[:, None] * (hstar[num_users + pos] - hstar[num_users + neg]),
+                        (num_users, hstar.shape[1]))
+    # pos rows first, then neg rows: each row sums in the order np.add.at would.
+    d_hstar = _scatter_rows(np.concatenate([num_users + pos, num_users + neg]),
+                            np.concatenate([g_margin[:, None] * qp, -g_margin[:, None] * qp]),
+                            hstar.shape)
 
     if variant.recalibration:
         # q_u = H*[u] + (sum_neighbors + H*[u]) / (deg_u + 1)

@@ -220,12 +220,11 @@ def test_conditional_ciao():
     interactions = load_edge_file(root / "interactions.tsv", "interaction")
     social = load_edge_file(root / "social.tsv", "social")
     rel_path = root / "item_relations.tsv"
-    item_rel = load_edge_file(rel_path, "item_relation") if rel_path.exists() else []
-    num_users = 1 + max(max(e[0] for e in interactions),
-                        max(max(a, b) for a, b in social))
-    num_items = 1 + max(max(e[1] for e in interactions),
-                        max((e[0] for e in item_rel), default=0))
-    num_rel = 1 + max((e[1] for e in item_rel), default=-1) if item_rel else 0
+    item_rel = (load_edge_file(rel_path, "item_relation") if rel_path.exists()
+                else np.empty((0, 2), dtype=np.int64))
+    num_users = 1 + int(max(interactions[:, 0].max(), social.max()))
+    num_items = 1 + int(max(interactions[:, 1].max(), item_rel[:, 0].max(initial=0)))
+    num_rel = 1 + int(item_rel[:, 1].max(initial=-1))
     shape_ok = (num_users == 1925 and num_items == 15053
                 and len(interactions) == 30370)
     graph = build_graph(interactions, social, item_rel, num_users, num_items, num_rel)

@@ -70,6 +70,14 @@ def test_build_malformed_file_exit_code(tmp_path):
                      "--out", str(tmp_path / "o")]) == cli.EXIT_DATA
 
 
+def test_build_id_beyond_int64_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("0\t1\n1\t99999999999999999999\n", encoding="utf-8")
+    assert cli.main(["build", "--interactions", str(bad),
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_DATA
+    assert "line 2: id beyond int64" in capsys.readouterr().err
+
+
 def test_train_eval_cycle(dataset_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["train", *_base_args(dataset_dir, out)]) == 0

@@ -13,6 +13,20 @@ def test_leaky_relu_values():
     assert np.array_equal(de.leaky_relu(np.array([0.0])), [0.0])
 
 
+@pytest.mark.parametrize("alpha", [0.01, 0.2, 1.0])
+def test_leaky_relu_is_the_slope_form_bit_for_bit(alpha):
+    x = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 3.5, -3.5, 5e-324, -5e-324])
+    with np.errstate(invalid="ignore"):
+        want = np.where(x >= 0.0, x, alpha * x)
+    assert de.leaky_relu(x, alpha).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, np.nan])
+def test_leaky_relu_rejects_slopes_the_max_form_gets_wrong(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        de.leaky_relu(np.array([1.0]), alpha)
+
+
 def test_leaky_relu_backward_negative_slope():
     assert np.array_equal(de.leaky_relu_grad(np.array([-1.0, 3.0])), [0.2, 1.0])
 

@@ -1,9 +1,19 @@
+import hashlib
+import re
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ingest_reference
 from dgnnrec import hetgraph as hg
+from dgnnrec.seeding import NEGATIVES, rng_for
+from dgnnrec.synthetic import make_planted_dataset
+
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -13,7 +23,9 @@ from dgnnrec import hetgraph as hg
 def test_load_edge_file_parses_and_dedups(tmp_path):
     path = tmp_path / "edges.tsv"
     path.write_text("0\t3\n1\t2\n# comment\n\n0\t3\n", encoding="utf-8")
-    assert hg.load_edge_file(path, "interaction") == [(0, 3), (1, 2)]
+    pairs = hg.load_edge_file(path, "interaction")
+    assert pairs.dtype == np.int64 and pairs.shape == (2, 2)
+    assert pairs.tolist() == [[0, 3], [1, 2]]
 
 
 def test_load_edge_file_rejects_bad_delimiter(tmp_path):
@@ -36,6 +48,64 @@ def test_load_edge_file_unknown_kind(tmp_path):
     path.write_text("0\t1\n", encoding="utf-8")
     with pytest.raises(ValueError, match="kind"):
         hg.load_edge_file(path, "bogus")
+
+
+@pytest.mark.parametrize("dst, ok", [(INT64_MAX, True), (INT64_MAX + 1, False),
+                                     (10 ** 20 - 1, False)])
+def test_load_edge_file_rejects_id_beyond_int64(tmp_path, dst, ok):
+    path = tmp_path / "edges.tsv"
+    line = f"1\t{dst}"
+    path.write_text(f"0\t1\n{line}\n", encoding="utf-8")
+    if ok:
+        assert hg.load_edge_file(path, "interaction").tolist() == [[0, 1], [1, dst]]
+        return
+    with pytest.raises(hg.EdgeFileError, match=re.escape(f"int64 in {line!r}")) as exc:
+        hg.load_edge_file(path, "interaction")
+    assert exc.value.line == 2
+
+
+def _reference_outcome(path, kind):
+    """Sorted pairs, or (message, line) of the first line that the reference rejects
+    or that holds an id beyond int64."""
+    pairs = set()
+    try:
+        for lineno, src, dst in ingest_reference.edge_lines(path, kind):
+            if max(src, dst) > INT64_MAX:
+                return "int64", lineno
+            pairs.add((src, dst))
+    except hg.EdgeFileError as err:
+        return str(err), err.line
+    return [list(pair) for pair in sorted(pairs)]
+
+
+_PLAIN_LINE = st.builds("{}\t{}".format, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
+_EDGE_LINE = st.one_of(
+    _PLAIN_LINE, _PLAIN_LINE,
+    st.builds("{}\t{}".format, st.integers(-5, 10 ** 20), st.integers(0, 10 ** 20)),
+    st.text(alphabet="0123456789+-_ \t#", max_size=12))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_EDGE_LINE, st.sampled_from(["\n", "\r\n", "\r"])), max_size=12),
+       st.booleans())
+def test_load_edge_file_matches_line_reference(lines, final_newline):
+    text = "".join(line + end for line, end in lines)
+    if lines and not final_newline:
+        text = text[:-len(lines[-1][1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        want = _reference_outcome(path, "social")
+        try:
+            got = hg.load_edge_file(path, "social")
+        except hg.EdgeFileError as err:
+            assert isinstance(want, tuple), f"rejected {text!r}: {err}"
+            message, line = want
+            assert err.line == line
+            assert message in str(err)
+        else:
+            assert got.dtype == np.int64 and got.shape == (len(want), 2)
+            assert got.tolist() == want, text
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +221,30 @@ def test_split_errors_when_negatives_unavailable():
     g = hg.build_graph([(0, 0), (0, 1)], [], [], 1, 2, 0)
     with pytest.raises(hg.SplitError):
         hg.split_leave_one_out(g, seed=0)
+
+
+@pytest.mark.parametrize("num_items, num_negatives", [(130, 100), (300, 100), (400, 150)])
+def test_negatives_match_reference_when_users_need_more_chunks(num_items, num_negatives):
+    rng = np.random.default_rng(num_items)
+    num_users = 150  # more users than one block of first chunks
+    pairs = sorted({(u, int(j)) for u in range(num_users) for j in rng.choice(
+        num_items, size=int(rng.integers(2, num_items - num_negatives + 1)), replace=False)})
+    g = hg.build_graph(pairs, [], [], num_users, num_items, 0)
+    split = hg.split_leave_one_out(g, seed=4, num_negatives=num_negatives)
+    want, chunks = ingest_reference.draw_negatives(g, split.test_users, num_negatives,
+                                                   rng_for(4, NEGATIVES))
+    assert chunks.max() >= 2
+    if num_items == 300:
+        assert chunks.min() == 1 and np.count_nonzero(chunks >= 2) > 1
+    assert np.array_equal(split.eval_negatives, want)
+
+
+def test_planted_manifest_bytes_are_pinned(tmp_path):
+    # Any change to the hold-out pick or to the negatives' RNG stream shows here.
+    split = hg.split_leave_one_out(make_planted_dataset(seed=0).build(), seed=0)
+    hg.save_split_manifest(split, tmp_path / "split.txt")
+    assert hashlib.sha256((tmp_path / "split.txt").read_bytes()).hexdigest() == (
+        "77115c500a753b5460e57fe2026b520fe0a997f60b77f975e3e8c00e2229d434")
 
 
 def test_manifest_round_trip(tmp_path):

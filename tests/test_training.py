@@ -11,7 +11,7 @@ from dgnnrec.seeding import PARAM_INIT, rng_for
 from dgnnrec.synthetic import make_planted_dataset
 from dgnnrec.training import (CheckpointMagicError, CheckpointTruncatedError,
                               CheckpointVersionError, TrainingConfig,
-                              bpr_batch_grad, bpr_loss, load_checkpoint,
+                              _scatter_rows, bpr_batch_grad, bpr_loss, load_checkpoint,
                               save_checkpoint, train_epoch, train_model)
 
 
@@ -55,6 +55,19 @@ def _small_world(seed=0):
             edges.add((u, int(j)))
     return build_graph(sorted(edges), [(0, 1), (2, 3), (4, 5)],
                        [(j, j % 3) for j in range(30)], 12, 30, 3)
+
+
+def test_scatter_rows_is_add_at_bit_for_bit():
+    # Repeated rows sum in input order: first block (pos), then second (neg).
+    rng = np.random.default_rng(5)
+    pos, neg = rng.integers(0, 7, size=300), rng.integers(0, 7, size=300)
+    a = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-8, 8, size=(300, 1))
+    b = rng.normal(size=(300, 5))
+    want = np.zeros((9, 5))
+    np.add.at(want, pos, a)
+    np.add.at(want, neg, -b)
+    got = _scatter_rows(np.concatenate([pos, neg]), np.concatenate([a, -b]), (9, 5))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_train_epoch_zero_lr_keeps_params():
