@@ -2,7 +2,7 @@
 
 from .diffengine import AdamState, adam_step, finite_diff_check
 from .evaluation import (AblationVariant, EvalReport, evaluate,
-                         export_memory_attention, run_ablation, sparsity_report)
+                         export_memory_attention, run_ablation)
 from .hetgraph import (HeteroGraph, Split, build_graph, load_edge_file,
                        split_leave_one_out)
 from .model import (EdgeType, FULL_VARIANT, MemoryBank, ModelParams, ModelVariant,
@@ -18,6 +18,6 @@ __all__ = [
     "Split", "TrainingConfig", "adam_step", "bpr_loss", "build_graph",
     "check_model_gradients", "evaluate", "export_memory_attention",
     "finite_diff_check", "forward", "load_checkpoint", "load_edge_file",
-    "run_ablation", "save_checkpoint", "sparsity_report", "split_leave_one_out",
+    "run_ablation", "save_checkpoint", "split_leave_one_out",
     "train_epoch", "train_model",
 ]

@@ -126,6 +126,7 @@ def evaluate(hstar: np.ndarray, split: Split, graph: HeteroGraph,
 
 
 def _group_metrics(ranks: np.ndarray, split: Split, cutoffs) -> list:
+    """Quartile groups of test users by training-interaction count."""
     counts = split.train_graph.ui.degrees()[split.test_users]
     order = np.lexsort((split.test_users, counts))  # ascending count, ties by user id
     groups = []
@@ -134,15 +135,6 @@ def _group_metrics(ranks: np.ndarray, split: Split, cutoffs) -> list:
         groups.append(GroupMetrics(f"q{gi + 1}", int(idx.size),
                                    float(counts[idx].mean()), hr, ndcg))
     return groups
-
-
-def sparsity_report(split: Split, graph: HeteroGraph, hstar: np.ndarray,
-                    cutoffs=DEFAULT_CUTOFFS, variant: ModelVariant = FULL_VARIANT) -> list:
-    """Quartile groups of test users by training-interaction count."""
-    if split.test_users.size < 4:
-        raise EvaluationError("need at least 4 test users for quartile groups")
-    ranks = _all_ranks(hstar, split, graph, variant)
-    return _group_metrics(ranks, split, cutoffs)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,8 @@ class Adjacency:
                 raise GraphBuildError("adjacency pairs must be non-negative")
             # One int64 key per pair sorts exactly as the (row, col) pairs do.
             width = int(cols.max()) + 1
-            rows, cols = np.divmod(np.unique(rows * width + cols), width)
+            keys = np.sort(rows * width + cols)
+            rows, cols = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], width)
         counts = np.bincount(rows, minlength=num_rows)
         indptr = np.zeros(num_rows + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])

@@ -95,17 +95,14 @@ class MemoryBank:
     def dim(self) -> int:
         return self.transforms.shape[1]
 
-    @classmethod
-    def init(cls, edge_type: EdgeType, num_units: int, dim: int,
-             rng: np.random.Generator) -> "MemoryBank":
+    def draw(self, rng: np.random.Generator) -> None:
+        """Overwrite transforms, then keys, with their initial uniform draws."""
         # Keys start two orders below fan scale: unit gates open near-neutral,
         # so early propagation is not modulated by random attention noise.
-        a_w = np.sqrt(6.0 / (dim + dim))
-        a_k = 0.05 * np.sqrt(6.0 / (dim + 1))
-        return cls(edge_type,
-                   rng.uniform(-a_w, a_w, size=(num_units, dim, dim)),
-                   rng.uniform(-a_k, a_k, size=(num_units, dim)),
-                   np.zeros(num_units))
+        a_w = np.sqrt(6.0 / (self.dim + self.dim))
+        a_k = 0.05 * np.sqrt(6.0 / (self.dim + 1))
+        self.transforms[...] = rng.uniform(-a_w, a_w, size=self.transforms.shape)
+        self.keys[...] = rng.uniform(-a_k, a_k, size=self.keys.shape)
 
     @classmethod
     def zeros(cls, edge_type: EdgeType, num_units: int, dim: int) -> "MemoryBank":
@@ -115,13 +112,50 @@ class MemoryBank:
 
 @dataclass
 class ModelParams:
-    """All trainable state: layer-0 embeddings, 8 banks, per-layer LN affine."""
+    """All trainable state: layer-0 embeddings, 8 banks, per-layer LN affine.
+
+    Every array is a view of one contiguous float64 ``vector`` in the order of
+    ``_arrays`` (the checkpoint layout). Building from parts copies them.
+    """
 
     embeddings: np.ndarray           # (I+J+R, d)
     banks: tuple                     # len 8, indexed by EdgeType
     ln_scale: np.ndarray             # (L, d), omega_1 per propagation layer
     ln_shift: np.ndarray             # (L, d), omega_2 per propagation layer
     ln_eps: float = DEFAULT_LN_EPS
+    vector: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # from parts, or dataclasses.replace: never binds the caller's arrays
+        parts = [self.embeddings] + [a for b in self.banks for a in (b.transforms, b.keys, b.biases)]
+        parts.append(np.stack([self.ln_scale, self.ln_shift], axis=1))
+        self._bind(np.concatenate([np.ravel(a) for a in parts]).astype(np.float64, copy=False),
+                   *np.shape(self.embeddings), [b.num_units for b in self.banks])
+
+    def _bind(self, vec: np.ndarray, num_nodes: int, dim: int, units) -> None:
+        """Make every array a new view of ``vec``; ``units`` holds M per bank."""
+        self.vector, stop = vec, num_nodes * dim
+        self.embeddings = vec[:stop].reshape(num_nodes, dim)
+        banks = []
+        for et, m in zip(EdgeType, units):
+            keys, biases = stop + m * dim * dim, stop + m * dim * (dim + 1)
+            banks.append(MemoryBank(et, vec[stop:keys].reshape(m, dim, dim),
+                                    vec[keys:biases].reshape(m, dim), vec[biases:biases + m]))
+            stop = biases + m
+        self.banks = tuple(banks)
+        tail = vec[stop:].reshape(-1, 2, dim)  # scale and shift interleave per layer
+        self.ln_scale, self.ln_shift = tail[:, 0], tail[:, 1]
+
+    @classmethod
+    def _wrap(cls, vec: np.ndarray, num_nodes: int, dim: int, units, ln_eps: float):
+        """Parameters viewing ``vec``, a contiguous float64 vector of the right size."""
+        out = object.__new__(cls)
+        out.ln_eps = ln_eps
+        out._bind(vec, num_nodes, dim, units)
+        return out
+
+    @staticmethod
+    def _size(nodes: int, dim: int, units: int, layers: int) -> int:
+        return nodes * dim + len(EdgeType) * units * (dim * dim + dim + 1) + 2 * layers * dim
 
     @property
     def dim(self) -> int:
@@ -144,25 +178,26 @@ class ModelParams:
              rng: np.random.Generator, ln_eps: float = DEFAULT_LN_EPS) -> "ModelParams":
         # Draw order is part of the reproducibility contract:
         # embeddings, then banks in EdgeType order, then nothing (LN is 1/0).
+        out = cls.zeros(num_nodes, dim, num_units, num_layers, ln_eps)
         a_e = np.sqrt(6.0 / (dim + dim))
-        emb = rng.uniform(-a_e, a_e, size=(num_nodes, dim))
-        banks = tuple(MemoryBank.init(et, num_units, dim, rng) for et in EdgeType)
-        return cls(emb, banks,
-                   np.ones((num_layers, dim)), np.zeros((num_layers, dim)), ln_eps)
+        out.embeddings[...] = rng.uniform(-a_e, a_e, size=(num_nodes, dim))
+        for bank in out.banks:
+            bank.draw(rng)
+        out.ln_scale[...] = 1.0
+        return out
 
     @classmethod
     def zeros(cls, num_nodes: int, dim: int, num_units: int, num_layers: int,
               ln_eps: float = DEFAULT_LN_EPS) -> "ModelParams":
-        return cls(np.zeros((num_nodes, dim)),
-                   tuple(MemoryBank.zeros(et, num_units, dim) for et in EdgeType),
-                   np.zeros((num_layers, dim)), np.zeros((num_layers, dim)), ln_eps)
+        return cls._wrap(np.zeros(cls._size(num_nodes, dim, num_units, num_layers)),
+                         num_nodes, dim, [num_units] * len(EdgeType), ln_eps)
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams.zeros(self.num_nodes, self.dim, self.num_units,
-                                 self.num_layers, self.ln_eps)
+        return self._wrap(np.zeros(self.vector.size), self.num_nodes, self.dim,
+                          [b.num_units for b in self.banks], self.ln_eps)
 
     def _arrays(self):
-        """(name, array) in canonical order; drives vectors and checkpoints."""
+        """(name, view) in canonical order: the order of ``vector`` and of checkpoints."""
         yield "embeddings", self.embeddings
         for bank in self.banks:
             tag = bank.edge_type.name.lower()
@@ -182,21 +217,19 @@ class ModelParams:
 
     @property
     def num_params(self) -> int:
-        return sum(arr.size for _, arr in self._arrays())
+        return self.vector.size
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for _, arr in self._arrays()])
+        """The parameter buffer itself, not a copy: writing to it writes the parameters."""
+        return self.vector
 
     def with_vector(self, vec: np.ndarray) -> "ModelParams":
-        vec = np.asarray(vec, dtype=np.float64)
-        if vec.shape != (self.num_params,):
+        """Parameters viewing ``vec``; a contiguous float64 ``vec`` is not copied."""
+        vec = np.ascontiguousarray(vec, dtype=np.float64)
+        if vec.shape != self.vector.shape:
             raise de.ShapeError(f"parameter vector has {vec.size} entries, expected {self.num_params}")
-        out = self.zeros_like()
-        start = 0
-        for _, arr in out._arrays():
-            arr[...] = vec[start:start + arr.size].reshape(arr.shape)
-            start += arr.size
-        return out
+        return self._wrap(vec, self.num_nodes, self.dim, [b.num_units for b in self.banks],
+                          self.ln_eps)
 
 
 # ---------------------------------------------------------------------------

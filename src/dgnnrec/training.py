@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diffengine as de
 from .hetgraph import HeteroGraph, sample_bpr_batch
-from .model import (EdgeCache, FULL_VARIANT, ModelParams, ModelVariant,
+from .model import (EdgeCache, EdgeType, FULL_VARIANT, ModelParams, ModelVariant,
                     _neighbor_sum, _spread, backward, forward, recalibrated_users)
 from .seeding import PARAM_INIT, TRIPLETS, rng_for
 
@@ -48,13 +48,10 @@ class TrainingConfig:
 # objective
 
 
-def bpr_loss(score_pos, score_neg, params: ModelParams | None = None, reg: float = 0.0):
-    """-log sigmoid(pos - neg) + reg * ||theta||^2, overflow-safe."""
+def bpr_loss(score_pos, score_neg):
+    """-log sigmoid(pos - neg), overflow-safe; the weight decay is in ``bpr_batch_loss``."""
     core = np.logaddexp(0.0, -(np.asarray(score_pos, dtype=np.float64)
                                - np.asarray(score_neg, dtype=np.float64)))
-    if reg and params is not None:
-        vec = params.to_vector()
-        core = core + reg * float(vec @ vec)
     return float(core) if np.ndim(core) == 0 else core
 
 
@@ -242,8 +239,7 @@ def save_checkpoint(path, params: ModelParams, num_users: int, num_items: int,
                            num_users, num_items, num_relations,
                            params.dim, params.num_layers, params.num_units,
                            flags, epoch, loss, params.ln_eps)]
-    for _, arr in params._arrays():
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    chunks.append(params.vector.astype("<f8", copy=False).tobytes())
     if adam_state is not None:
         if adam_state.m.shape != (params.num_params,):
             raise CheckpointError("adam state does not match the flat parameter vector")
@@ -267,32 +263,25 @@ def load_checkpoint(path) -> Checkpoint:
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"{path}: unsupported version {version}")
 
-    offset = _HEADER.size
-
-    def take(count: int) -> np.ndarray:
-        nonlocal offset
-        nbytes = count * 8
-        if offset + nbytes > len(data):
-            raise CheckpointTruncatedError(f"{path}: truncated at byte {offset}")
-        out = np.frombuffer(data, dtype="<f8", count=count, offset=offset).copy()
-        offset += nbytes
-        return out
-
-    params = ModelParams.zeros(n_users + n_items + n_rel, dim, units, layers, ln_eps)
-    for _, arr in params._arrays():
-        arr[...] = take(arr.size).reshape(arr.shape)
-
+    # Check the header against the file size in Python ints before any array exists.
+    num_nodes = n_users + n_items + n_rel
+    if dim < 1 or units < 1 or num_nodes < 1:
+        raise CheckpointError(f"{path}: header has d={dim}, M={units} and {num_nodes} nodes")
+    count = ModelParams._size(num_nodes, dim, units, layers)
+    adam = bool(flags & _FLAG_ADAM)
+    expected = _HEADER.size + 8 * count + adam * (_ADAM_HEADER.size + 16 * count)
+    if len(data) < expected:
+        raise CheckpointTruncatedError(f"{path}: {len(data)} bytes, the header needs {expected}")
+    if len(data) > expected:
+        raise CheckpointError(f"{path}: {len(data) - expected} trailing bytes")
+    params = ModelParams._wrap(np.frombuffer(data, "<f8", count, _HEADER.size).copy(),
+                               num_nodes, dim, [units] * len(EdgeType), ln_eps)
     adam_state = None
-    if flags & _FLAG_ADAM:
-        if offset + _ADAM_HEADER.size > len(data):
-            raise CheckpointTruncatedError(f"{path}: truncated in optimizer block")
+    if adam:
+        offset = _HEADER.size + 8 * count
         step, beta1, beta2, eps = _ADAM_HEADER.unpack_from(data, offset)
-        offset += _ADAM_HEADER.size
-        m = take(params.num_params)
-        v = take(params.num_params)
-        adam_state = de.AdamState(m, v, step, beta1, beta2, eps)
-    if offset != len(data):
-        raise CheckpointError(f"{path}: {len(data) - offset} trailing bytes")
+        m, v = np.frombuffer(data, "<f8", 2 * count, offset + _ADAM_HEADER.size).reshape(2, -1)
+        adam_state = de.AdamState(m.copy(), v.copy(), step, beta1, beta2, eps)
     return Checkpoint(params, adam_state, n_users, n_items, n_rel, epoch, loss)
 
 

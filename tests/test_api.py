@@ -2,7 +2,7 @@
 
 import dgnnrec
 
-REMOVED = ("predict", "recalibrate", "sample_bpr_triplet")
+REMOVED = ("predict", "recalibrate", "sample_bpr_triplet", "sparsity_report")
 
 
 def test_public_names_resolve_once_and_removed_names_are_gone():

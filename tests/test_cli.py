@@ -3,7 +3,8 @@ import pytest
 
 from dgnnrec import cli
 from dgnnrec.synthetic import make_planted_dataset
-from dgnnrec.training import load_checkpoint, save_checkpoint
+from dgnnrec.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER, load_checkpoint,
+                              save_checkpoint)
 
 
 @pytest.fixture
@@ -149,6 +150,17 @@ def test_eval_non_finite_checkpoint_exit_code(dataset_dir, tmp_path, capsys):
     assert cli.main(["eval", *_base_args(dataset_dir, out)]) == cli.EXIT_EVAL
     assert "non-finite score" in capsys.readouterr().err
     assert not (out / "metrics.tsv").exists()
+
+
+def test_eval_checkpoint_header_beyond_file_size_exit_code(dataset_dir, tmp_path, capsys):
+    # I = 2^32 - 1, d = 2^16 in a 124-byte file: refused before anything is allocated.
+    bad = tmp_path / "huge.ckpt"
+    bad.write_bytes(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 2**32 - 1, 0, 0, 2**16,
+                                 1, 1, 0, 0, float("nan"), 1e-6) + bytes(64))
+    code = cli.main(["eval", *_base_args(dataset_dir, tmp_path / "run"),
+                     "--checkpoint", str(bad)])
+    assert code == cli.EXIT_IO
+    assert "the header needs" in capsys.readouterr().err
 
 
 def test_split_of_another_seed_is_not_reused(dataset_dir, tmp_path, capsys):

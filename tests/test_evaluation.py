@@ -245,7 +245,7 @@ def _split_with_counts(counts, num_items=200):
 def test_sparsity_groups_quartiles_by_count():
     g, split = _split_with_counts([1, 2, 3, 4, 5, 6, 7, 8])
     hstar = np.random.default_rng(1).normal(size=(g.num_nodes, 4))
-    groups = ev.sparsity_report(split, g, hstar)
+    groups = ev.evaluate(hstar, split, g).groups
     assert [g_.user_count for g_ in groups] == [2, 2, 2, 2]
     assert [g_.mean_train_interactions for g_ in groups] == [1.5, 3.5, 5.5, 7.5]
     means = [g_.mean_train_interactions for g_ in groups]
@@ -255,15 +255,15 @@ def test_sparsity_groups_quartiles_by_count():
 def test_sparsity_groups_tie_break_by_user_id():
     g, split = _split_with_counts([3, 3, 3, 3, 3, 3, 3, 3])
     hstar = np.random.default_rng(2).normal(size=(g.num_nodes, 4))
-    groups = ev.sparsity_report(split, g, hstar)
+    groups = ev.evaluate(hstar, split, g).groups
     assert [g_.user_count for g_ in groups] == [2, 2, 2, 2]
 
 
 def test_sparsity_needs_four_users():
     g, split = _split_with_counts([2, 3, 4])
     hstar = np.zeros((g.num_nodes, 4))
-    with pytest.raises(ev.EvaluationError):
-        ev.sparsity_report(split, g, hstar)
+    report = ev.evaluate(hstar, split, g)
+    assert report.tested_users == 3 and report.groups == []
 
 
 def test_group_counts_sum_to_tested_users():

@@ -368,7 +368,8 @@ def test_adjacency_is_frozen(tiny_graph):
         tiny_graph.ui.indices[0] = 99
 
 
-@pytest.mark.parametrize("case", ["random_with_duplicates", "empty", "rows_without_pairs"])
+@pytest.mark.parametrize("case", ["random_with_duplicates", "empty", "rows_without_pairs",
+                                  "every_pair_repeated"])
 def test_from_pairs_matches_unique_rows(case):
     rng = np.random.default_rng(3)
     num_rows = 9
@@ -376,6 +377,9 @@ def test_from_pairs_matches_unique_rows(case):
         pairs = np.empty((0, 2), dtype=np.int64)
     elif case == "random_with_duplicates":
         pairs = rng.integers(0, [num_rows, 12], size=(300, 2))
+    elif case == "every_pair_repeated":
+        once = np.unique(rng.integers(0, [num_rows, 12], size=(40, 2)), axis=0)
+        pairs = rng.permutation(np.concatenate([once, once[::-1], once]))
     else:
         pairs = np.column_stack([rng.choice([1, 4, 8], 60), rng.integers(0, 40, 60)])
     adj = hg.Adjacency.from_pairs(pairs, num_rows)

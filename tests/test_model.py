@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,8 @@ def test_encode_message_mixture_reference():
 
 def test_encode_message_attention_is_target_conditioned():
     rng = np.random.default_rng(5)
-    bank = MemoryBank.init(EdgeType.UI, 3, 4, rng)
+    bank = MemoryBank.zeros(EdgeType.UI, 3, 4)
+    bank.draw(rng)
     t1, t2, s = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
     banks = _identity_banks(4, UI=bank)
     m1, m2 = aggregation(SINGLE_EDGE, [t1, s], banks), aggregation(SINGLE_EDGE, [t2, s], banks)
@@ -425,3 +428,69 @@ def test_neighbor_sum_matches_dense_product(case, width):
     assert sums.shape == (has_neighbors.size, width)
     np.testing.assert_allclose(sums, expected[has_neighbors], rtol=0, atol=1e-12)
     np.testing.assert_allclose(_spread(sums, adj), expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter buffer
+
+
+def test_every_array_is_a_view_of_the_buffer(tiny_graph):
+    p = random_params(tiny_graph, 3, 2, 2)
+    for q in (p, p.zeros_like(), p.with_vector(p.to_vector() * 2.0),
+              ModelParams.zeros(tiny_graph.num_nodes, 3, 2, 2)):
+        assert q.to_vector() is q.vector
+        assert q.vector.dtype == np.float64 and q.vector.flags.c_contiguous
+        slices = q.group_slices()
+        assert [name for name, _ in slices] == [name for name, _ in q._arrays()]
+        assert slices[-1][1].stop == q.num_params == q.vector.size
+        for (name, arr), (_, sl) in zip(q._arrays(), slices):
+            assert np.shares_memory(arr, q.vector), name
+            assert np.array_equal(q.vector[sl], arr.ravel()), name
+        q.vector[:] = np.arange(q.vector.size)
+        assert np.array_equal(np.concatenate([a.ravel() for _, a in q._arrays()]), q.vector)
+
+
+def test_with_vector_binds_without_copy_and_never_detaches(tiny_graph):
+    p = random_params(tiny_graph, 3, 2, 2)
+    vec = p.to_vector() + 1.0
+    q = p.with_vector(vec)
+    assert q.vector is vec
+    q.banks[EdgeType.UI].keys[1, 2] = 5.0
+    q.ln_shift[1] = -3.0
+    slices = dict(q.group_slices())
+    assert vec[slices["bank.ui.keys"]][-1] == 5.0
+    assert np.all(vec[slices["ln.1.shift"]] == -3.0)
+
+    strided = np.repeat(vec, 2)[::2]
+    r = p.with_vector(strided)
+    assert r.vector.flags.c_contiguous and np.array_equal(r.vector, vec)
+    r.embeddings[0, 0] = -7.0
+    r.banks[EdgeType.SELF_RELATION].biases[:] = 9.0
+    assert r.vector[0] == -7.0
+    assert np.all(r.vector[dict(r.group_slices())["bank.self_relation.biases"]] == 9.0)
+    for name, arr in r._arrays():
+        assert np.shares_memory(arr, r.vector), name
+    with pytest.raises(de.ShapeError):
+        p.with_vector(vec[:-1])
+
+
+def test_building_from_parts_leaves_the_parts_alone(tiny_graph):
+    p = random_params(tiny_graph, 3, 2, 2)
+    before = p.vector.copy()
+    banks = p.banks
+    standalone = zero_bank(EdgeType.UU, 3, units=2)
+    parts = (standalone.transforms, standalone.keys, standalone.biases)
+    q = ModelParams(p.embeddings, (standalone,) + banks[1:], p.ln_scale, p.ln_shift, p.ln_eps)
+    r = replace(p, embeddings=2.0 * p.embeddings)
+    assert np.array_equal(r.embeddings, 2.0 * p.embeddings)
+    assert np.array_equal(r.vector[p.embeddings.size:], before[p.embeddings.size:])
+    for other in (q, r):
+        assert not np.shares_memory(other.vector, p.vector)
+        assert all(a is not b for a, b in zip(other.banks, banks))
+        for name, arr in other._arrays():
+            assert np.shares_memory(arr, other.vector), name
+        other.vector[:] = 1.0
+    assert p.banks is banks and np.array_equal(p.vector, before)
+    assert all(a is b for a, b in zip((standalone.transforms, standalone.keys,
+                                        standalone.biases), parts))
+    assert not any(np.any(a) for a in parts)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 
 from conftest import score
 from dgnnrec import diffengine as de
-from dgnnrec.hetgraph import build_graph
+from dgnnrec.hetgraph import build_graph, split_leave_one_out
 from dgnnrec.model import EdgeCache, FULL_VARIANT, ModelParams, forward
 from dgnnrec.seeding import PARAM_INIT, rng_for
 from dgnnrec.synthetic import make_planted_dataset
-from dgnnrec.training import (CheckpointMagicError, CheckpointTruncatedError,
+from dgnnrec.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER, CheckpointError,
+                              CheckpointMagicError, CheckpointTruncatedError,
                               CheckpointVersionError, TrainingConfig,
                               _scatter_rows, bpr_batch_grad, bpr_loss, load_checkpoint,
                               save_checkpoint, train_epoch, train_model)
@@ -34,13 +36,9 @@ def test_bpr_loss_huge_margin_no_overflow():
         assert bpr_loss(0.0, 1000.0) == pytest.approx(1000.0, rel=1e-9)
 
 
-def test_bpr_loss_nonnegative_and_decay_adds(tiny_graph):
-    params = ModelParams.init(tiny_graph.num_nodes, 3, 2, 1, rng_for(0, PARAM_INIT))
-    base = bpr_loss(0.3, -0.2)
-    assert base > 0
-    reg = bpr_loss(0.3, -0.2, params, 1e-3)
-    vec = params.to_vector()
-    assert reg == pytest.approx(base + 1e-3 * float(vec @ vec))
+def test_bpr_loss_nonnegative_and_decay_adds():
+    # The decay half lives on bpr_batch_loss (test_gradients.py).
+    assert bpr_loss(0.3, -0.2) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +205,65 @@ def test_checkpoint_unsupported_version(tmp_path):
     (tmp_path / "v999.ckpt").write_bytes(bytes(data))
     with pytest.raises(CheckpointVersionError):
         load_checkpoint(tmp_path / "v999.ckpt")
+
+
+def _header(users, dim, layers, units):
+    return _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, users, 0, 0, dim, layers, units,
+                        0, 0, float("nan"), 1e-6)
+
+
+def test_checkpoint_header_too_large_for_the_file_fails_before_allocating(tmp_path):
+    # I = 2^32 - 1 and d = 2^16 would ask for ~2 PiB; the file has 64 payload bytes.
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(_header(2**32 - 1, 2**16, 1, 1) + bytes(64))
+    assert path.stat().st_size == 124
+    with pytest.raises(CheckpointTruncatedError, match="the header needs"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("users, dim, units", [(3, 2, 0), (3, 0, 1), (0, 2, 1)])
+def test_checkpoint_header_without_units_dims_or_nodes_is_refused(tmp_path, users, dim, units):
+    # The payload matches the header, so only the header check can refuse it.
+    count = users * dim + 8 * units * (dim * dim + dim + 1) + 2 * dim
+    path = tmp_path / "empty.ckpt"
+    path.write_bytes(_header(users, dim, 1, units) + bytes(8 * count))
+    with pytest.raises(CheckpointError, match=f"d={dim}, M={units} and {users} nodes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes_are_refused(tmp_path):
+    g, cfg, params, adam, _ = _trained(tmp_path)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, 12, 30, 3, adam)
+    (tmp_path / "long.ckpt").write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(CheckpointError, match="8 trailing bytes"):
+        load_checkpoint(tmp_path / "long.ckpt")
+
+
+def test_planted_checkpoint_bytes_are_pinned(tmp_path):
+    # Pins the checkpoint layout and the training arithmetic; computed on the list-of-arrays code.
+    g = make_planted_dataset(seed=0).build()
+    split = split_leave_one_out(g, seed=0)
+    params, adam, losses = train_model(split.train_graph, TrainingConfig(epochs=3, seed=0))
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, g.num_users, g.num_items, g.num_relations, adam,
+                    epoch=3, loss=losses[-1])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "4be0621e9582ad8efa0f8680fe0ada8789cb9d2857142d4e7970b9ed1ce4f021")
+    loaded = load_checkpoint(path).params
+    assert loaded.vector.flags.writeable and np.array_equal(loaded.vector, params.vector)
+
+
+def test_train_model_leaves_initial_params_untouched():
+    g = _small_world()
+    cfg = TrainingConfig(dim=4, layers=2, memory_units=2, batch_size=16, epochs=2, seed=3)
+    initial = ModelParams.init(g.num_nodes, 4, 2, 2, rng_for(3, PARAM_INIT))
+    before = initial.to_vector().tobytes()
+    out, _, _ = train_model(g, cfg, initial=initial)
+    assert initial.to_vector().tobytes() == before
+    assert not np.shares_memory(out.vector, initial.vector)
+    again, _, _ = train_model(g, cfg, initial=initial)
+    assert again.to_vector().tobytes() == out.to_vector().tobytes()
 
 
 def test_resume_reproduces_loss_trajectory(tmp_path):
