@@ -2,8 +2,9 @@
 grad-check / bench.
 
 Runs are reproducible: a config file (plain ``key = value`` lines) plus a
-root seed fully determine every output except wall-clock fields. CLI
-flags override config-file values. A split manifest already in the output
+root seed fully determine every output except wall-clock fields, bitwise
+for a fixed BLAS build and BLAS thread count. CLI flags override
+config-file values. A split manifest already in the output
 directory is reused only when its seed is the configured one.
 """
 
@@ -20,7 +21,7 @@ from . import bench as bench_mod
 from . import diffengine as de
 from .evaluation import (AblationVariant, EvaluationError, evaluate,
                          export_memory_attention, report_lines, report_table,
-                         run_ablation, strip_graph)
+                         run_ablation)
 from .hetgraph import (EdgeFileError, GraphBuildError, SamplingError, SplitError,
                        build_graph, load_edge_file, load_split_manifest,
                        save_split_manifest, split_leave_one_out)
@@ -127,27 +128,35 @@ def _manifest_path(cfg: RunConfig) -> Path:
     return Path(cfg.out) / "split.txt"
 
 
-def _get_split(cfg: RunConfig, graph):
+def _prepare(args):
+    """(run config, its output directory, created, and the split of its data)."""
+    cfg = _resolve_config(args)
+    graph = _load_graph(cfg)
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     path = _manifest_path(cfg)
-    if path.exists():
-        split = load_split_manifest(path, graph)
-        if split.seed != cfg.seed:
-            raise SplitError(f"{path} holds the split of seed {split.seed}, not {cfg.seed}; "
-                             f"rebuild it or use --seed {split.seed}")
-        return split
-    split = split_leave_one_out(graph, cfg.seed)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_split_manifest(split, path)
-    return split
+    if not path.exists():
+        split = split_leave_one_out(graph, cfg.seed)
+        save_split_manifest(split, path)
+        return cfg, out, split
+    split = load_split_manifest(path, graph)
+    if split.seed != cfg.seed:
+        raise SplitError(f"{path} holds the split of seed {split.seed}, not {cfg.seed}; "
+                         f"rebuild it or use --seed {split.seed}")
+    return cfg, out, split
 
 
-def _load_matching_checkpoint(path, graph):
-    """Load a checkpoint and check it was trained on data with this graph's I, J, R."""
-    ckpt = load_checkpoint(path)
+def _forward_checkpoint(args):
+    """(config, output directory, split on the variant's graph, model variant,
+    parameters, layer state) of the checkpoint trained on this data, run forward."""
+    cfg, out, split = _prepare(args)
+    split, model_variant, _ = AblationVariant.parse(cfg.variant).apply(split, cfg.training())
+    graph = split.train_graph
+    ckpt = load_checkpoint(args.checkpoint or out / "model.ckpt")
     if (ckpt.num_users, ckpt.num_items, ckpt.num_relations) != (
             graph.num_users, graph.num_items, graph.num_relations):
         raise CheckpointError("checkpoint dimensions do not match the data")
-    return ckpt
+    return cfg, out, split, model_variant, ckpt.params, forward(graph, ckpt.params, model_variant)
 
 
 # ---------------------------------------------------------------------------
@@ -176,16 +185,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _resolve_config(args)
-    graph = _load_graph(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = _get_split(cfg, graph)
-    variant = AblationVariant.parse(cfg.variant)
-    train_graph = strip_graph(split.train_graph, variant.drops_social,
-                              variant.drops_relations)
-    model_variant = variant.model_variant()
-    tc = variant.adjust_config(cfg.training())
+    cfg, out, split = _prepare(args)
+    split, model_variant, tc = AblationVariant.parse(cfg.variant).apply(split, cfg.training())
+    graph = split.train_graph
 
     log_path = out / "train_log.tsv"
     log_rows = ["epoch\tloss\tseconds\thr10\tndcg10"]
@@ -193,14 +195,14 @@ def cmd_train(args) -> int:
     def on_epoch(epoch, params, mean_loss, seconds):
         hr10 = ndcg10 = ""
         if cfg.eval_every and (epoch % cfg.eval_every == 0 or epoch == tc.epochs):
-            state = forward(train_graph, params, model_variant)
-            rep = evaluate(state.hstar, split, train_graph, (10,), model_variant)
+            state = forward(graph, params, model_variant)
+            rep = evaluate(state.hstar, split, graph, (10,), model_variant)
             hr10, ndcg10 = f"{rep.hr[10]:.6f}", f"{rep.ndcg[10]:.6f}"
         log_rows.append(f"{epoch}\t{mean_loss:.10f}\t{seconds:.3f}\t{hr10}\t{ndcg10}")
         print(f"epoch {epoch:>4d}  loss {mean_loss:.6f}  {seconds:.2f}s"
               + (f"  hr@10 {hr10} ndcg@10 {ndcg10}" if hr10 else ""))
 
-    params, adam, losses = train_model(train_graph, tc, model_variant, on_epoch=on_epoch)
+    params, adam, losses = train_model(graph, tc, model_variant, on_epoch=on_epoch)
     last_loss = losses[-1] if losses else float("nan")
     ckpt_path = out / "model.ckpt"
     save_checkpoint(ckpt_path, params, graph.num_users, graph.num_items,
@@ -211,19 +213,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
-    graph = _load_graph(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = _get_split(cfg, graph)
-    variant = AblationVariant.parse(cfg.variant)
-    eval_graph = strip_graph(split.train_graph, variant.drops_social,
-                             variant.drops_relations)
-    ckpt = _load_matching_checkpoint(args.checkpoint or out / "model.ckpt", graph)
-    model_variant = variant.model_variant()
-    state = forward(eval_graph, ckpt.params, model_variant)
-    report = evaluate(state.hstar, replace(split, train_graph=eval_graph), eval_graph,
-                      cfg.cutoff_list(), model_variant)
+    cfg, out, split, model_variant, _, state = _forward_checkpoint(args)
+    report = evaluate(state.hstar, split, split.train_graph, cfg.cutoff_list(), model_variant)
     (out / "metrics.tsv").write_text(report_lines(report), encoding="utf-8")
     (out / "report.txt").write_text(report_table(report), encoding="utf-8")
     print(report_table(report), end="")
@@ -232,15 +223,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _resolve_config(args)
-    graph = _load_graph(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = _get_split(cfg, graph)
+    cfg, out, split = _prepare(args)
     wanted = (list(AblationVariant) if args.variant in (None, "all")
               else [AblationVariant.parse(args.variant)])
     for variant in wanted:
-        report = run_ablation(variant, graph, split, cfg.training(), cfg.cutoff_list())
+        report = run_ablation(variant, split, cfg.training(), cfg.cutoff_list())
         tag = variant.value.lstrip("-") or "full"
         (out / f"metrics_{tag}.tsv").write_text(report_lines(report), encoding="utf-8")
         n = cfg.cutoff_list()[min(1, len(cfg.cutoff_list()) - 1)]
@@ -249,20 +236,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_export_attn(args) -> int:
-    cfg = _resolve_config(args)
-    graph = _load_graph(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = _get_split(cfg, graph)
-    variant = AblationVariant.parse(cfg.variant)
-    eval_graph = strip_graph(split.train_graph, variant.drops_social,
-                             variant.drops_relations)
-    ckpt = _load_matching_checkpoint(args.checkpoint or out / "model.ckpt", graph)
-    model_variant = variant.model_variant()
-    state = forward(eval_graph, ckpt.params, model_variant)
+    _, out, split, model_variant, params, state = _forward_checkpoint(args)
     path = out / "attention.tsv"
-    export_memory_attention(state, eval_graph, ckpt.params.banks, path, model_variant)
-    print(f"wrote {path} ({2 * eval_graph.num_users} rows)")
+    export_memory_attention(state, split.train_graph, params.banks, path, model_variant)
+    print(f"wrote {path} ({2 * split.train_graph.num_users} rows)")
     return EXIT_OK
 
 

@@ -161,25 +161,17 @@ class AblationVariant(Enum):
                                   f"expected one of {[v.value for v in cls]}")
         return table[norm]
 
-    def model_variant(self) -> ModelVariant:
-        return ModelVariant(
-            memory_attention=self is not AblationVariant.NO_MEMORY,
-            layer_norm=self is not AblationVariant.NO_LAYER_NORM,
-            recalibration=self is not AblationVariant.NO_RECALIBRATION,
-        )
-
-    @property
-    def drops_social(self) -> bool:
-        return self in (AblationVariant.NO_SOCIAL, AblationVariant.NO_SOCIAL_NO_RELATIONS)
-
-    @property
-    def drops_relations(self) -> bool:
-        return self in (AblationVariant.NO_ITEM_RELATIONS, AblationVariant.NO_SOCIAL_NO_RELATIONS)
-
-    def adjust_config(self, config: TrainingConfig) -> TrainingConfig:
-        if self is AblationVariant.NO_MEMORY:
-            return replace(config, memory_units=1)
-        return config
+    def apply(self, split: Split, config: TrainingConfig):
+        """(``split`` on this variant's graph, its ``ModelVariant``, its training config)."""
+        V = AblationVariant
+        graph = strip_graph(split.train_graph, self in (V.NO_SOCIAL, V.NO_SOCIAL_NO_RELATIONS),
+                            self in (V.NO_ITEM_RELATIONS, V.NO_SOCIAL_NO_RELATIONS))
+        switches = ModelVariant(memory_attention=self is not V.NO_MEMORY,
+                                layer_norm=self is not V.NO_LAYER_NORM,
+                                recalibration=self is not V.NO_RECALIBRATION)
+        if self is V.NO_MEMORY:
+            config = replace(config, memory_units=1)
+        return replace(split, train_graph=graph), switches, config
 
 
 def strip_graph(graph: HeteroGraph, drop_social: bool, drop_relations: bool) -> HeteroGraph:
@@ -194,21 +186,17 @@ def strip_graph(graph: HeteroGraph, drop_social: bool, drop_relations: bool) -> 
         graph.num_users, graph.num_items, graph.num_relations)
 
 
-def run_ablation(variant: AblationVariant, graph: HeteroGraph, split: Split,
-                 config: TrainingConfig, cutoffs=DEFAULT_CUTOFFS) -> EvalReport:
+def run_ablation(variant: AblationVariant, split: Split, config: TrainingConfig,
+                 cutoffs=DEFAULT_CUTOFFS) -> EvalReport:
     """Train the variant from scratch on (possibly stripped) data and evaluate.
 
     -ST is by construction the Full model run on a graph built with empty
     social and item-relation inputs, with the identical seed and split.
     """
-    train_graph = strip_graph(split.train_graph, variant.drops_social,
-                              variant.drops_relations)
-    eval_split = replace(split, train_graph=train_graph)
-    model_variant = variant.model_variant()
-    cfg = variant.adjust_config(config)
-    params, _, _ = train_model(train_graph, cfg, model_variant)
-    state = forward(train_graph, params, model_variant)
-    return evaluate(state.hstar, eval_split, train_graph, cutoffs, model_variant)
+    split, model_variant, config = variant.apply(split, config)
+    params, _, _ = train_model(split.train_graph, config, model_variant)
+    state = forward(split.train_graph, params, model_variant)
+    return evaluate(state.hstar, split, split.train_graph, cutoffs, model_variant)
 
 
 # ---------------------------------------------------------------------------

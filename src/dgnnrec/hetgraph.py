@@ -9,6 +9,7 @@ shared freely across threads.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -145,6 +146,13 @@ class DegreeRuns:
 
 def _reverse_pairs(pairs: np.ndarray) -> np.ndarray:
     return pairs[:, ::-1] if pairs.size else pairs.reshape(-1, 2)
+
+
+def _in_sorted(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Mask of the ``query`` values that occur in the ascending ``keys``."""
+    if not keys.size:
+        return np.zeros(np.shape(query), dtype=bool)
+    return keys[np.minimum(np.searchsorted(keys, query), keys.size - 1)] == query
 
 
 # ---------------------------------------------------------------------------
@@ -388,18 +396,18 @@ def split_leave_one_out(graph: HeteroGraph, seed: int,
     held_pos = graph.ui.indptr[eligible] + picks
     held_items = graph.ui.indices[held_pos]
 
-    keep = np.ones(graph.ui.num_edges, dtype=bool)
-    keep[held_pos] = False
-    all_pairs = graph.interaction_pairs()
-    train_graph = replace(
-        graph,
-        ui=Adjacency.from_pairs(all_pairs[keep], graph.num_users),
-        iu=Adjacency.from_pairs(_reverse_pairs(all_pairs[keep]), graph.num_items),
-    )
-
     negatives = _draw_negatives(graph, eligible, num_negatives, rng_for(seed, NEGATIVES))
-    return Split(train_graph, eligible.astype(np.int64), held_items.astype(np.int64),
-                 negatives, num_skipped, int(seed))
+    return Split(_without_interactions(graph, held_pos), eligible.astype(np.int64),
+                 held_items.astype(np.int64), negatives, num_skipped, int(seed))
+
+
+def _without_interactions(graph: HeteroGraph, held: np.ndarray) -> HeteroGraph:
+    """``graph`` without the interactions at positions ``held`` of ``interaction_pairs()``."""
+    keep = np.ones(graph.num_interactions, dtype=bool)
+    keep[held] = False
+    pairs = graph.interaction_pairs()[keep]
+    return replace(graph, ui=Adjacency.from_pairs(pairs, graph.num_users),
+                   iu=Adjacency.from_pairs(_reverse_pairs(pairs), graph.num_items))
 
 
 # Candidates drawn per chunk; a user's negatives are the first fresh
@@ -455,9 +463,7 @@ def _fresh_candidates(chunks: np.ndarray, users: np.ndarray, keys: np.ndarray,
     # value << shift | place sorts equal values by place, as a stable sort would.
     ranked = np.sort((chunks << shift) | np.arange(width), axis=1)
     value, place = ranked >> shift, ranked & ((1 << shift) - 1)
-    key = users[:, None] * num_items + value
-    at = np.minimum(np.searchsorted(keys, key), keys.size - 1)
-    fresh = keys[at] != key
+    fresh = ~_in_sorted(keys, users[:, None] * num_items + value)
     fresh[:, 1:] &= value[:, 1:] != value[:, :-1]
     out = np.empty_like(fresh)
     np.put_along_axis(out, place, fresh, axis=1)
@@ -500,49 +506,57 @@ def load_split_manifest(path, graph: HeteroGraph) -> Split:
         raise SplitError(f"{path}: malformed header") from None
     if "seed" not in meta or "skipped" not in meta:
         raise SplitError(f"{path}: missing seed/skipped header lines")
-    users, items, negs = [], [], []
-    for lineno, ln in body[2:]:
-        try:
-            u, item, neg_csv = ln.split("\t")
-            u, item, row = int(u), int(item), [int(x) for x in neg_csv.split(",")]
-        except ValueError:
-            raise SplitError(f"{path}: line {lineno}: expected 'user<TAB>item<TAB>negatives' "
-                             f"with integer ids, got {ln!r}") from None
-        if len(row) != NUM_EVAL_NEGATIVES:
-            raise SplitError(f"{path}: line {lineno}: user {u} has {len(row)} negatives, "
-                             f"expected {NUM_EVAL_NEGATIVES}")
-        users.append(u)
-        items.append(item)
-        negs.append(row)
-    users_a = np.asarray(users, dtype=np.int64)
-    items_a = np.asarray(items, dtype=np.int64)
-    negs_a = np.asarray(negs, dtype=np.int64).reshape(len(users), NUM_EVAL_NEGATIVES)
+    ids = _manifest_ids(path, body[2:])
+    users_a, items_a, negs_a = ids[:, 0].copy(), ids[:, 1].copy(), ids[:, 2:].copy()
     J = graph.num_items
     # Range first: the u*J+item keys below are only unique for in-range ids.
     if users_a.size and (users_a.min() < 0 or users_a.max() >= graph.num_users
                          or min(items_a.min(), negs_a.min()) < 0
                          or max(items_a.max(), negs_a.max()) >= J):
         raise SplitError(f"{path}: user or item id out of range for this graph")
-    all_pairs = graph.interaction_pairs()
-    all_keys = all_pairs[:, 0] * J + all_pairs[:, 1]
+    keys = graph.interaction_keys()
     held_keys = users_a * J + items_a
-    missing = ~np.isin(held_keys, all_keys)
+    missing = ~_in_sorted(keys, held_keys)
     if missing.any():
         row = int(np.flatnonzero(missing)[0])
         raise SplitError(f"{path}: held-out pair ({users_a[row]}, {items_a[row]}) "
                          f"is not an interaction of the graph")
-    clash = np.isin(users_a[:, None] * J + negs_a, all_keys)
+    clash = _in_sorted(keys, users_a[:, None] * J + negs_a)
     if clash.any():
         row, col = np.argwhere(clash)[0]
         raise SplitError(f"{path}: negative {negs_a[row, col]} of user {users_a[row]} "
                          f"is one of that user's interactions")
-    keep = ~np.isin(all_keys, held_keys)
-    train_graph = replace(
-        graph,
-        ui=Adjacency.from_pairs(all_pairs[keep], graph.num_users),
-        iu=Adjacency.from_pairs(_reverse_pairs(all_pairs[keep]), graph.num_items),
-    )
-    return Split(train_graph, users_a, items_a, negs_a, meta["skipped"], meta["seed"])
+    return Split(_without_interactions(graph, np.searchsorted(keys, held_keys)),
+                 users_a, items_a, negs_a, meta["skipped"], meta["seed"])
+
+
+def _manifest_ids(path, rows) -> np.ndarray:
+    """(rows, 2 + NUM_EVAL_NEGATIVES) int64 ids of the (line number, text) test rows.
+
+    numpy reads the rows at once when each has the shape ``id<TAB>id<TAB>id,...,id``
+    with 100 negatives. Otherwise, or when numpy cannot read an id that ``int``
+    can (``7_0``), the rows are read one by one and the first bad row is named.
+    """
+    width = 2 + NUM_EVAL_NEGATIVES
+    if all(ln.count("\t") == 2 and ln.count(",") == width - 3 and ln.rfind("\t") < ln.find(",")
+           for _, ln in rows):
+        with suppress(ValueError):  # numpy 2.4 raises on text it cannot read
+            ids = np.fromstring(",".join(ln for _, ln in rows).replace("\t", ","),
+                                dtype=np.int64, sep=",")
+            if ids.size == len(rows) * width:
+                return ids.reshape(-1, width)
+    out = []
+    for lineno, ln in rows:
+        try:
+            u, item, neg_csv = ln.split("\t")
+            out.append([int(u), int(item)] + [int(x) for x in neg_csv.split(",")])
+        except ValueError:
+            raise SplitError(f"{path}: line {lineno}: expected 'user<TAB>item<TAB>negatives' "
+                             f"with integer ids, got {ln!r}") from None
+        if len(out[-1]) != width:
+            raise SplitError(f"{path}: line {lineno}: user {out[-1][0]} has {len(out[-1]) - 2} "
+                             f"negatives, expected {NUM_EVAL_NEGATIVES}")
+    return np.array(out, dtype=np.int64).reshape(-1, width)
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +585,7 @@ def sample_bpr_batch(train_graph: HeteroGraph, rng: np.random.Generator, size: i
     pending = np.arange(size)
     for round_no in range(max_rounds):
         cand = rng.integers(0, J, size=pending.size)
-        key = users[pending] * J + cand
-        loc = np.searchsorted(keys, key)
-        observed = (loc < keys.size) & (keys[np.minimum(loc, keys.size - 1)] == key)
+        observed = _in_sorted(keys, users[pending] * J + cand)
         neg[pending[~observed]] = cand[~observed]
         pending = pending[observed]
         if pending.size == 0:

@@ -110,48 +110,36 @@ class MemoryBank:
                    np.zeros((num_units, dim)), np.zeros(num_units))
 
 
-@dataclass
 class ModelParams:
     """All trainable state: layer-0 embeddings, 8 banks, per-layer LN affine.
 
-    Every array is a view of one contiguous float64 ``vector`` in the order of
-    ``_arrays`` (the checkpoint layout). Building from parts copies them.
+    Every array is a view of ``vector``, one contiguous float64 buffer in the
+    order of ``_arrays`` (the checkpoint layout); every bank has ``num_units``
+    units, and the layer count follows from the vector's size. A vector that
+    cannot be viewed so raises ShapeError.
     """
 
-    embeddings: np.ndarray           # (I+J+R, d)
-    banks: tuple                     # len 8, indexed by EdgeType
-    ln_scale: np.ndarray             # (L, d), omega_1 per propagation layer
-    ln_shift: np.ndarray             # (L, d), omega_2 per propagation layer
-    ln_eps: float = DEFAULT_LN_EPS
-    vector: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):  # from parts, or dataclasses.replace: never binds the caller's arrays
-        parts = [self.embeddings] + [a for b in self.banks for a in (b.transforms, b.keys, b.biases)]
-        parts.append(np.stack([self.ln_scale, self.ln_shift], axis=1))
-        self._bind(np.concatenate([np.ravel(a) for a in parts]).astype(np.float64, copy=False),
-                   *np.shape(self.embeddings), [b.num_units for b in self.banks])
-
-    def _bind(self, vec: np.ndarray, num_nodes: int, dim: int, units) -> None:
-        """Make every array a new view of ``vec``; ``units`` holds M per bank."""
-        self.vector, stop = vec, num_nodes * dim
-        self.embeddings = vec[:stop].reshape(num_nodes, dim)
+    def __init__(self, vector: np.ndarray, num_nodes: int, dim: int, num_units: int,
+                 ln_eps: float = DEFAULT_LN_EPS):
+        if vector.ndim != 1 or vector.dtype != np.float64 or not vector.flags.c_contiguous:
+            raise de.ShapeError("parameters need a 1-D contiguous float64 vector")
+        tail = vector.size - self._size(num_nodes, dim, num_units, 0)
+        if num_nodes < 0 or dim < 1 or num_units < 1 or tail < 0 or tail % (2 * dim):
+            raise de.ShapeError(f"{vector.size} parameters fit no layer count for "
+                                f"{num_nodes} nodes, d={dim} and M={num_units}")
+        self.vector, self.ln_eps = vector, ln_eps
+        stop = num_nodes * dim
+        self.embeddings = vector[:stop].reshape(num_nodes, dim)
         banks = []
-        for et, m in zip(EdgeType, units):
-            keys, biases = stop + m * dim * dim, stop + m * dim * (dim + 1)
-            banks.append(MemoryBank(et, vec[stop:keys].reshape(m, dim, dim),
-                                    vec[keys:biases].reshape(m, dim), vec[biases:biases + m]))
-            stop = biases + m
+        for et in EdgeType:
+            keys, biases = stop + num_units * dim * dim, stop + num_units * dim * (dim + 1)
+            banks.append(MemoryBank(et, vector[stop:keys].reshape(num_units, dim, dim),
+                                    vector[keys:biases].reshape(num_units, dim),
+                                    vector[biases:biases + num_units]))
+            stop = biases + num_units
         self.banks = tuple(banks)
-        tail = vec[stop:].reshape(-1, 2, dim)  # scale and shift interleave per layer
-        self.ln_scale, self.ln_shift = tail[:, 0], tail[:, 1]
-
-    @classmethod
-    def _wrap(cls, vec: np.ndarray, num_nodes: int, dim: int, units, ln_eps: float):
-        """Parameters viewing ``vec``, a contiguous float64 vector of the right size."""
-        out = object.__new__(cls)
-        out.ln_eps = ln_eps
-        out._bind(vec, num_nodes, dim, units)
-        return out
+        ln = vector[stop:].reshape(-1, 2, dim)  # scale and shift interleave per layer
+        self.ln_scale, self.ln_shift = ln[:, 0], ln[:, 1]
 
     @staticmethod
     def _size(nodes: int, dim: int, units: int, layers: int) -> int:
@@ -189,12 +177,12 @@ class ModelParams:
     @classmethod
     def zeros(cls, num_nodes: int, dim: int, num_units: int, num_layers: int,
               ln_eps: float = DEFAULT_LN_EPS) -> "ModelParams":
-        return cls._wrap(np.zeros(cls._size(num_nodes, dim, num_units, num_layers)),
-                         num_nodes, dim, [num_units] * len(EdgeType), ln_eps)
+        return cls(np.zeros(cls._size(num_nodes, dim, num_units, num_layers)),
+                   num_nodes, dim, num_units, ln_eps)
 
     def zeros_like(self) -> "ModelParams":
-        return self._wrap(np.zeros(self.vector.size), self.num_nodes, self.dim,
-                          [b.num_units for b in self.banks], self.ln_eps)
+        return ModelParams(np.zeros(self.vector.size), self.num_nodes, self.dim,
+                           self.num_units, self.ln_eps)
 
     def _arrays(self):
         """(name, view) in canonical order: the order of ``vector`` and of checkpoints."""
@@ -228,8 +216,7 @@ class ModelParams:
         vec = np.ascontiguousarray(vec, dtype=np.float64)
         if vec.shape != self.vector.shape:
             raise de.ShapeError(f"parameter vector has {vec.size} entries, expected {self.num_params}")
-        return self._wrap(vec, self.num_nodes, self.dim, [b.num_units for b in self.banks],
-                          self.ln_eps)
+        return ModelParams(vec, self.num_nodes, self.dim, self.num_units, self.ln_eps)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import diffengine as de
 from .hetgraph import HeteroGraph, sample_bpr_batch
-from .model import (EdgeCache, EdgeType, FULL_VARIANT, ModelParams, ModelVariant,
+from .model import (EdgeCache, FULL_VARIANT, ModelParams, ModelVariant,
                     _neighbor_sum, _spread, backward, forward, recalibrated_users)
 from .seeding import PARAM_INIT, TRIPLETS, rng_for
 
@@ -63,18 +63,23 @@ def _triplet_scores(hstar: np.ndarray, q_users: np.ndarray, num_users: int,
     return s_pos, s_neg, qp
 
 
+def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, reg: float,
+                     variant: ModelVariant, edge_cache: EdgeCache | None):
+    """(objective value, forward state, pos - neg scores, scoring vectors of ``users``)."""
+    state = forward(graph, params, variant, edge_cache)
+    q_users = recalibrated_users(state.hstar, graph, variant)
+    s_pos, s_neg, qp = _triplet_scores(state.hstar, q_users, graph.num_users, users, pos, neg)
+    vec = params.to_vector()
+    loss = float(bpr_loss(s_pos, s_neg).mean()) + reg * float(vec @ vec)
+    return loss, state, s_pos - s_neg, qp
+
+
 def bpr_batch_loss(graph: HeteroGraph, params: ModelParams,
                    users, pos, neg, reg: float,
                    variant: ModelVariant = FULL_VARIANT,
                    edge_cache: EdgeCache | None = None) -> float:
     """Forward-only objective value for a fixed triplet batch."""
-    cache = edge_cache if edge_cache is not None else EdgeCache(graph)
-    state = forward(graph, params, variant, cache)
-    q_users = recalibrated_users(state.hstar, graph, variant)
-    s_pos, s_neg, _ = _triplet_scores(state.hstar, q_users, graph.num_users, users, pos, neg)
-    core = float(np.logaddexp(0.0, -(s_pos - s_neg)).mean())
-    vec = params.to_vector()
-    return core + reg * float(vec @ vec)
+    return _batch_objective(graph, params, users, pos, neg, reg, variant, edge_cache)[0]
 
 
 def _scatter_rows(rows: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
@@ -98,13 +103,8 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
     neg = np.asarray(neg, dtype=np.int64)
     num_users = graph.num_users
 
-    state = forward(graph, params, variant, cache)
+    loss, state, margin, qp = _batch_objective(graph, params, users, pos, neg, reg, variant, cache)
     hstar = state.hstar
-    q_users = recalibrated_users(hstar, graph, variant)
-    s_pos, s_neg, qp = _triplet_scores(hstar, q_users, num_users, users, pos, neg)
-    margin = s_pos - s_neg
-    vec = params.to_vector()
-    loss = float(np.logaddexp(0.0, -margin).mean()) + reg * float(vec @ vec)
 
     # d(mean softplus(-margin))/d margin = -sigmoid(-margin)/B
     g_margin = -de.sigmoid(-margin) / margin.size
@@ -125,7 +125,7 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
         d_hstar[:num_users] += d_q
 
     grads = backward(graph, params, state, d_hstar, variant, cache)
-    return loss, grads.to_vector() + (2.0 * reg) * vec
+    return loss, grads.to_vector() + (2.0 * reg) * params.vector
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +274,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointTruncatedError(f"{path}: {len(data)} bytes, the header needs {expected}")
     if len(data) > expected:
         raise CheckpointError(f"{path}: {len(data) - expected} trailing bytes")
-    params = ModelParams._wrap(np.frombuffer(data, "<f8", count, _HEADER.size).copy(),
-                               num_nodes, dim, [units] * len(EdgeType), ln_eps)
+    params = ModelParams(np.frombuffer(data, "<f8", count, _HEADER.size).copy(),
+                         num_nodes, dim, units, ln_eps)
     adam_state = None
     if adam:
         offset = _HEADER.size + 8 * count

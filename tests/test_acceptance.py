@@ -41,12 +41,12 @@ def planted():
 @pytest.fixture(scope="module")
 def trained_full(planted):
     """Full-model runs on the planted dataset for training seeds 0..2."""
-    graph, split = planted
+    _, split = planted
     out = {}
     for seed in (0, 1, 2):
         cfg = TrainingConfig(seed=seed)
         started = time.perf_counter()
-        report = run_ablation(AblationVariant.FULL, graph, split, cfg, cutoffs=(10,))
+        report = run_ablation(AblationVariant.FULL, split, cfg, cutoffs=(10,))
         out[seed] = (report, time.perf_counter() - started)
     return out
 
@@ -166,7 +166,7 @@ def test_ablation_ordering(planted, trained_full):
         wins = 0
         vals = []
         for seed in (0, 1, 2):
-            rep = run_ablation(variant, graph, split, TrainingConfig(seed=seed),
+            rep = run_ablation(variant, split, TrainingConfig(seed=seed),
                                cutoffs=(10,))
             vals.append(rep.hr[10])
             wins += full_hr[seed] >= rep.hr[10]
@@ -176,11 +176,11 @@ def test_ablation_ordering(planted, trained_full):
 
     # -ST must be bitwise-identical to Full trained on the stripped graph
     cfg = TrainingConfig(seed=0)
-    rep_st = run_ablation(AblationVariant.NO_SOCIAL_NO_RELATIONS, graph, split, cfg)
+    rep_st = run_ablation(AblationVariant.NO_SOCIAL_NO_RELATIONS, split, cfg)
     stripped = build_graph(graph.interaction_pairs(), [], [],
                            graph.num_users, graph.num_items, graph.num_relations)
     split_st = split_leave_one_out(stripped, seed=0)
-    rep_direct = run_ablation(AblationVariant.FULL, stripped, split_st, cfg)
+    rep_direct = run_ablation(AblationVariant.FULL, split_st, cfg)
     st_equal = report_lines(rep_st) == report_lines(rep_direct)
 
     _report("ablation-ordering", not failures and st_equal,

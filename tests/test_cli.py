@@ -202,6 +202,21 @@ def test_export_attn(dataset_dir, tmp_path):
     assert len(lines) == 30 * 2
 
 
+def test_train_then_eval_under_each_variant_matches_ablate(dataset_dir, tmp_path):
+    for variant in ("full", "-M", "-tau", "-LN", "-T", "-S", "-ST"):
+        out = tmp_path / variant
+        args = [*_base_args(dataset_dir, out), f"--variant={variant}"]
+        for command in ("train", "eval", "ablate"):
+            assert cli.main([command, *args]) == 0, (command, variant)
+        assert (out / "metrics.tsv").read_bytes() == (
+            out / f"metrics_{variant.lstrip('-')}.tsv").read_bytes(), variant
+        if variant == "-M":
+            assert cli.main(["export-attn", *args]) == 0
+            rows = (out / "attention.tsv").read_text().splitlines()
+            assert len(rows) == 30 * 2
+            assert all(len(row.split("\t")[2].split(",")) == 1 for row in rows)
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = cli.RunConfig(interactions="x.tsv", dim=8, lr=0.05, epochs=7,
                         cutoffs="5,10", variant="-M", seed=42)

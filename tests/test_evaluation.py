@@ -303,8 +303,9 @@ def test_strip_graph_removes_structures(tiny_graph):
 
 def test_no_memory_variant_has_fewer_parameters():
     cfg = TrainingConfig(dim=8, layers=1, memory_units=8, epochs=1, seed=0)
-    small = ev.AblationVariant.NO_MEMORY.adjust_config(cfg)
-    assert small.memory_units == 1
+    g = make_planted_dataset(num_users=20, num_items=150, seed=0).build()
+    _, switches, small = ev.AblationVariant.NO_MEMORY.apply(split_leave_one_out(g, 0), cfg)
+    assert small.memory_units == 1 and not switches.memory_attention
     from dgnnrec.model import ModelParams
     from dgnnrec.seeding import PARAM_INIT, rng_for
     full_p = ModelParams.init(20, cfg.dim, cfg.memory_units, cfg.layers,
@@ -321,15 +322,14 @@ def test_st_ablation_equals_full_on_stripped_graph():
     split = split_leave_one_out(g, seed=2)
     cfg = TrainingConfig(dim=4, layers=1, memory_units=2, batch_size=64,
                          epochs=3, seed=1)
-    rep_ablate = ev.run_ablation(ev.AblationVariant.NO_SOCIAL_NO_RELATIONS,
-                                 g, split, cfg)
+    rep_ablate = ev.run_ablation(ev.AblationVariant.NO_SOCIAL_NO_RELATIONS, split, cfg)
 
     stripped = build_graph(g.interaction_pairs(), [], [],
                            g.num_users, g.num_items, g.num_relations)
     split2 = split_leave_one_out(stripped, seed=2)
     assert np.array_equal(split2.test_users, split.test_users)
     assert np.array_equal(split2.test_items, split.test_items)
-    rep_direct = ev.run_ablation(ev.AblationVariant.FULL, stripped, split2, cfg)
+    rep_direct = ev.run_ablation(ev.AblationVariant.FULL, split2, cfg)
     assert ev.report_lines(rep_ablate) == ev.report_lines(rep_direct)
 
 

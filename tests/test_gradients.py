@@ -4,8 +4,6 @@ The exhaustive (d, M, L) grid lives in the acceptance suite; here we keep
 a fast smoke grid plus coverage of the ablation variants' backward paths.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from dgnnrec import diffengine as de
 from dgnnrec import model
 from dgnnrec.evaluation import strip_graph
 from dgnnrec.hetgraph import build_graph
-from dgnnrec.model import EdgeCache, FULL_VARIANT, ModelVariant
+from dgnnrec.model import EdgeCache, FULL_VARIANT, ModelParams, ModelVariant
 from dgnnrec.training import (bpr_batch_grad, bpr_batch_loss, check_model_gradients,
                               _kink_margin, _random_instance)
 
@@ -63,7 +61,11 @@ def test_zero_regularization_drops_decay_term():
 def _without_relation_nodes(graph, params):
     graph = build_graph(graph.interaction_pairs(), graph.social_pairs(), [],
                         graph.num_users, graph.num_items, 0)
-    return graph, replace(params, embeddings=params.embeddings[:graph.num_nodes])
+    out = ModelParams.zeros(graph.num_nodes, params.dim, params.num_units, params.num_layers,
+                            params.ln_eps)
+    out.embeddings[...] = params.embeddings[:graph.num_nodes]
+    out.vector[out.embeddings.size:] = params.vector[params.embeddings.size:]
+    return graph, out
 
 
 @pytest.mark.parametrize("num_layers", [1, 2])

@@ -270,6 +270,21 @@ def _rewrite_first_test_row(path, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
+def test_manifest_ids_that_only_int_reads_load_the_same_split(tmp_path):
+    g = _chain_graph(num_users=10, num_items=150, per_user=4)
+    path = tmp_path / "split.txt"
+    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    want = hg.load_split_manifest(path, g)
+    _rewrite_first_test_row(path, lambda u, item, negs: (
+        f"+{u}", f" {item}", ",".join([f"{n[0]}_{n[1:]}" if len(n) > 1 else n for n in negs])))
+    got = hg.load_split_manifest(path, g)
+    for a, b in ((got.test_users, want.test_users), (got.test_items, want.test_items),
+                 (got.eval_negatives, want.eval_negatives),
+                 (got.train_graph.ui.indices, want.train_graph.ui.indices),
+                 (got.train_graph.iu.indices, want.train_graph.iu.indices)):
+        assert np.array_equal(a, b)
+
+
 def test_manifest_rejects_held_pair_not_in_graph(tmp_path):
     g = _chain_graph(num_users=10, num_items=150, per_user=4)
     path = tmp_path / "split.txt"
@@ -307,8 +322,9 @@ def test_manifest_rejects_out_of_range_ids(tmp_path):
         hg.load_split_manifest(path, g)
 
 
-@pytest.mark.parametrize("row", ["0\t1", "0\tx\t" + ",".join(["2"] * 100)],
-                         ids=["no_negatives", "non_integer_item"])
+@pytest.mark.parametrize("row", ["0\t1", "0\tx\t" + ",".join(["2"] * 100),
+                                 "0,1\t2\t" + ",".join(["3"] * 99)],
+                         ids=["no_negatives", "non_integer_item", "comma_before_a_tab"])
 def test_manifest_malformed_row_names_file_and_line(tmp_path, row):
     g = _chain_graph(num_users=10, num_items=150, per_user=4)
     path = tmp_path / "split.txt"
@@ -317,6 +333,19 @@ def test_manifest_malformed_row_names_file_and_line(tmp_path, row):
     lines[4] = row  # the second test user's row
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(hg.SplitError, match=r"split\.txt: line 5: "):
+        hg.load_split_manifest(path, g)
+
+
+def test_manifest_negative_moved_to_another_row_names_the_row(tmp_path):
+    # The body still holds rows x 102 ids, but the second row has 101 negatives.
+    g = _chain_graph(num_users=10, num_items=150, per_user=4)
+    path = tmp_path / "split.txt"
+    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    lines = path.read_text().splitlines()
+    last = lines[5].rsplit(",", 1)
+    lines[4], lines[5] = lines[4] + "," + last[1], last[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(hg.SplitError, match=r"split\.txt: line 5: user \d+ has 101 negatives"):
         hg.load_split_manifest(path, g)
 
 

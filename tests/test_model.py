@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -27,11 +25,25 @@ def zero_bank(et, dim, units=1):
 
 
 def params_with_banks(graph, dim, banks, num_layers=1, emb=None):
-    p = ModelParams.init(graph.num_nodes, dim, banks[0].num_units, num_layers,
+    """Parameters holding ``banks``, each padded with zero units up to the largest M.
+
+    A zero unit has eta = leaky_relu(0) = 0 and W = 0, so it adds nothing.
+    """
+    p = ModelParams.init(graph.num_nodes, dim, max(b.num_units for b in banks), num_layers,
                          np.random.default_rng(0))
     if emb is not None:
-        p.embeddings = np.asarray(emb, float)
-    return ModelParams(p.embeddings, tuple(banks), p.ln_scale, p.ln_shift, p.ln_eps)
+        p.embeddings[...] = emb
+    for dst, src in zip(p.banks, banks):
+        for a, b in ((dst.transforms, src.transforms), (dst.keys, src.keys),
+                     (dst.biases, src.biases)):
+            a[...] = 0.0
+            a[:src.num_units] = b
+    return p
+
+
+def zero_out(bank):
+    for a in (bank.transforms, bank.keys, bank.biases):
+        a[...] = 0.0
 
 
 def _identity_banks(dim, **overrides):
@@ -277,7 +289,7 @@ def test_forward_handles_missing_relation_nodes():
 
 def test_forward_rejects_mismatched_params(tiny_graph):
     p = random_params(tiny_graph, 4, 2, 1)
-    bad = ModelParams(np.zeros((2, 4)), p.banks, p.ln_scale, p.ln_shift)
+    bad = ModelParams.zeros(2, 4, 2, 1)
     with pytest.raises(de.ShapeError):
         forward(tiny_graph, bad)
 
@@ -335,7 +347,7 @@ def test_permutation_equivariance():
     ir = [(int(perm_j[a]), int(perm_r[b])) for a, b in g.item_relation_pairs()]
     g2 = build_graph(ui, uu, ir, I, J, R)
 
-    p2 = ModelParams(np.empty_like(p.embeddings), p.banks, p.ln_scale, p.ln_shift, p.ln_eps)
+    p2 = p.with_vector(p.to_vector().copy())
     p2.embeddings[node_perm] = p.embeddings
 
     h1 = forward(g, p).hstar
@@ -353,9 +365,7 @@ def test_social_disentanglement_with_zero_uu_bank():
     g1 = build_graph(ui, [(0, 1), (2, 3)], [(0, 0)], 4, 3, 1)
     g2 = build_graph(ui, [(0, 2), (1, 3)], [(0, 0)], 4, 3, 1)
     p = random_params(g1, dim, 2, 2, seed=4)
-    banks = list(p.banks)
-    banks[EdgeType.UU] = zero_bank(EdgeType.UU, dim, units=2)
-    p = ModelParams(p.embeddings, tuple(banks), p.ln_scale, p.ln_shift, p.ln_eps)
+    zero_out(p.banks[EdgeType.UU])
     assert np.array_equal(forward(g1, p).hstar, forward(g2, p).hstar)
 
 
@@ -365,10 +375,8 @@ def test_relation_disentanglement_with_zero_ir_ri_banks():
     g1 = build_graph(ui, [(0, 1)], [(0, 0), (1, 1)], 2, 2, 2)
     g2 = build_graph(ui, [(0, 1)], [(0, 1), (1, 0)], 2, 2, 2)
     p = random_params(g1, dim, 2, 2, seed=8)
-    banks = list(p.banks)
-    banks[EdgeType.IR] = zero_bank(EdgeType.IR, dim, units=2)
-    banks[EdgeType.RI] = zero_bank(EdgeType.RI, dim, units=2)
-    p = ModelParams(p.embeddings, tuple(banks), p.ln_scale, p.ln_shift, p.ln_eps)
+    zero_out(p.banks[EdgeType.IR])
+    zero_out(p.banks[EdgeType.RI])
     assert np.array_equal(forward(g1, p).hstar, forward(g2, p).hstar)
 
 
@@ -474,23 +482,12 @@ def test_with_vector_binds_without_copy_and_never_detaches(tiny_graph):
         p.with_vector(vec[:-1])
 
 
-def test_building_from_parts_leaves_the_parts_alone(tiny_graph):
-    p = random_params(tiny_graph, 3, 2, 2)
-    before = p.vector.copy()
-    banks = p.banks
-    standalone = zero_bank(EdgeType.UU, 3, units=2)
-    parts = (standalone.transforms, standalone.keys, standalone.biases)
-    q = ModelParams(p.embeddings, (standalone,) + banks[1:], p.ln_scale, p.ln_shift, p.ln_eps)
-    r = replace(p, embeddings=2.0 * p.embeddings)
-    assert np.array_equal(r.embeddings, 2.0 * p.embeddings)
-    assert np.array_equal(r.vector[p.embeddings.size:], before[p.embeddings.size:])
-    for other in (q, r):
-        assert not np.shares_memory(other.vector, p.vector)
-        assert all(a is not b for a, b in zip(other.banks, banks))
-        for name, arr in other._arrays():
-            assert np.shares_memory(arr, other.vector), name
-        other.vector[:] = 1.0
-    assert p.banks is banks and np.array_equal(p.vector, before)
-    assert all(a is b for a, b in zip((standalone.transforms, standalone.keys,
-                                        standalone.biases), parts))
-    assert not any(np.any(a) for a in parts)
+def test_constructor_refuses_a_vector_it_cannot_view(tiny_graph):
+    n = tiny_graph.num_nodes
+    vec = random_params(tiny_graph, 3, 2, 2).to_vector()
+    assert ModelParams(vec.copy(), n, 3, 2).num_layers == 2
+    assert ModelParams(np.zeros(vec.size + 6), n, 3, 2).num_layers == 3
+    for bad in (vec.reshape(1, -1), vec.astype(np.float32), vec[:-1], vec[:-13],
+                np.repeat(vec, 2)[::2]):
+        with pytest.raises(de.ShapeError):
+            ModelParams(bad, n, 3, 2)

@@ -1,9 +1,14 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgnnrec
 from conftest import score
 from dgnnrec import diffengine as de
 from dgnnrec.hetgraph import build_graph, split_leave_one_out
@@ -240,18 +245,36 @@ def test_checkpoint_trailing_bytes_are_refused(tmp_path):
         load_checkpoint(tmp_path / "long.ckpt")
 
 
+_TRAIN_AND_SAVE = """
+import sys
+from dgnnrec.hetgraph import split_leave_one_out
+from dgnnrec.synthetic import make_planted_dataset
+from dgnnrec.training import TrainingConfig, save_checkpoint, train_model
+g = make_planted_dataset(seed=0).build()
+split = split_leave_one_out(g, seed=0)
+params, adam, losses = train_model(split.train_graph, TrainingConfig(epochs=3, seed=0))
+save_checkpoint(sys.argv[1], params, g.num_users, g.num_items, g.num_relations, adam,
+                epoch=3, loss=losses[-1])
+"""
+
+
 def test_planted_checkpoint_bytes_are_pinned(tmp_path):
-    # Pins the checkpoint layout and the training arithmetic; computed on the list-of-arrays code.
-    g = make_planted_dataset(seed=0).build()
-    split = split_leave_one_out(g, seed=0)
-    params, adam, losses = train_model(split.train_graph, TrainingConfig(epochs=3, seed=0))
+    # Pins the checkpoint layout and the training arithmetic. The BLAS thread
+    # count changes the last bits of some products, so a child process trains
+    # on one thread; the value also assumes this OpenBLAS build's CPU kernel
+    # (unverified on other CPUs).
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, params, g.num_users, g.num_items, g.num_relations, adam,
-                    epoch=3, loss=losses[-1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(dgnnrec.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", _TRAIN_AND_SAVE, str(path)], env=env, check=True)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "4be0621e9582ad8efa0f8680fe0ada8789cb9d2857142d4e7970b9ed1ce4f021")
-    loaded = load_checkpoint(path).params
-    assert loaded.vector.flags.writeable and np.array_equal(loaded.vector, params.vector)
+        "769a3efc3d5ed656e22077438dca10420ce2d7dbcce4537c482c0b3f35afd927")
+    ckpt = load_checkpoint(path)
+    assert ckpt.params.vector.flags.writeable
+    save_checkpoint(tmp_path / "again.ckpt", ckpt.params, ckpt.num_users, ckpt.num_items,
+                    ckpt.num_relations, ckpt.adam_state, ckpt.epoch, ckpt.loss)
+    assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
 
 def test_train_model_leaves_initial_params_untouched():
