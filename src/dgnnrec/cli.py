@@ -59,10 +59,7 @@ class RunConfig:
         return tuple(int(x) for x in self.cutoffs.split(",") if x.strip())
 
     def training(self) -> TrainingConfig:
-        return TrainingConfig(dim=self.dim, layers=self.layers,
-                              memory_units=self.memory_units, lr=self.lr,
-                              batch_size=self.batch_size, reg=self.reg,
-                              epochs=self.epochs, seed=self.seed)
+        return TrainingConfig(**{f.name: getattr(self, f.name) for f in fields(TrainingConfig)})
 
 
 def load_config(path) -> RunConfig:
@@ -95,17 +92,13 @@ def save_config(cfg: RunConfig, path) -> None:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The config file's values (or the defaults), overridden by every flag given.
+
+    Each flag's argparse ``dest`` is the name of its RunConfig field.
+    """
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {
-        "interactions": args.interactions, "social": args.social,
-        "item_relations": args.item_relations, "out": args.out,
-        "dim": args.dim, "layers": args.layers, "memory_units": args.memory_units,
-        "lr": args.lr, "batch_size": args.batch, "reg": getattr(args, "reg", None),
-        "epochs": args.epochs, "seed": args.seed, "variant": args.variant,
-        "cutoffs": args.cutoffs, "eval_every": getattr(args, "eval_every", None),
-    }
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
-    return cfg
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _load_graph(cfg: RunConfig, users=None, items=None, relations=None):
@@ -278,7 +271,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--layers", type=int)
     p.add_argument("--memory-units", dest="memory_units", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", dest="batch_size", type=int)
     p.add_argument("--lambda", dest="reg", type=float)
     p.add_argument("--epochs", type=int)
     p.add_argument("--cutoffs")

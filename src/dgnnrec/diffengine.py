@@ -66,43 +66,32 @@ def sigmoid(x):
 # layer normalization (over the last axis)
 
 
-def layer_normalize(x: np.ndarray, scale, shift, eps: float) -> np.ndarray:
-    """scale * (x - mean)/sqrt(var + eps) + shift along the last axis.
+def layer_normalize(x: np.ndarray, eps: float):
+    """(xhat, inv) along the last axis: xhat = (x - mean) * inv, inv = 1/sqrt(var + eps).
 
-    ``scale`` and ``shift`` broadcast against x's last axis; variance is
-    the population variance, so a constant vector maps to ``shift``.
+    The variance is the population variance, so a constant vector maps to
+    zeros; ``inv`` keeps the last axis with size 1. A learned scale and
+    shift are the caller's to apply.
     """
     if eps <= 0.0:
         raise ShapeError("layer_normalize requires eps > 0")
     x = _as_f64(x)
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    xhat = (x - mu) / np.sqrt(var + eps)
-    return _as_f64(scale) * xhat + _as_f64(shift)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    # The mean of the squared centred rows is x.var(axis=-1) bit for bit.
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    return xhat, inv
 
 
-def layer_normalize_backward(x: np.ndarray, scale, eps: float, grad_out: np.ndarray):
-    """Returns (dx, dscale, dshift); dscale/dshift are summed over leading axes."""
-    x, g = _as_f64(x), _as_f64(grad_out)
-    if g.shape != x.shape:
-        raise ShapeError(f"upstream gradient shape {g.shape} does not match {x.shape}")
-    d = x.shape[-1]
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
-
-    lead = tuple(range(x.ndim - 1))
-    dshift = g.sum(axis=lead)
-    dscale = (g * xhat).sum(axis=lead)
-    dxhat = g * _as_f64(scale)
+def layer_normalize_backward(xhat: np.ndarray, inv: np.ndarray,
+                             grad_xhat: np.ndarray) -> np.ndarray:
+    """dL/dx of ``layer_normalize`` from its outputs (xhat, inv) and dL/dxhat."""
+    xhat, g = _as_f64(xhat), _as_f64(grad_xhat)
+    if g.shape != xhat.shape:
+        raise ShapeError(f"upstream gradient shape {g.shape} does not match {xhat.shape}")
     # d/dx of (x-mu)*inv with mu, var both functions of x.
-    dx = inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d
-    )
-    return dx, dscale, dshift
+    return inv * (g - g.mean(axis=-1, keepdims=True)
+                  - xhat * (g * xhat).mean(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------

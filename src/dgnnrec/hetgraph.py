@@ -549,10 +549,11 @@ def _manifest_ids(path, rows) -> np.ndarray:
     for lineno, ln in rows:
         try:
             u, item, neg_csv = ln.split("\t")
-            out.append([int(u), int(item)] + [int(x) for x in neg_csv.split(",")])
-        except ValueError:
+            out.append(np.array([int(u), int(item)] + [int(x) for x in neg_csv.split(",")],
+                                dtype=np.int64))
+        except (ValueError, OverflowError):
             raise SplitError(f"{path}: line {lineno}: expected 'user<TAB>item<TAB>negatives' "
-                             f"with integer ids, got {ln!r}") from None
+                             f"with int64 ids, got {ln!r}") from None
         if len(out[-1]) != width:
             raise SplitError(f"{path}: line {lineno}: user {out[-1][0]} has {len(out[-1]) - 2} "
                              f"negatives, expected {NUM_EVAL_NEGATIVES}")

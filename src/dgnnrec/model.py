@@ -104,11 +104,6 @@ class MemoryBank:
         self.transforms[...] = rng.uniform(-a_w, a_w, size=self.transforms.shape)
         self.keys[...] = rng.uniform(-a_k, a_k, size=self.keys.shape)
 
-    @classmethod
-    def zeros(cls, edge_type: EdgeType, num_units: int, dim: int) -> "MemoryBank":
-        return cls(edge_type, np.zeros((num_units, dim, dim)),
-                   np.zeros((num_units, dim)), np.zeros(num_units))
-
 
 class ModelParams:
     """All trainable state: layer-0 embeddings, 8 banks, per-layer LN affine.
@@ -305,8 +300,9 @@ def _spread(sums: np.ndarray, adj: Adjacency) -> np.ndarray:
 
 @dataclass
 class _StepCache:
-    agg: np.ndarray                     # post-division aggregation (LN input)
-    normed: np.ndarray                  # LN output (agg itself without LN), the activation's input
+    xhat: np.ndarray | None             # normalized aggregation; None without LN
+    inv: np.ndarray | None              # its (n, 1) 1/sqrt(var + eps); None without LN
+    normed: np.ndarray                  # activation input: LN output, or the aggregation without LN
     att_pre: dict                       # EdgeType -> (n_receivers, M) pre-activations
     self_pre: dict                      # EdgeType -> (n_type, M)
     sums: dict                          # EdgeType -> (n_receivers, d) neighbour sums
@@ -355,8 +351,11 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
     np.divide(agg, denom, out=agg, where=denom > 0)
 
     if variant.layer_norm:
-        y = de.layer_normalize(agg, params.ln_scale[step], params.ln_shift[step], params.ln_eps)
+        xhat, inv = de.layer_normalize(agg, params.ln_eps)
+        y = np.multiply(params.ln_scale[step], xhat, out=agg)  # agg is not needed again
+        y += params.ln_shift[step]
     else:
+        xhat = inv = None
         y = agg
     out = de.leaky_relu(y)
 
@@ -369,7 +368,7 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
         mixed, self_pre[et] = _mix(rows, rows, params.banks[et], variant)
         out[sl] += mixed
     if _record is not None:
-        _record.append(_StepCache(agg, y, att_pre, self_pre, sums))
+        _record.append(_StepCache(xhat, inv, y, att_pre, self_pre, sums))
     return out
 
 
@@ -388,12 +387,9 @@ class LayerState:
 
 
 def final_embeddings(layers, eps: float = DEFAULT_LN_EPS):
-    """Layer-normalize the per-node concatenation (fixed scale 1, shift 0)."""
+    """(H*, inv): the per-node concatenation layer-normalized with scale 1, shift 0."""
     conc = layers[0] if len(layers) == 1 else np.concatenate(layers, axis=1)
-    mu = conc.mean(axis=1, keepdims=True)
-    var = conc.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    return (conc - mu) * inv, inv
+    return de.layer_normalize(conc, eps)
 
 
 def forward(graph: HeteroGraph, params: ModelParams,
@@ -479,10 +475,9 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
     # Activation and normalization path.
     d_y = d_out * de.leaky_relu_grad(scache.normed)
     if variant.layer_norm:
-        d_agg, d_scale, d_shift = de.layer_normalize_backward(
-            scache.agg, params.ln_scale[step], params.ln_eps, d_y)
-        grads.ln_scale[step] += d_scale
-        grads.ln_shift[step] += d_shift
+        grads.ln_scale[step] += (d_y * scache.xhat).sum(axis=0)
+        grads.ln_shift[step] += d_y.sum(axis=0)
+        d_agg = de.layer_normalize_backward(scache.xhat, scache.inv, d_y * params.ln_scale[step])
     else:
         d_agg = d_y
 
@@ -512,11 +507,8 @@ def backward(graph: HeteroGraph, params: ModelParams, state: LayerState,
     num_layers = state.num_layers
     d = params.dim
 
-    # Final normalization backward; H* itself is the normalized vector.
-    g = np.asarray(d_hstar, dtype=np.float64)
-    inv = state.final_inv_std
-    d_conc = inv * (g - g.mean(axis=1, keepdims=True)
-                    - state.hstar * (g * state.hstar).mean(axis=1, keepdims=True))
+    # H* is the final normalization's xhat.
+    d_conc = de.layer_normalize_backward(state.hstar, state.final_inv_std, d_hstar)
     d_layers = [d_conc[:, l * d:(l + 1) * d].copy() for l in range(num_layers + 1)]
 
     for step in reversed(range(num_layers)):

@@ -1,10 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from dgnnrec import cli
 from dgnnrec.synthetic import make_planted_dataset
-from dgnnrec.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER, load_checkpoint,
-                              save_checkpoint)
+from dgnnrec.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER, TrainingConfig,
+                              load_checkpoint, save_checkpoint)
 
 
 @pytest.fixture
@@ -186,6 +188,20 @@ def test_eval_malformed_split_row_exit_code(dataset_dir, tmp_path, capsys):
     assert "split.txt: line 4:" in capsys.readouterr().err
 
 
+def test_eval_split_id_beyond_int64_exit_code(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    cli.main(["train", *_base_args(dataset_dir, out)])
+    manifest = out / "split.txt"
+    lines = manifest.read_text().splitlines()
+    user, _, negatives = lines[3].split("\t")
+    lines[3] = f"{user}\t99999999999999999999\t{negatives}"  # first test row
+    user, item, negatives = lines[4].split("\t")
+    lines[4] = f"{user}\t0_{item}\t{negatives}"  # only int reads it: the row loop runs
+    manifest.write_text("\n".join(lines) + "\n")
+    assert cli.main(["eval", *_base_args(dataset_dir, out)]) == cli.EXIT_DATA
+    assert "split.txt: line 4:" in capsys.readouterr().err
+
+
 def test_ablate_single_variant(dataset_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["ablate", *_base_args(dataset_dir, out),
@@ -236,6 +252,23 @@ def test_config_file_overridden_by_flags(dataset_dir, tmp_path):
     out2 = tmp_path / "flag_out"
     assert cli.main(["train", "--config", str(path), "--out", str(out2)]) == 0
     assert (out2 / "model.ckpt").exists()
+
+    # Every flag lands in its own field, over the config file's value.
+    parser = cli.build_parser()
+    assert cli._resolve_config(parser.parse_args(["train", "--config", str(path)])) == cfg
+    flags = {"--interactions": ("interactions", "i.tsv"), "--social": ("social", "s.tsv"),
+             "--item-relations": ("item_relations", "r.tsv"), "--out": ("out", "o"),
+             "--dim": ("dim", 5), "--layers": ("layers", 3), "--memory-units": ("memory_units", 6),
+             "--lr": ("lr", 0.5), "--batch": ("batch_size", 7), "--lambda": ("reg", 0.25),
+             "--epochs": ("epochs", 11), "--seed": ("seed", 9), "--cutoffs": ("cutoffs", "1,2"),
+             "--variant": ("variant", "-M"), "--eval-every": ("eval_every", 4)}
+    assert {name for name, _ in flags.values()} == {f.name for f in fields(cli.RunConfig)}
+    argv = ["train", "--config", str(path),
+            *(f"{flag}={value}" for flag, (_, value) in flags.items())]
+    resolved = cli._resolve_config(parser.parse_args(argv))
+    assert resolved == cli.RunConfig(**dict(flags.values()))
+    assert resolved.training() == TrainingConfig(dim=5, layers=3, memory_units=6, lr=0.5,
+                                                 batch_size=7, reg=0.25, epochs=11, seed=9)
 
 
 def test_config_unknown_key_rejected(tmp_path):

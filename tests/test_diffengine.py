@@ -51,25 +51,26 @@ def test_sigmoid_extremes_no_overflow():
 
 
 def test_layer_normalize_constant_input_collapses():
-    out = de.layer_normalize(np.full(5, 3.7), 1.0, 0.0, eps=1e-6)
+    out, _ = de.layer_normalize(np.full(5, 3.7), eps=1e-6)
     assert np.max(np.abs(out)) <= np.sqrt(1e-6)
 
 
 def test_layer_normalize_reference_value():
-    out = de.layer_normalize(np.array([1.0, -1.0]), 1.0, 0.0, eps=1e-12)
+    out, inv = de.layer_normalize(np.array([1.0, -1.0]), eps=1e-12)
     assert np.allclose(out, [1.0, -1.0], atol=1e-6)
+    assert inv.shape == (1,) and inv[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_layer_normalize_zero_mean_identity(rng):
     for _ in range(10):
         x = rng.normal(size=8) * 10
-        out = de.layer_normalize(x, 1.0, 0.0, eps=1e-6)
+        out, _ = de.layer_normalize(x, eps=1e-6)
         assert abs(out.mean()) < 1e-12
 
 
 def test_layer_normalize_requires_positive_eps():
     with pytest.raises(de.ShapeError):
-        de.layer_normalize(np.ones(3), 1.0, 0.0, eps=0.0)
+        de.layer_normalize(np.ones(3), eps=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,14 +124,11 @@ def test_all_ops_pass_finite_differences(dim):
                                    w * de.leaky_relu_grad(x1))
         assert rep.passed, f"leaky_relu d={dim} seed={seed}: {rep.max_rel_err}"
 
-        x3, scale, shift = rng.normal(size=dim) * 2, rng.normal(size=dim), rng.normal(size=dim)
-        dx3, dscale, dshift = de.layer_normalize_backward(x3, scale, 1e-6, w)
-        packed = np.concatenate([x3, scale, shift])
-
-        def f_ln(p):
-            return float(w @ de.layer_normalize(p[:dim], p[dim:2 * dim], p[2 * dim:], 1e-6))
-
-        rep = de.finite_diff_check(f_ln, packed, np.concatenate([dx3, dscale, dshift]))
+        # The backward is built from the forward's saved (xhat, inv), as the model uses it.
+        x3 = rng.normal(size=dim) * 2
+        xhat, inv = de.layer_normalize(x3, 1e-6)
+        rep = de.finite_diff_check(lambda p: float(w @ de.layer_normalize(p, 1e-6)[0]), x3,
+                                   de.layer_normalize_backward(xhat, inv, w))
         assert rep.passed, f"layer_normalize d={dim} seed={seed}: {rep.max_rel_err}"
 
 
@@ -139,17 +137,21 @@ def test_ops_finite_on_large_inputs(rng):
     for _ in range(50):
         x = rng.uniform(-1e6, 1e6, size=6)
         for out in (de.leaky_relu(x), de.sigmoid(x),
-                    de.layer_normalize(x, 1.0, 0.0, 1e-6)):
+                    *de.layer_normalize(x, 1e-6)):
             assert np.all(np.isfinite(out))
 
 
 def test_ops_are_pure_and_deterministic(rng):
     x = rng.normal(size=5)
     x_copy = x.copy()
-    a = de.layer_normalize(x, 2.0, 0.5, 1e-6)
-    b = de.layer_normalize(x, 2.0, 0.5, 1e-6)
-    assert np.array_equal(a, b)
+    a = de.layer_normalize(x, 1e-6)
+    b = de.layer_normalize(x, 1e-6)
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
     assert np.array_equal(x, x_copy)
+    g = rng.normal(size=5)
+    g_copy = g.copy()
+    assert np.array_equal(de.layer_normalize_backward(*a, g), de.layer_normalize_backward(*a, g))
+    assert np.array_equal(g, g_copy) and np.array_equal(a[0], b[0])
 
 
 # ---------------------------------------------------------------------------

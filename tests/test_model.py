@@ -21,7 +21,12 @@ def identity_bank(et, dim):
 
 
 def zero_bank(et, dim, units=1):
-    return MemoryBank.zeros(et, units, dim)
+    return ModelParams.zeros(0, dim, units, 0).banks[et]
+
+
+def row_norm(x, eps):
+    """Rows centred and scaled to unit variance, written apart from diffengine."""
+    return (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + eps)
 
 
 def params_with_banks(graph, dim, banks, num_layers=1, emb=None):
@@ -54,8 +59,8 @@ def aggregation(graph, emb, banks):
     """Mean of each node's incoming messages (the layer-norm input) in one layer_step."""
     p = params_with_banks(graph, np.shape(emb)[1], banks, emb=emb)
     record = []
-    layer_step(p.embeddings, graph, p, 0, _record=record)
-    return record[0].agg
+    layer_step(p.embeddings, graph, p, 0, ModelVariant(layer_norm=False), _record=record)
+    return record[0].normed
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +113,7 @@ def test_encode_message_mixture_reference():
 
 def test_encode_message_attention_is_target_conditioned():
     rng = np.random.default_rng(5)
-    bank = MemoryBank.zeros(EdgeType.UI, 3, 4)
+    bank = zero_bank(EdgeType.UI, 4, units=3)
     bank.draw(rng)
     t1, t2, s = rng.normal(size=4), rng.normal(size=4), rng.normal(size=4)
     banks = _identity_banks(4, UI=bank)
@@ -194,8 +199,7 @@ def test_layer_step_self_prop_only_when_ln_params_zero(tiny_graph):
 def test_final_embeddings_single_layer_is_row_norm(rng):
     x = rng.normal(size=(5, 4))
     hstar, _ = final_embeddings([x], eps=1e-6)
-    expected = de.layer_normalize(x, 1.0, 0.0, 1e-6)
-    assert np.allclose(hstar, expected)
+    assert np.allclose(hstar, row_norm(x, 1e-6))
 
 
 def test_final_embeddings_constant_rows_collapse():
@@ -214,8 +218,7 @@ def test_layer_state_invariant_hstar_is_normalized_concat(tiny_graph):
     p = random_params(tiny_graph, 3, 2, 2)
     st = forward(tiny_graph, p)
     conc = np.concatenate(st.layers, axis=1)
-    assert np.allclose(st.hstar, de.layer_normalize(conc, 1.0, 0.0, p.ln_eps),
-                       atol=1e-12)
+    assert np.allclose(st.hstar, row_norm(conc, p.ln_eps), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +279,7 @@ def test_forward_is_bitwise_deterministic(tiny_graph):
 def test_forward_zero_layers(tiny_graph):
     p = random_params(tiny_graph, 4, 2, 0)
     st = forward(tiny_graph, p)
-    assert np.allclose(st.hstar, de.layer_normalize(p.embeddings, 1.0, 0.0, p.ln_eps))
+    assert np.allclose(st.hstar, row_norm(p.embeddings, p.ln_eps))
 
 
 def test_forward_handles_missing_relation_nodes():
