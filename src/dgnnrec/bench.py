@@ -4,7 +4,8 @@ The per-layer work is a neighbour sum per edge, taken one in-degree run
 at a time, plus one mixing of the memory-unit transforms per target node
 that has a neighbour, linear in the edge count and in the unit count
 respectively, so doubling either should at most double the time
-(ratio <= 2.5 with measurement slack).
+(ratio <= 2.5 with measurement slack). Times are process CPU seconds, so
+that time spent waiting for a core does not count.
 """
 
 from __future__ import annotations
@@ -30,16 +31,23 @@ class BenchRow:
 
 def time_layer_step(graph, dim: int = 16, memory_units: int = 8,
                     reps: int = 5, seed: int = 0) -> float:
-    """Median wall-clock seconds of one propagation layer."""
+    """Median process CPU seconds (all threads) of one propagation layer.
+
+    CPU time leaves out the time the process waits while another one holds
+    the core. On a shared 2-core host, 40 draws of the two doubling ratios
+    when quiet and 40 beside two busy processes peaked at x2.05 for the
+    CPU-time median, against x2.47 for the wall-clock minimum and x2.79 for
+    the wall-clock median.
+    """
     params = ModelParams.init(graph.num_nodes, dim, memory_units, 1,
                               rng_for(seed, PARAM_INIT))
     cache = EdgeCache(graph)
     layer_step(params.embeddings, graph, params, 0, FULL_VARIANT, cache)  # warmup
     samples = []
     for _ in range(reps):
-        started = time.perf_counter()
+        started = time.process_time()
         layer_step(params.embeddings, graph, params, 0, FULL_VARIANT, cache)
-        samples.append(time.perf_counter() - started)
+        samples.append(time.process_time() - started)
     return float(np.median(samples))
 
 
@@ -75,7 +83,7 @@ def scaling_table(base_edges: int = 30000, dim: int = 16, memory_units: int = 8,
 
 
 def format_bench_table(rows: list[BenchRow]) -> str:
-    out = [f"{'sweep':<12s} {'edges':>8s} {'M':>4s} {'seconds':>10s} {'ratio':>7s}"]
+    out = [f"{'sweep':<12s} {'edges':>8s} {'M':>4s} {'cpu_s':>10s} {'ratio':>7s}"]
     for r in rows:
         ratio = f"{r.ratio:.2f}" if np.isfinite(r.ratio) else "-"
         out.append(f"{r.label:<12s} {r.num_edges:>8d} {r.memory_units:>4d} "

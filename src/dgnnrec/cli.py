@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_grad_check)
 
-    p = sub.add_parser("bench", help="layer-step scaling table vs |E| and M")
+    p = sub.add_parser("bench", help="layer-step CPU-time scaling table vs |E| and M")
     p.add_argument("--seed", type=int)
     p.add_argument("--base-edges", dest="base_edges", type=int, default=30000)
     p.add_argument("--reps", type=int, default=5)

@@ -25,7 +25,9 @@ neighbours, then the targets of one degree k are summed as k contiguous
 (targets, d) slabs. ``forward`` computes everything vectorized per edge
 type; ``backward`` walks the same schedule in reverse with analytical
 gradients, sending the sum's gradient back to the sources through the
-transpose adjacency.
+transpose adjacency. The backward of a mixing works only through the
+targets whose upstream gradient is non-zero: in the last layer these are
+a batch's users, their social neighbours and its sampled items.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from . import diffengine as de
 from .hetgraph import Adjacency, HeteroGraph
 
 DEFAULT_LN_EPS = 1e-6
-# _mix_backward works through its rows in blocks whose (rows, M*d)
-# temporaries hold about this many float64, so its passes stay in cache.
+# _mix_backward works through its live rows (those with a non-zero upstream
+# gradient) in blocks whose (rows, M*d) temporaries hold about this many
+# float64, so its passes stay in cache.
 MIX_BLOCK_FLOATS = 1 << 18
 
 
@@ -277,7 +280,7 @@ def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
     One output row per target that has a neighbour, in ascending order.
     """
     plan = adj.plan
-    gathered = rows[plan.sources]
+    gathered = np.take(rows, plan.sources, axis=0)
     out = np.empty((plan.num_targets, rows.shape[1]))
     for k, run_rows, run_edges in plan.runs:
         gathered[run_edges].reshape(k, -1).sum(axis=0, out=out[run_rows].reshape(-1))
@@ -431,25 +434,30 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
                  bank: MemoryBank, gbank: MemoryBank):
     """Backward of ``_mix`` given dL/d(mixed) ``g``; adds into ``gbank``.
 
-    Returns (dL/d rows through the attention, dL/d sums). Rows go in
-    blocks of about MIX_BLOCK_FLOATS / (M*d), one pass when they fit.
+    Returns (dL/d rows through the attention, dL/d sums). Only the rows
+    where ``g`` is non-zero are worked through (a zero row adds exactly
+    zero everywhere; NaN counts as non-zero), in blocks of about
+    MIX_BLOCK_FLOATS / (M*d), one pass when they fit; the other rows of
+    both results are 0.
     """
-    n, M, d = g.shape[0], bank.num_units, bank.dim
+    M, d = bank.num_units, bank.dim
     flat = bank.transforms.reshape(M * d, d)
     d_rows = np.zeros_like(rows)
-    d_sums = np.empty_like(sums)
+    d_sums = np.zeros_like(sums)
+    live = np.flatnonzero(g.any(axis=1))
+    whole = live.size == g.shape[0]
     block = max(1, MIX_BLOCK_FLOATS // (M * d))
-    for lo in range(0, n, block):
-        b = slice(lo, lo + block)
+    for lo in range(0, live.size, block):
+        b = slice(lo, lo + block) if whole else live[lo:lo + block]
         gb, sb = g[b], sums[b]
         att = de.leaky_relu(pre[b]) if pre is not None else np.ones((gb.shape[0], M))
-        d_trans = (att[:, :, None] * gb[:, None, :]).reshape(-1, M * d)
+        d_trans = np.einsum("nm,nd->nmd", att, gb).reshape(-1, M * d)
         gbank.transforms += (d_trans.T @ sb).reshape(M, d, d)
         d_sums[b] = d_trans @ flat
         if pre is None:
             continue
         trans = (sb @ flat.T).reshape(-1, M, d)
-        d_pre = np.einsum("nmd,nd->nm", trans, gb) * de.leaky_relu_grad(pre[b])
+        d_pre = de.leaky_relu_backward(pre[b], np.einsum("nmd,nd->nm", trans, gb))
         gbank.keys += d_pre.T @ rows[b]
         gbank.biases += d_pre.sum(axis=0)
         d_rows[b] = d_pre @ bank.keys
@@ -459,7 +467,10 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
 def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
                    params: ModelParams, step: int, variant: ModelVariant,
                    cache: EdgeCache, grads: ModelParams) -> np.ndarray:
-    """Backward of one layer_step; returns gradient w.r.t. the layer input."""
+    """Backward of one layer_step; returns gradient w.r.t. the layer input.
+
+    ``d_out`` is overwritten.
+    """
     d_emb = np.zeros_like(emb)
 
     # Self-loop path: the row is both the attention target and the "sum".
@@ -473,10 +484,10 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
         d_emb[sl] += d_rows + d_sums
 
     # Activation and normalization path.
-    d_y = d_out * de.leaky_relu_grad(scache.normed)
+    d_y = de.leaky_relu_backward(scache.normed, d_out)
     if variant.layer_norm:
-        grads.ln_scale[step] += (d_y * scache.xhat).sum(axis=0)
-        grads.ln_shift[step] += d_y.sum(axis=0)
+        grads.ln_scale[step] += np.einsum("nd,nd->d", d_y, scache.xhat)
+        grads.ln_shift[step] += np.einsum("nd->d", d_y)
         d_agg = de.layer_normalize_backward(scache.xhat, scache.inv, d_y * params.ln_scale[step])
     else:
         d_agg = d_y

@@ -28,11 +28,39 @@ def test_leaky_relu_rejects_slopes_the_max_form_gets_wrong(alpha):
 
 
 def test_leaky_relu_backward_negative_slope():
-    assert np.array_equal(de.leaky_relu_grad(np.array([-1.0, 3.0])), [0.2, 1.0])
+    assert np.array_equal(de.leaky_relu_backward(np.array([-1.0, 3.0]), np.ones(2)), [0.2, 1.0])
 
 
 def test_leaky_relu_derivative_at_zero_is_one():
-    assert de.leaky_relu_grad(np.array([0.0]))[0] == 1.0
+    assert de.leaky_relu_backward(np.array([0.0, -0.0]), np.ones(2)).tolist() == [1.0, 1.0]
+
+
+_SPECIALS = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 3.5, -3.5, 5e-324, -5e-324])
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.2, 0.3, 0.7, 1.0])
+def test_leaky_relu_backward_is_the_where_product_bit_for_bit(alpha, rng):
+    # Every pairing of a special x with a special or random gradient value.
+    x = np.repeat(_SPECIALS, _SPECIALS.size + 3)
+    g = np.tile(np.concatenate([_SPECIALS, rng.normal(size=3)]), _SPECIALS.size)
+    with np.errstate(invalid="ignore"):
+        want = g * np.where(x >= 0, 1, alpha)
+        got = de.leaky_relu_backward(x, g, alpha)
+    assert got is g  # written in place
+    assert got.tobytes() == want.tobytes()
+
+
+def test_leaky_relu_backward_factor_is_exactly_one_or_alpha(rng):
+    for alpha in np.concatenate([rng.uniform(0.0, 1.0, 2000), [1e-300, 0.5, 1.0]]):
+        if alpha > 0.0:
+            got = de.leaky_relu_backward(np.array([2.0, -2.0]), np.ones(2), alpha)
+            assert got.tolist() == [1.0, alpha]
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.2, 1.5, np.nan])
+def test_leaky_relu_backward_rejects_the_slopes_leaky_relu_rejects(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        de.leaky_relu_backward(np.array([1.0]), np.array([1.0]), alpha)
 
 
 def test_sigmoid_values():
@@ -66,6 +94,22 @@ def test_layer_normalize_zero_mean_identity(rng):
         x = rng.normal(size=8) * 10
         out, _ = de.layer_normalize(x, eps=1e-6)
         assert abs(out.mean()) < 1e-12
+
+
+@pytest.mark.parametrize("width", [1, 16, 48])
+def test_layer_normalize_matches_the_mean_form(width, rng):
+    # Row means are products with a 1/d column; they may differ from mean() in the last bits.
+    x = rng.normal(size=(300, width)) * 5 + rng.normal(size=(300, 1)) * 3
+    xhat, inv = de.layer_normalize(x, 1e-6)
+    mu = x.mean(-1, keepdims=True)
+    want_inv = 1.0 / np.sqrt(x.var(-1, keepdims=True) + 1e-6)
+    np.testing.assert_allclose(inv, want_inv, rtol=1e-13)
+    np.testing.assert_allclose(xhat, (x - mu) * want_inv, rtol=0, atol=1e-12)
+    g = rng.normal(size=x.shape)
+    want = want_inv * (g - g.mean(-1, keepdims=True)
+                       - xhat * (g * xhat).mean(-1, keepdims=True))
+    np.testing.assert_allclose(de.layer_normalize_backward(xhat, inv, g), want,
+                               rtol=0, atol=1e-12)
 
 
 def test_layer_normalize_requires_positive_eps():
@@ -121,7 +165,7 @@ def test_all_ops_pass_finite_differences(dim):
         x1 = rng.normal(size=dim)
         x1[np.abs(x1) < 1e-2] = 0.5
         rep = de.finite_diff_check(lambda p: float(w @ de.leaky_relu(p)), x1,
-                                   w * de.leaky_relu_grad(x1))
+                                   de.leaky_relu_backward(x1, w.copy()))
         assert rep.passed, f"leaky_relu d={dim} seed={seed}: {rep.max_rel_err}"
 
         # The backward is built from the forward's saved (xhat, inv), as the model uses it.

@@ -4,10 +4,13 @@ import pytest
 from conftest import random_params, random_small_graph, score
 from dense_reference import dense_forward, dense_predict, mixed_transform
 from dgnnrec import diffengine as de
-from dgnnrec.hetgraph import Adjacency, build_graph
-from dgnnrec.model import (EdgeType, FULL_VARIANT, MemoryBank, ModelParams,
-                           ModelVariant, _batch_attention, _neighbor_sum, _spread,
-                           final_embeddings, forward, layer_step, recalibrated_users)
+from dgnnrec import model
+from dgnnrec.hetgraph import Adjacency, build_graph, sample_bpr_batch
+from dgnnrec.model import (EdgeCache, EdgeType, FULL_VARIANT, MemoryBank, ModelParams,
+                           ModelVariant, _batch_attention, _mix_backward, _neighbor_sum,
+                           _spread, final_embeddings, forward, layer_step,
+                           recalibrated_users)
+from dgnnrec.training import _kink_margin, bpr_batch_grad, bpr_batch_loss
 
 
 def bank_of(et, transforms, keys, biases):
@@ -439,6 +442,120 @@ def test_neighbor_sum_matches_dense_product(case, width):
     assert sums.shape == (has_neighbors.size, width)
     np.testing.assert_allclose(sums, expected[has_neighbors], rtol=0, atol=1e-12)
     np.testing.assert_allclose(_spread(sums, adj), expected, rtol=0, atol=1e-12)
+
+
+def test_take_is_fancy_indexing_bit_for_bit(rng):
+    # _neighbor_sum gathers with np.take; it must be rows[sources] exactly.
+    table = rng.normal(size=(60, 16))
+    table[3, :4] = [np.nan, np.inf, -0.0, 5e-324]
+    rows = table[10:50]  # a view, as emb[te.src] is
+    sources = rng.integers(0, rows.shape[0], size=500)
+    assert np.take(rows, sources, axis=0).tobytes() == rows[sources].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the mixing backward
+
+
+def test_einsum_outer_product_is_the_broadcast_product_bit_for_bit(rng):
+    # Except for the sign of zero: einsum adds each product onto +0.0, so a
+    # -0.0 product comes out as +0.0 (which `want + 0.0` does too).
+    att = rng.normal(size=(300, 8))
+    g = rng.normal(size=(300, 16))
+    att[0, :4] = [np.nan, np.inf, -0.0, 5e-324]
+    g[1, :4] = [-np.inf, -0.0, 1e-300, np.nan]
+    with np.errstate(invalid="ignore"):
+        want = att[:, :, None] * g[:, None, :]
+        got = np.einsum("nm,nd->nmd", att, g)
+    assert np.signbit(want[0, 2]).any() and not np.signbit(got[0, 2]).any()
+    assert got.tobytes() == (want + 0.0).tobytes()
+
+
+def _mix_backward_reference(g, rows, sums, pre, bank):
+    """(d_rows, d_sums, d_transforms, d_keys, d_biases) over every row, apart from model.py."""
+    att = de.leaky_relu(pre) if pre is not None else np.ones((g.shape[0], bank.num_units))
+    d_sums = np.einsum("nm,mde,nd->ne", att, bank.transforms, g)
+    d_transforms = np.einsum("nm,nd,ne->mde", att, g, sums)
+    if pre is None:
+        return (np.zeros_like(rows), d_sums, d_transforms, np.zeros_like(bank.keys),
+                np.zeros_like(bank.biases))
+    d_pre = (np.einsum("mde,ne,nd->nm", bank.transforms, sums, g)
+             * np.where(pre >= 0, 1.0, de.LEAKY_SLOPE))
+    return d_pre @ bank.keys, d_sums, d_transforms, d_pre.T @ rows, d_pre.sum(axis=0)
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 4])
+@pytest.mark.parametrize("attention", [True, False])
+@pytest.mark.parametrize("case", ["some_dead", "nan_row", "all_dead", "all_live"])
+def test_mix_backward_skips_dead_rows(case, attention, rows_per_block, monkeypatch):
+    n, d, units = 37, 4, 3
+    rng = np.random.default_rng(7)
+    bank = ModelParams.init(0, d, units, 0, rng).banks[EdgeType.IU]
+    bank.keys *= 20.0
+    rows, sums = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    pre = rows @ bank.keys.T + bank.biases if attention else None
+    g = rng.normal(size=(n, d))
+    dead = np.zeros(n, dtype=bool)
+    if case in ("some_dead", "nan_row"):
+        dead[[0, 1, 2, 9, 20, 21, 36]] = True
+    elif case == "all_dead":
+        dead[:] = True
+    g[dead] = 0.0
+    g[5, :2] = [0.0, -0.0]  # zeros in some columns do not make a row dead
+    if case == "nan_row":
+        g[12] = 0.0
+        g[12, 2] = np.nan  # NaN is non-zero: the row stays live
+    if rows_per_block is not None:
+        monkeypatch.setattr(model, "MIX_BLOCK_FLOATS", rows_per_block * units * d)
+
+    gbank = ModelParams.zeros(0, d, units, 0).banks[EdgeType.IU]
+    d_rows, d_sums = _mix_backward(g, rows, sums, pre, bank, gbank)
+    want = _mix_backward_reference(g, rows, sums, pre, bank)
+    assert not np.any(d_rows[dead]) and not np.any(d_sums[dead])
+    assert not np.isnan(d_rows[dead]).any() and not np.isnan(d_sums[dead]).any()
+    if case == "nan_row":
+        assert np.isnan(d_sums[12]).all()
+    for got, expected in zip((d_rows, d_sums, gbank.transforms, gbank.keys, gbank.biases),
+                             want):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_batch_gradient_with_most_items_unsampled(monkeypatch):
+    """Two triplets touch at most 4 of 40 items: the last layer's item rows are mostly dead."""
+    n_users, n_items, n_rel = 4, 40, 3
+    interactions = {(j % n_users, j) for j in range(n_items)} | {(0, 7), (1, 30), (3, 2)}
+    item_rel = {(j, j % n_rel) for j in range(n_items)} | {(5, 1), (17, 2)}
+    graph = build_graph(sorted(interactions), [(0, 1), (1, 2), (2, 3)], sorted(item_rel),
+                        n_users, n_items, n_rel)
+    for seed in range(50):
+        params = ModelParams.init(graph.num_nodes, 2, 2, 2, np.random.default_rng(seed))
+        for bank in params.banks:
+            bank.keys *= 20.0
+        params.ln_eps = 1e-2
+        if _kink_margin(graph, params, FULL_VARIANT) >= 1e-4:
+            break
+    else:
+        pytest.fail("no kink-free parameters drawn")
+    users, pos, neg = sample_bpr_batch(graph, np.random.default_rng(3), 2)
+    assert len(set(pos.tolist()) | set(neg.tolist())) <= 4
+
+    live_shares = []
+
+    def recording(g, *args):
+        live_shares.append(np.count_nonzero(g.any(axis=1)) / g.shape[0])
+        return _mix_backward(g, *args)
+
+    monkeypatch.setattr(model, "_mix_backward", recording)
+    cache = EdgeCache(graph)
+    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    assert min(live_shares) < 0.25
+
+    def objective(vec):
+        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
+                              1e-3, FULL_VARIANT, cache)
+
+    report = de.finite_diff_check(objective, params.to_vector(), grad)
+    assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
 
 
 # ---------------------------------------------------------------------------

@@ -269,7 +269,7 @@ def test_planted_checkpoint_bytes_are_pinned(tmp_path):
                                            os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", _TRAIN_AND_SAVE, str(path)], env=env, check=True)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "80b062794c53b9957136151cf4a96836c6c765a7d4511846146142588e9dc778")
+        "02b885fe7e55b50582086a03cc7c414d0cc36310dda6696c0ac9d3321c3b35c9")
     ckpt = load_checkpoint(path)
     assert ckpt.params.vector.flags.writeable
     save_checkpoint(tmp_path / "again.ckpt", ckpt.params, ckpt.num_users, ckpt.num_items,
