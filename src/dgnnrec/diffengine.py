@@ -80,15 +80,19 @@ def sigmoid(x):
 # layer normalization (over the last axis)
 
 
-def _row_mean(x: np.ndarray) -> np.ndarray:
-    """Mean along the last axis, keeping it with size 1.
+def _row_mean(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """Mean along the last axis of ``x``, or of ``x * y``, keeping it with size 1.
 
-    Taken as a product with a column of 1/d: on rows as short as the
-    model's (d or (L+1)*d wide) this is about five times faster than
-    ``mean`` (0.1 ms against 0.56 ms at 17006 x 16), and differs from it
-    only in the last bits.
+    Summed by ``einsum``, which also fuses the product: on rows as short
+    as the model's (d or (L+1)*d wide) this is about four times faster
+    than ``mean`` (0.11 ms against 0.43 ms at 17006 x 16), and each row's
+    bits do not depend on the other rows, so a layer computed on some of
+    its rows gives them exactly. A product with a column of 1/d is faster
+    still (0.07 ms), but BLAS's matrix-vector kernel rounds a row by its
+    position in the block.
     """
-    return x @ np.full((x.shape[-1], 1), 1.0 / x.shape[-1])
+    total = np.einsum("...d->...", x) if y is None else np.einsum("...d,...d->...", x, y)
+    return total[..., None] / x.shape[-1]
 
 
 def layer_normalize(x: np.ndarray, eps: float):
@@ -102,7 +106,7 @@ def layer_normalize(x: np.ndarray, eps: float):
         raise ShapeError("layer_normalize requires eps > 0")
     x = _as_f64(x)
     xhat = x - _row_mean(x)
-    inv = 1.0 / np.sqrt(_row_mean(xhat * xhat) + eps)
+    inv = 1.0 / np.sqrt(_row_mean(xhat, xhat) + eps)
     xhat *= inv
     return xhat, inv
 
@@ -114,7 +118,7 @@ def layer_normalize_backward(xhat: np.ndarray, inv: np.ndarray,
     if g.shape != xhat.shape:
         raise ShapeError(f"upstream gradient shape {g.shape} does not match {xhat.shape}")
     # d/dx of (x-mu)*inv with mu, var both functions of x.
-    return inv * (g - _row_mean(g) - xhat * _row_mean(g * xhat))
+    return inv * (g - _row_mean(g) - xhat * _row_mean(g, xhat))
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ HR@N counts positives ranked within the top N and NDCG@N credits
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .hetgraph import HeteroGraph, Split, build_graph
+from .hetgraph import NUM_EVAL_NEGATIVES, HeteroGraph, Split, build_graph
 from .model import (EdgeType, FULL_VARIANT, LayerState, ModelVariant,
                     _batch_attention, forward, recalibrated_users)
 from .training import TrainingConfig, train_model
@@ -76,22 +75,6 @@ def _candidate_ranks(q_users: np.ndarray, hstar: np.ndarray, num_users: int,
     return 1 + better[:, 1:].sum(axis=1)
 
 
-def rank_and_score(u: int, positive: int, negatives, hstar: np.ndarray,
-                   graph: HeteroGraph, n: int,
-                   variant: ModelVariant = FULL_VARIANT):
-    """(hit, ndcg contribution) for one user at cutoff n."""
-    negatives = np.asarray(negatives, dtype=np.int64)
-    if negatives.shape != (100,):
-        raise EvaluationError(f"expected 100 negatives, got shape {negatives.shape}")
-    q = recalibrated_users(hstar, graph, variant)
-    rank = int(_candidate_ranks(q, hstar, graph.num_users,
-                                np.asarray([u]), np.asarray([positive]),
-                                negatives[None, :])[0])
-    if rank <= n:
-        return 1, 1.0 / math.log2(rank + 1)
-    return 0, 0.0
-
-
 def _metrics_at(ranks: np.ndarray, cutoffs) -> tuple[dict, dict]:
     hr, ndcg = {}, {}
     gains = 1.0 / np.log2(ranks + 1.0)
@@ -111,9 +94,16 @@ def _all_ranks(hstar: np.ndarray, split: Split, graph: HeteroGraph,
 
 def evaluate(hstar: np.ndarray, split: Split, graph: HeteroGraph,
              cutoffs=DEFAULT_CUTOFFS, variant: ModelVariant = FULL_VARIANT) -> EvalReport:
-    """Average rank_and_score over every test user; deterministic."""
+    """HR@N and NDCG@N averaged over every test user, overall and per sparsity group.
+
+    Deterministic; each user's positive is ranked against exactly
+    NUM_EVAL_NEGATIVES distinct negatives.
+    """
     if split.test_users.size == 0:
         raise EvaluationError("empty test set")
+    if split.eval_negatives.shape != (split.test_users.size, NUM_EVAL_NEGATIVES):
+        raise EvaluationError(f"expected {NUM_EVAL_NEGATIVES} negatives per test user, "
+                              f"got shape {split.eval_negatives.shape}")
     ranks = _all_ranks(hstar, split, graph, variant)
     hr, ndcg = _metrics_at(ranks, cutoffs)
     groups = (_group_metrics(ranks, split, cutoffs)

@@ -87,11 +87,6 @@ class Adjacency:
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
-    def contains(self, i: int, j: int) -> bool:
-        row = self.neighbors(i)
-        k = np.searchsorted(row, j)
-        return k < row.size and row[k] == j
-
     def pairs(self) -> np.ndarray:
         src = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.degrees())
         return np.column_stack([src, self.indices])
@@ -192,9 +187,6 @@ class HeteroGraph:
         """Sorted u*J+item keys for O(log E) membership tests."""
         pairs = self.ui.pairs()
         return pairs[:, 0] * self.num_items + pairs[:, 1]
-
-    def has_interaction(self, user: int, item: int) -> bool:
-        return self.ui.contains(user, item)
 
     def validate(self) -> None:
         """Re-check every structural invariant; raises GraphBuildError."""

@@ -25,9 +25,18 @@ neighbours, then the targets of one degree k are summed as k contiguous
 (targets, d) slabs. ``forward`` computes everything vectorized per edge
 type; ``backward`` walks the same schedule in reverse with analytical
 gradients, sending the sum's gradient back to the sources through the
-transpose adjacency. The backward of a mixing works only through the
-targets whose upstream gradient is non-zero: in the last layer these are
-a batch's users, their social neighbours and its sampled items.
+transpose adjacency.
+
+The last layer and H* work row by row, so ``forward`` can compute them
+on a ``RowSet`` only: a training batch reads the H* of every user and of
+its sampled items, and when those are few it passes just them. The
+earlier layers stay whole, since their neighbours feed the last one; the
+rows left out are NaN, and ``backward`` works through the computed rows
+only. A computed row is the full forward's bit for bit wherever BLAS
+rounds each row of a product on its own: at d <= 4, and at d = 16 with
+M = 2, 4 and 8 (the tests pin these). At some other shapes (M = 1, or
+d = 32 and 64) BLAS rounds a row by its place in the block, and the rows
+agree to about 1e-14.
 """
 
 from __future__ import annotations
@@ -42,9 +51,8 @@ from . import diffengine as de
 from .hetgraph import Adjacency, HeteroGraph
 
 DEFAULT_LN_EPS = 1e-6
-# _mix_backward works through its live rows (those with a non-zero upstream
-# gradient) in blocks whose (rows, M*d) temporaries hold about this many
-# float64, so its passes stay in cache.
+# _mix_backward works through its rows in blocks whose (rows, M*d)
+# temporaries hold about this many float64, so its passes stay in cache.
 MIX_BLOCK_FLOATS = 1 << 18
 
 
@@ -59,10 +67,6 @@ class EdgeType(IntEnum):
     SELF_USER = 5
     SELF_ITEM = 6
     SELF_RELATION = 7
-
-
-MESSAGE_TYPES = (EdgeType.UU, EdgeType.UI, EdgeType.IU, EdgeType.IR, EdgeType.RI)
-SELF_TYPES = (EdgeType.SELF_USER, EdgeType.SELF_ITEM, EdgeType.SELF_RELATION)
 
 
 @dataclass(frozen=True)
@@ -249,6 +253,77 @@ def _shift(rows, offset: int):
     return rows + offset
 
 
+def _take(rows, keep):
+    """``rows`` (ascending, a slice or an array) at the positions ``keep``; slice(None) keeps all."""
+    if isinstance(keep, slice):
+        return rows
+    if isinstance(rows, slice):
+        return keep + rows.start
+    return rows[keep]
+
+
+class RowSet:
+    """The node rows that the last layer and H* compute, ascending.
+
+    ``RowSet(graph, mask)`` holds the rows of a boolean mask over the
+    graph's nodes; ``ALL_ROWS`` holds every row of any graph. ``index``
+    picks the rows out of a full-height array (a view for ALL_ROWS), and a
+    compact array holds one row per member in that order.
+    """
+
+    def __init__(self, graph: HeteroGraph | None = None, mask: np.ndarray | None = None):
+        self.mask = None
+        self.index = slice(None)
+        if mask is None:
+            return
+        I, J, N = graph.num_users, graph.num_items, graph.num_nodes
+        if not isinstance(mask, np.ndarray) or mask.shape != (N,) or mask.dtype != bool:
+            raise de.ShapeError(f"a row set needs a boolean mask over the {N} nodes")
+        index = mask.nonzero()[0]
+        if index.size == N:
+            return
+        self.mask, self.index = mask, index
+        # Members below each node-type boundary, so a type's members are one compact slice.
+        below = np.searchsorted(self.index, (I, I + J)).tolist()
+        self._below = {0: 0, I: below[0], I + J: below[1], N: self.index.size}
+
+    def of_type(self, sl: slice):
+        """(compact slice, full-height rows) of the members of the node type ``sl``."""
+        if self.mask is None:
+            return sl, sl
+        lo, hi = self._below[sl.start], self._below[sl.stop]
+        return slice(lo, hi), sl if hi - lo == sl.stop - sl.start else self.index[lo:hi]
+
+    def within(self, rows, sl: slice):
+        """(positions of the members in ``rows``, those members), or None when none is.
+
+        ``rows`` are ascending rows of the node type ``sl``, a slice or an array.
+        """
+        if self.mask is None:
+            return slice(None), rows
+        count = self._below[sl.stop] - self._below[sl.start]
+        if count == sl.stop - sl.start:
+            return slice(None), rows
+        if count == 0:
+            return None
+        inside = self.mask[rows]
+        keep = inside.nonzero()[0]
+        if keep.size == inside.size:
+            return slice(None), rows
+        return (keep, _take(rows, keep)) if keep.size else None
+
+    def expand(self, compact: np.ndarray, fill: float) -> np.ndarray:
+        """Full-height rows: ``compact`` on the members, ``fill`` elsewhere."""
+        if self.mask is None:
+            return compact
+        out = np.full((self.mask.size, compact.shape[1]), fill)
+        out[self.index] = compact
+        return out
+
+
+ALL_ROWS = RowSet()
+
+
 class EdgeCache:
     """Per-edge-type row slices and adjacencies plus aggregation denominators."""
 
@@ -273,6 +348,33 @@ class EdgeCache:
         denom[rels] = graph.ri.degrees()
         self.node_denom = denom
 
+    def members(self, rows: RowSet):
+        """The members of ``rows``, grouped as a layer works through them.
+
+        Returns (messages, selves): per message type that reaches a member,
+        (type, edges, positions of the members among its receivers, those
+        receivers); per node type with a member, (type, compact slice,
+        full-height rows). Both in EdgeType order.
+        """
+        return self._every_member if rows.mask is None else self._group(rows)
+
+    @cached_property
+    def _every_member(self):
+        return self._group(ALL_ROWS)
+
+    def _group(self, rows: RowSet):
+        messages = []
+        for et, te in self.edges.items():
+            found = rows.within(te.receivers, te.tgt) if te.num_edges else None
+            if found is not None:
+                messages.append((et, te, *found))
+        selves = []
+        for et, sl in self.slices.items():
+            part, type_rows = rows.of_type(sl)
+            if part.start != part.stop:
+                selves.append((et, part, type_rows))
+        return messages, selves
+
 
 def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
     """Sum of ``rows[s]`` over the neighbours s of each of ``adj.plan.targets``.
@@ -287,9 +389,9 @@ def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
     return out if plan.unsort is None else out[plan.unsort]
 
 
-def _spread(sums: np.ndarray, adj: Adjacency) -> np.ndarray:
-    """``sums`` (one row per ``adj.plan.targets``) on all rows, zeros elsewhere."""
-    targets = adj.plan.targets
+def _spread(sums: np.ndarray, adj: Adjacency, keep=slice(None)) -> np.ndarray:
+    """``sums`` (one row per ``adj.plan.targets[keep]``) on all rows, zeros elsewhere."""
+    targets = _take(adj.plan.targets, keep)
     if isinstance(targets, slice):
         return sums
     out = np.zeros((adj.num_rows, sums.shape[1]))
@@ -303,6 +405,7 @@ def _spread(sums: np.ndarray, adj: Adjacency) -> np.ndarray:
 
 @dataclass
 class _StepCache:
+    rows: RowSet                        # the rows the layer computed; the arrays below hold only those
     xhat: np.ndarray | None             # normalized aggregation; None without LN
     inv: np.ndarray | None              # its (n, 1) 1/sqrt(var + eps); None without LN
     normed: np.ndarray                  # activation input: LN output, or the aggregation without LN
@@ -327,8 +430,14 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
 
     ``sums`` is a neighbour sum for a message type and ``rows`` itself for
     a self loop; attention depends on the target only, so mixing the sum
-    equals summing the mixed messages.
+    equals summing the mixed messages. BLAS multiplies a single row with
+    a matrix-vector kernel whose last bits differ from the matrix-matrix
+    kernel's, so one row is mixed as two: a row set that leaves one row
+    of a type gets it as the full forward does.
     """
+    if rows.shape[0] == 1:
+        mixed, pre = _mix(np.repeat(rows, 2, axis=0), np.repeat(sums, 2, axis=0), bank, variant)
+        return mixed[:1], None if pre is None else pre[:1]
     att, pre = _batch_attention(rows, bank, variant)
     M, d = bank.num_units, bank.dim
     trans = (sums @ bank.transforms.reshape(M * d, d).T).reshape(-1, M, d)
@@ -337,20 +446,24 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
 
 def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: int,
                variant: ModelVariant = FULL_VARIANT, edge_cache: EdgeCache | None = None,
-               _record: list | None = None) -> np.ndarray:
-    """One propagation layer: aggregate, normalize, activate, add self loop."""
+               _record: list | None = None, rows: RowSet = ALL_ROWS) -> np.ndarray:
+    """One propagation layer: aggregate, normalize, activate, add self loop.
+
+    Only the ``rows`` are computed, each as the full layer computes it (bit
+    for bit where BLAS allows, see the module docstring); the other rows of
+    the result are NaN. A message type mixes only the members it reaches.
+    """
     cache = edge_cache if edge_cache is not None else EdgeCache(graph)
+    messages, selves = cache.members(rows)
     agg = np.zeros_like(emb)
     att_pre: dict = {}
     sums: dict = {}
-    for et in MESSAGE_TYPES:
-        te = cache.edges[et]
-        if te.num_edges == 0:
-            continue
-        sums[et] = _neighbor_sum(emb[te.src], te.adj)
-        mixed, att_pre[et] = _mix(emb[te.receivers], sums[et], params.banks[et], variant)
-        agg[te.receivers] += mixed
-    denom = cache.node_denom[:, None]
+    for et, te, keep, receivers in messages:
+        sums[et] = _neighbor_sum(emb[te.src], te.adj)[keep]
+        mixed, att_pre[et] = _mix(emb[receivers], sums[et], params.banks[et], variant)
+        agg[receivers] += mixed
+    agg = agg[rows.index]
+    denom = cache.node_denom[rows.index, None]
     np.divide(agg, denom, out=agg, where=denom > 0)
 
     if variant.layer_norm:
@@ -363,42 +476,57 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
     out = de.leaky_relu(y)
 
     self_pre: dict = {}
-    for et in SELF_TYPES:
-        sl = cache.slices[et]
-        rows = emb[sl]
-        if rows.shape[0] == 0:
-            continue
-        mixed, self_pre[et] = _mix(rows, rows, params.banks[et], variant)
-        out[sl] += mixed
+    for et, part, type_rows in selves:
+        x = emb[type_rows]
+        mixed, self_pre[et] = _mix(x, x, params.banks[et], variant)
+        out[part] += mixed
     if _record is not None:
-        _record.append(_StepCache(xhat, inv, y, att_pre, self_pre, sums))
-    return out
+        _record.append(_StepCache(rows, xhat, inv, y, att_pre, self_pre, sums))
+    return rows.expand(out, np.nan)
 
 
 @dataclass
 class LayerState:
-    """Per-layer embeddings H^(0)..H^(L) and the normalized concatenation H*."""
+    """Per-layer embeddings H^(0)..H^(L) and the normalized concatenation H*.
+
+    A forward over a row set computes H^(L) and H* on those rows only; their
+    other rows are NaN, so a read of one poisons whatever it reaches.
+    ``final_inv_std`` holds the computed rows only.
+    """
 
     layers: list[np.ndarray]
     hstar: np.ndarray
     final_inv_std: np.ndarray = field(repr=False, default=None)
     step_caches: list = field(repr=False, default_factory=list)
+    rows: RowSet = field(repr=False, default=ALL_ROWS)
 
     @property
     def num_layers(self) -> int:
         return len(self.layers) - 1
 
 
-def final_embeddings(layers, eps: float = DEFAULT_LN_EPS):
-    """(H*, inv): the per-node concatenation layer-normalized with scale 1, shift 0."""
-    conc = layers[0] if len(layers) == 1 else np.concatenate(layers, axis=1)
-    return de.layer_normalize(conc, eps)
+def final_embeddings(layers, eps: float = DEFAULT_LN_EPS, rows: RowSet = ALL_ROWS):
+    """(H*, inv): the per-node concatenation layer-normalized with scale 1, shift 0.
+
+    Only the ``rows`` are normalized: H* is NaN on the others and ``inv``
+    holds the computed rows only.
+    """
+    parts = [layer[rows.index] for layer in layers]
+    conc = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    xhat, inv = de.layer_normalize(conc, eps)
+    return rows.expand(xhat, np.nan), inv
 
 
 def forward(graph: HeteroGraph, params: ModelParams,
             variant: ModelVariant = FULL_VARIANT,
-            edge_cache: EdgeCache | None = None) -> LayerState:
-    """Run all propagation layers from the initial embeddings, then H*."""
+            edge_cache: EdgeCache | None = None,
+            rows: RowSet = ALL_ROWS) -> LayerState:
+    """Run all propagation layers from the initial embeddings, then H*.
+
+    ``rows`` are the rows of H* to compute. Since the last layer and H*
+    work row by row, only the last layer is cut to them; the earlier
+    layers stay whole, as their neighbours feed it.
+    """
     if params.num_nodes != graph.num_nodes:
         raise de.ShapeError(
             f"params cover {params.num_nodes} nodes but graph has {graph.num_nodes}")
@@ -406,9 +534,10 @@ def forward(graph: HeteroGraph, params: ModelParams,
     records: list = []
     layers = [params.embeddings]
     for step in range(params.num_layers):
-        layers.append(layer_step(layers[-1], graph, params, step, variant, cache, records))
-    hstar, inv = final_embeddings(layers, params.ln_eps)
-    return LayerState(layers, hstar, inv, records)
+        last = rows if step == params.num_layers - 1 else ALL_ROWS
+        layers.append(layer_step(layers[-1], graph, params, step, variant, cache, records, last))
+    hstar, inv = final_embeddings(layers, params.ln_eps, rows)
+    return LayerState(layers, hstar, inv, records, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -434,21 +563,18 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
                  bank: MemoryBank, gbank: MemoryBank):
     """Backward of ``_mix`` given dL/d(mixed) ``g``; adds into ``gbank``.
 
-    Returns (dL/d rows through the attention, dL/d sums). Only the rows
-    where ``g`` is non-zero are worked through (a zero row adds exactly
-    zero everywhere; NaN counts as non-zero), in blocks of about
-    MIX_BLOCK_FLOATS / (M*d), one pass when they fit; the other rows of
-    both results are 0.
+    Returns (dL/d rows through the attention, dL/d sums). The rows are
+    worked through in blocks of about MIX_BLOCK_FLOATS / (M*d), one pass
+    when they fit. The caller passes only the rows it needs: in the last
+    layer those of the forward's row set.
     """
     M, d = bank.num_units, bank.dim
     flat = bank.transforms.reshape(M * d, d)
     d_rows = np.zeros_like(rows)
-    d_sums = np.zeros_like(sums)
-    live = np.flatnonzero(g.any(axis=1))
-    whole = live.size == g.shape[0]
+    d_sums = np.empty_like(sums)
     block = max(1, MIX_BLOCK_FLOATS // (M * d))
-    for lo in range(0, live.size, block):
-        b = slice(lo, lo + block) if whole else live[lo:lo + block]
+    for lo in range(0, g.shape[0], block):
+        b = slice(lo, lo + block)
         gb, sb = g[b], sums[b]
         att = de.leaky_relu(pre[b]) if pre is not None else np.ones((gb.shape[0], M))
         d_trans = np.einsum("nm,nd->nmd", att, gb).reshape(-1, M * d)
@@ -469,19 +595,19 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
                    cache: EdgeCache, grads: ModelParams) -> np.ndarray:
     """Backward of one layer_step; returns gradient w.r.t. the layer input.
 
-    ``d_out`` is overwritten.
+    ``d_out`` holds the rows the layer computed (``scache.rows``) and is
+    overwritten.
     """
+    rows = scache.rows
+    messages, selves = cache.members(rows)
     d_emb = np.zeros_like(emb)
 
     # Self-loop path: the row is both the attention target and the "sum".
-    for et in SELF_TYPES:
-        sl = cache.slices[et]
-        rows = emb[sl]
-        if rows.shape[0] == 0:
-            continue
-        d_rows, d_sums = _mix_backward(d_out[sl], rows, rows, scache.self_pre[et],
+    for et, part, type_rows in selves:
+        x = emb[type_rows]
+        d_rows, d_sums = _mix_backward(d_out[part], x, x, scache.self_pre[et],
                                        params.banks[et], grads.banks[et])
-        d_emb[sl] += d_rows + d_sums
+        d_emb[type_rows] += d_rows + d_sums
 
     # Activation and normalization path.
     d_y = de.leaky_relu_backward(scache.normed, d_out)
@@ -492,36 +618,42 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
     else:
         d_agg = d_y
 
-    denom = cache.node_denom[:, None]
+    denom = cache.node_denom[rows.index, None]
     d_msum = np.zeros_like(d_agg)
     np.divide(d_agg, denom, out=d_msum, where=denom > 0)
+    d_msum = rows.expand(d_msum, 0.0)
 
     # Message path per edge type; sources get dL/d sums through the transpose.
-    for et in MESSAGE_TYPES:
-        te = cache.edges[et]
-        if te.num_edges == 0:
-            continue
-        rows = te.receivers
-        d_rows, d_sums = _mix_backward(d_msum[rows], emb[rows], scache.sums[et],
+    for et, te, keep, receivers in messages:
+        d_rows, d_sums = _mix_backward(d_msum[receivers], emb[receivers], scache.sums[et],
                                        scache.att_pre[et], params.banks[et], grads.banks[et])
-        d_emb[rows] += d_rows
-        d_emb[te.senders] += _neighbor_sum(_spread(d_sums, te.adj), te.rev)
+        d_emb[receivers] += d_rows
+        d_emb[te.senders] += _neighbor_sum(_spread(d_sums, te.adj, keep), te.rev)
     return d_emb
 
 
 def backward(graph: HeteroGraph, params: ModelParams, state: LayerState,
              d_hstar: np.ndarray, variant: ModelVariant = FULL_VARIANT,
              edge_cache: EdgeCache | None = None) -> ModelParams:
-    """Gradients of a scalar loss w.r.t. every parameter, given dL/dH*."""
+    """Gradients of a scalar loss w.r.t. every parameter, given dL/dH*.
+
+    Only the rows of ``d_hstar`` that ``state``'s forward computed are read.
+    """
     cache = edge_cache if edge_cache is not None else EdgeCache(graph)
     grads = params.zeros_like()
     num_layers = state.num_layers
     d = params.dim
+    rows = state.rows
 
     # H* is the final normalization's xhat.
-    d_conc = de.layer_normalize_backward(state.hstar, state.final_inv_std, d_hstar)
+    d_conc = de.layer_normalize_backward(state.hstar[rows.index], state.final_inv_std,
+                                         d_hstar[rows.index])
     d_layers = [d_conc[:, l * d:(l + 1) * d].copy() for l in range(num_layers + 1)]
-
+    if num_layers == 0:
+        grads.embeddings[rows.index] += d_layers[0]
+        return grads
+    # The last layer computed the forward's rows only; the earlier ones are whole.
+    d_layers[:-1] = [rows.expand(x, 0.0) for x in d_layers[:-1]]
     for step in reversed(range(num_layers)):
         d_layers[step] += _step_backward(
             d_layers[step + 1], state.layers[step], state.step_caches[step],

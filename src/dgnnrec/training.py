@@ -1,6 +1,8 @@
 """Pairwise ranking optimization: BPR loss, epoch loop, checkpoints.
 
-A batch runs one full-graph forward, scores its sampled triplets, and
+A batch runs one forward, which computes the final representation
+only on the rows its objective reads (every user and the sampled items)
+when those are under half of the nodes, scores its sampled triplets, and
 takes a single Adam step on the mean pairwise loss plus weight decay
 over the whole parameter vector. Per-epoch RNG streams are derived from
 (seed, epoch), so resuming from a checkpoint mid-run reproduces the
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import diffengine as de
 from .hetgraph import HeteroGraph, sample_bpr_batch
-from .model import (EdgeCache, FULL_VARIANT, ModelParams, ModelVariant,
+from .model import (ALL_ROWS, EdgeCache, FULL_VARIANT, ModelParams, ModelVariant, RowSet,
                     _neighbor_sum, _spread, backward, forward, recalibrated_users)
 from .seeding import PARAM_INIT, TRIPLETS, rng_for
 
@@ -49,7 +51,7 @@ class TrainingConfig:
 
 
 def bpr_loss(score_pos, score_neg):
-    """-log sigmoid(pos - neg), overflow-safe; the weight decay is in ``bpr_batch_loss``."""
+    """-log sigmoid(pos - neg), overflow-safe; ``_batch_objective`` adds the weight decay."""
     core = np.logaddexp(0.0, -(np.asarray(score_pos, dtype=np.float64)
                                - np.asarray(score_neg, dtype=np.float64)))
     return float(core) if np.ndim(core) == 0 else core
@@ -65,8 +67,27 @@ def _triplet_scores(hstar: np.ndarray, q_users: np.ndarray, num_users: int,
 
 def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, reg: float,
                      variant: ModelVariant, edge_cache: EdgeCache | None):
-    """(objective value, forward state, pos - neg scores, scoring vectors of ``users``)."""
-    state = forward(graph, params, variant, edge_cache)
+    """(objective value, forward state, pos - neg scores, scoring vectors of ``users``).
+
+    The objective reads H* on every user (recalibration averages social
+    neighbours) and on the sampled items. When the users and both item
+    lists come to under half of the nodes, the forward computes H* on
+    those rows only. Leaving rows
+    out costs a few dozen numpy calls per forward, which pays only when
+    most of the last layer is skipped: a Ciao-shaped batch reads a third
+    of the nodes and its step gets about a fifth faster, while on a
+    14-node gradient-check instance the calls cost more than the rows
+    they would skip.
+    """
+    rows = ALL_ROWS
+    if 2 * (graph.num_users + len(pos) + len(neg)) < graph.num_nodes:
+        mask = np.zeros(graph.num_nodes, dtype=bool)
+        mask[:graph.num_users] = True
+        items = mask[graph.num_users:]
+        items[pos] = True
+        items[neg] = True
+        rows = RowSet(graph, mask)
+    state = forward(graph, params, variant, edge_cache, rows)
     q_users = recalibrated_users(state.hstar, graph, variant)
     s_pos, s_neg, qp = _triplet_scores(state.hstar, q_users, graph.num_users, users, pos, neg)
     vec = params.to_vector()

@@ -17,8 +17,7 @@ from conftest import random_params, random_small_graph
 from dense_reference import dense_forward
 from dgnnrec import cli
 from dgnnrec.bench import time_layer_step, _graph_with_edges
-from dgnnrec.evaluation import (AblationVariant, evaluate, rank_and_score,
-                                report_lines, run_ablation)
+from dgnnrec.evaluation import AblationVariant, evaluate, report_lines, run_ablation
 from dgnnrec.hetgraph import Split, build_graph, load_edge_file, split_leave_one_out
 from dgnnrec.model import FULL_VARIANT, forward
 from dgnnrec.synthetic import make_planted_dataset
@@ -105,14 +104,21 @@ def test_metric_unit_values():
         h[1:, 1] = 1.0
         return h
 
+    one_user = Split(graph, np.array([0]), np.array([0]), np.arange(1, 101)[None, :],
+                     num_skipped=0, seed=0)
+
+    def hit_and_ndcg(scores):
+        report = evaluate(hstar_for(scores), one_user, graph, cutoffs=(10,))
+        return report.hr[10], report.ndcg[10]
+
     scores = np.zeros(num_items)
     scores[0] = 10.0
-    hit, ndcg = rank_and_score(0, 0, np.arange(1, 101), hstar_for(scores), graph, 10)
+    hit, ndcg = hit_and_ndcg(scores)
     ok_rank1 = (hit, ndcg) == (1, 1.0)
 
     scores = np.zeros(num_items)
     scores[1], scores[2], scores[0] = 9.0, 8.0, 7.0
-    hit3, ndcg3 = rank_and_score(0, 0, np.arange(1, 101), hstar_for(scores), graph, 10)
+    hit3, ndcg3 = hit_and_ndcg(scores)
     ok_rank3 = hit3 == 1 and ndcg3 == 0.5  # 1/log2(4), exact in binary
 
     # uniform-rank oracle: random scores put the positive in the top 10

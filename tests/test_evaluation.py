@@ -33,25 +33,28 @@ def _split_for(graph, users, positives, negatives):
                  num_skipped=0, seed=0)
 
 
+def _one_user(item_scores, positive, negatives, n=10):
+    """(HR@n, NDCG@n) that ``evaluate`` gives user 0 of a one-user split."""
+    g = _flat_graph(1, len(item_scores))
+    report = ev.evaluate(_hstar_with_item_scores(1, item_scores),
+                         _split_for(g, [0], [positive], [negatives]), g, (n,))
+    return report.hr[n], report.ndcg[n]
+
+
 # ---------------------------------------------------------------------------
-# rank_and_score
+# one user's rank
 
 
 def test_rank_one_scores_full_credit():
     scores = np.zeros(101)
     scores[0] = 10.0
-    g = _flat_graph(1, 101)
-    hstar = _hstar_with_item_scores(1, scores)
-    hit, ndcg = ev.rank_and_score(0, 0, np.arange(1, 101), hstar, g, 10)
-    assert (hit, ndcg) == (1, 1.0)
+    assert _one_user(scores, 0, np.arange(1, 101)) == (1, 1.0)
 
 
 def test_rank_three_ndcg_is_half():
     scores = np.zeros(101)
     scores[1], scores[2], scores[0] = 9.0, 8.0, 7.0  # positive item 0 at rank 3
-    g = _flat_graph(1, 101)
-    hstar = _hstar_with_item_scores(1, scores)
-    hit, ndcg = ev.rank_and_score(0, 0, np.arange(1, 101), hstar, g, 10)
+    hit, ndcg = _one_user(scores, 0, np.arange(1, 101))
     assert hit == 1
     assert ndcg == pytest.approx(0.5)  # 1/log2(4)
 
@@ -59,35 +62,28 @@ def test_rank_three_ndcg_is_half():
 def test_rank_outside_cutoff_scores_zero():
     scores = -np.arange(101.0)  # positive item 0 first... invert below
     scores[0] = -200.0           # positive dead last
-    g = _flat_graph(1, 101)
-    hstar = _hstar_with_item_scores(1, scores)
-    hit, ndcg = ev.rank_and_score(0, 0, np.arange(1, 101), hstar, g, 10)
-    assert (hit, ndcg) == (0, 0.0)
+    assert _one_user(scores, 0, np.arange(1, 101)) == (0, 0.0)
 
 
 def test_rank_ties_break_by_ascending_item_id():
-    g = _flat_graph(1, 102)
     scores = np.zeros(102)
-    hstar = _hstar_with_item_scores(1, scores)
     # all scores equal: positive=5 has ids 1..4 ahead of it
     negs = np.setdiff1d(np.arange(1, 102), [5])[:100]
-    hit, ndcg = ev.rank_and_score(0, 5, negs, hstar, g, 10)
+    hit, ndcg = _one_user(scores, 5, negs)
     assert hit == 1
     assert ndcg == pytest.approx(1.0 / np.log2(6.0))  # rank 5
     # positive=0 wins every tie
-    hit0, ndcg0 = ev.rank_and_score(0, 0, np.arange(1, 101), hstar, g, 10)
-    assert (hit0, ndcg0) == (1, 1.0)
+    assert _one_user(scores, 0, np.arange(1, 101)) == (1, 1.0)
 
 
 def test_rank_and_score_rejects_duplicates():
-    g = _flat_graph(1, 101)
-    hstar = _hstar_with_item_scores(1, np.zeros(101))
+    scores = np.zeros(101)
     negs = np.arange(1, 101)
     negs[3] = 50  # duplicate
-    with pytest.raises(ev.EvaluationError):
-        ev.rank_and_score(0, 0, negs, hstar, g, 10)
-    with pytest.raises(ev.EvaluationError):
-        ev.rank_and_score(0, 0, np.arange(1, 50), hstar, g, 10)  # wrong count
+    with pytest.raises(ev.EvaluationError, match="duplicate candidate ids for user 0"):
+        _one_user(scores, 0, negs)
+    with pytest.raises(ev.EvaluationError, match="expected 100 negatives"):
+        _one_user(scores, 0, np.arange(1, 50))  # wrong count
     # evaluate checks every row, not only the first
     g3 = _flat_graph(3, 101)
     for clash_at in (0, 99):
@@ -204,8 +200,8 @@ def test_evaluate_rejects_non_finite_scores():
     hstar[2 + 57] = np.nan  # one negative of both users
     with pytest.raises(ev.EvaluationError, match="non-finite score for user 0"):
         ev.evaluate(hstar, split, g)
-    with pytest.raises(ev.EvaluationError, match="non-finite"):
-        ev.rank_and_score(1, 1, np.arange(2, 102), hstar, g, 10)
+    with pytest.raises(ev.EvaluationError, match="non-finite score for user 1"):
+        ev.evaluate(hstar, _split_for(g, [1], [1], [np.arange(2, 102)]), g)
 
 
 def test_blocked_scoring_matches_one_block_and_names_later_users(monkeypatch):

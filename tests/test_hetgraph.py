@@ -210,11 +210,11 @@ def test_split_skips_single_interaction_users():
 def test_split_negatives_avoid_all_interactions():
     g = _chain_graph(num_users=6, num_items=30, per_user=4)
     split = hg.split_leave_one_out(g, seed=3, num_negatives=20)
+    keys = g.interaction_keys()
     for row, u in enumerate(split.test_users):
         negs = split.eval_negatives[row]
         assert np.unique(negs).size == negs.size
-        for n in negs:
-            assert not g.has_interaction(int(u), int(n))
+        assert not hg._in_sorted(keys, u * g.num_items + negs).any()
 
 
 def test_split_errors_when_negatives_unavailable():
@@ -387,9 +387,9 @@ def test_sample_batch_matches_contract():
     rng = np.random.default_rng(11)
     users, pos, neg = hg.sample_bpr_batch(g, rng, 256)
     assert users.shape == pos.shape == neg.shape == (256,)
-    for u, p, n in zip(users, pos, neg):
-        assert g.has_interaction(int(u), int(p))
-        assert not g.has_interaction(int(u), int(n))
+    keys = g.interaction_keys()
+    assert hg._in_sorted(keys, users * g.num_items + pos).all()
+    assert not hg._in_sorted(keys, users * g.num_items + neg).any()
 
 
 def test_adjacency_is_frozen(tiny_graph):

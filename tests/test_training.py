@@ -11,15 +11,18 @@ import pytest
 import dgnnrec
 from conftest import score
 from dgnnrec import diffengine as de
-from dgnnrec.hetgraph import build_graph, split_leave_one_out
-from dgnnrec.model import EdgeCache, FULL_VARIANT, ModelParams, forward
+from dgnnrec import training
+from dgnnrec.hetgraph import build_graph, sample_bpr_batch, split_leave_one_out
+from dgnnrec.model import (ALL_ROWS, EdgeCache, FULL_VARIANT, ModelParams, ModelVariant, RowSet,
+                           forward)
 from dgnnrec.seeding import PARAM_INIT, rng_for
-from dgnnrec.synthetic import make_planted_dataset
+from dgnnrec.synthetic import make_planted_dataset, make_random_graph
 from dgnnrec.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER, CheckpointError,
                               CheckpointMagicError, CheckpointTruncatedError,
-                              CheckpointVersionError, TrainingConfig,
-                              _scatter_rows, bpr_batch_grad, bpr_loss, load_checkpoint,
-                              save_checkpoint, train_epoch, train_model)
+                              CheckpointVersionError, TrainingConfig, _kink_margin,
+                              _random_instance, _scatter_rows, bpr_batch_grad, bpr_batch_loss,
+                              bpr_loss, load_checkpoint, save_checkpoint, train_epoch,
+                              train_model)
 
 
 # ---------------------------------------------------------------------------
@@ -50,14 +53,14 @@ def test_bpr_loss_nonnegative_and_decay_adds():
 # train_epoch
 
 
-def _small_world(seed=0):
+def _small_world(seed=0, num_items=30):
     rng = np.random.default_rng(seed)
     edges = set()
     for u in range(12):
-        for j in rng.choice(30, size=4, replace=False):
+        for j in rng.choice(num_items, size=4, replace=False):
             edges.add((u, int(j)))
     return build_graph(sorted(edges), [(0, 1), (2, 3), (4, 5)],
-                       [(j, j % 3) for j in range(30)], 12, 30, 3)
+                       [(j, j % 3) for j in range(num_items)], 12, num_items, 3)
 
 
 def test_scatter_rows_is_add_at_bit_for_bit():
@@ -138,6 +141,139 @@ def test_nonfinite_loss_aborts_with_diagnostic():
     params.embeddings[0, 0] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(de.NonFiniteError):
+            train_epoch(g, params, cfg, rng_for(0, 4))
+
+
+# ---------------------------------------------------------------------------
+# the batch objective's row set
+
+VARIANTS = {"full": FULL_VARIANT, "-M": ModelVariant(memory_attention=False),
+            "-LN": ModelVariant(layer_norm=False), "-tau": ModelVariant(recalibration=False)}
+CIAO_SHAPE = dict(num_users=1925, num_items=15053, num_relations=28, num_interactions=30370,
+                  num_social=32000, num_item_relations=15053)
+
+
+def _live_and_full(graph, params, triplets, reg, variant):
+    """``bpr_batch_grad`` forwarding its row set, then every row.
+
+    Returns per run (loss, gradient, H*, the row set the objective asked for).
+    """
+    cache = EdgeCache(graph)
+    runs = []
+    for every_row in (False, True):
+        seen = []
+
+        def recording(g, p, v, c, rows):
+            seen.append((rows, forward(g, p, v, c, ALL_ROWS if every_row else rows)))
+            return seen[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(training, "forward", recording)
+            loss, grad = bpr_batch_grad(graph, params, *triplets, reg, variant, cache)
+        (rows, state), = seen
+        runs.append((loss, grad, state.hstar, rows))
+    return runs
+
+
+def _assert_row_set_is_exact(graph, params, triplets, reg, variant):
+    """Checks the objective's row set and that it changes no read row; returns the set."""
+    (loss, grad, hstar, rows), (full_loss, full_grad, full_hstar, _) = _live_and_full(
+        graph, params, triplets, reg, variant)
+    read = np.zeros(graph.num_nodes, dtype=bool)
+    read[:graph.num_users] = True  # recalibration reads every user
+    read[graph.num_users + np.concatenate(triplets[1:])] = True
+    if 2 * (graph.num_users + 2 * len(triplets[1])) >= graph.num_nodes:
+        assert rows is ALL_ROWS  # the batch may read half of the nodes or more
+        assert np.isfinite(hstar).all()
+    else:
+        assert np.array_equal(rows.mask, read)
+        assert np.isnan(hstar[~read]).all()
+    assert loss == full_loss
+    assert np.array_equal(hstar[read], full_hstar[read])
+    # Only the gradient's column sums run over fewer rows.
+    assert np.abs(grad - full_grad).max() <= 1e-12 * np.abs(full_grad).max()
+    return rows
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_row_set_objective_is_exact_on_a_ciao_shaped_batch(name):
+    variant = VARIANTS[name]
+    graph = split_leave_one_out(make_random_graph(seed=21, **CIAO_SHAPE), 21).train_graph
+    params = ModelParams.init(graph.num_nodes, 16, 1 if name == "-M" else 8, 2,
+                              rng_for(21, PARAM_INIT))
+    triplets = sample_bpr_batch(graph, rng_for(21, 4), 2048)
+    rows = _assert_row_set_is_exact(graph, params, triplets, 1e-4, variant)
+    assert rows.index.size < graph.num_nodes / 3
+
+
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_row_set_objective_is_exact_on_a_planted_batch(name, num_layers):
+    variant = VARIANTS[name]
+    graph = split_leave_one_out(make_planted_dataset(seed=0).build(), 0).train_graph
+    params = ModelParams.init(graph.num_nodes, 16, 1 if name == "-M" else 8, num_layers,
+                              rng_for(0, PARAM_INIT))
+    triplets = sample_bpr_batch(graph, rng_for(0, 4), 2048)
+    assert _assert_row_set_is_exact(graph, params, triplets, 1e-4, variant) is ALL_ROWS
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_row_set_objective_is_exact_on_the_gradient_check_instances(name):
+    for dim in (2, 4):
+        for units in (1, 2):
+            for num_layers in (0, 1, 2):
+                graph, params, triplets = _random_instance(dim, units, num_layers, 0)
+                rows = _assert_row_set_is_exact(graph, params, triplets, 1e-3, VARIANTS[name])
+                assert rows is ALL_ROWS
+
+
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_row_set_gradient_matches_finite_differences(name, num_layers):
+    """Two triplets sample at most 4 of 60 items, so the last layer computes few item rows."""
+    variant = VARIANTS[name]
+    n_users, n_items, n_rel = 5, 60, 4
+    interactions = {(j % n_users, j) for j in range(n_items)} | {(0, 7), (1, 30), (3, 2)}
+    item_rel = {(j, j % n_rel) for j in range(n_items)} | {(5, 1), (17, 2)}
+    graph = build_graph(sorted(interactions), [(0, 1), (1, 2), (2, 3), (3, 4)],
+                        sorted(item_rel), n_users, n_items, n_rel)
+    for seed in range(50):
+        params = ModelParams.init(graph.num_nodes, 2, 1 if name == "-M" else 2, num_layers,
+                                  np.random.default_rng(seed))
+        for bank in params.banks:
+            bank.keys *= 20.0
+        params.ln_shift[...] = 0.3  # keeps -LN's aggregates off the activation kink
+        params.ln_eps = 1e-2
+        if _kink_margin(graph, params, variant) >= 1e-4:
+            break
+    else:
+        pytest.fail("no kink-free parameters drawn")
+    users, pos, neg = sample_bpr_batch(graph, np.random.default_rng(3), 2)
+    assert len(set(pos.tolist()) | set(neg.tolist())) <= 4
+    cache = EdgeCache(graph)
+    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, variant, cache)
+
+    def objective(vec):
+        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
+                              1e-3, variant, cache)
+
+    report = de.finite_diff_check(objective, params.to_vector(), grad)
+    assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
+
+
+def test_an_item_missing_from_the_row_set_poisons_the_loss(monkeypatch):
+    g = _small_world(num_items=120)  # a batch of 4 reads under half of the nodes
+    cfg = TrainingConfig(dim=4, layers=2, memory_units=2, batch_size=4, epochs=1, seed=0)
+    params = ModelParams.init(g.num_nodes, 4, 2, 2, rng_for(0, PARAM_INIT))
+
+    def dropping_an_item(graph, p, variant, cache, rows):
+        mask = rows.mask.copy()
+        mask[graph.num_users + np.flatnonzero(mask[graph.num_users:])[0]] = False
+        return forward(graph, p, variant, cache, RowSet(graph, mask))
+
+    monkeypatch.setattr(training, "forward", dropping_an_item)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(de.NonFiniteError, match="non-finite loss in batch 0"):
             train_epoch(g, params, cfg, rng_for(0, 4))
 
 
@@ -269,7 +405,7 @@ def test_planted_checkpoint_bytes_are_pinned(tmp_path):
                                            os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", _TRAIN_AND_SAVE, str(path)], env=env, check=True)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "02b885fe7e55b50582086a03cc7c414d0cc36310dda6696c0ac9d3321c3b35c9")
+        "b3d8862acbfaa73fe5df643b07b0c9aab2ad3c309420fa65d5477dc90a8e87d5")
     ckpt = load_checkpoint(path)
     assert ckpt.params.vector.flags.writeable
     save_checkpoint(tmp_path / "again.ckpt", ckpt.params, ckpt.num_users, ckpt.num_items,
