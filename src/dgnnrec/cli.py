@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -237,11 +238,16 @@ def cmd_export_attn(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    started = time.perf_counter()
     result = check_model_gradients(seed=args.seed or 0, tol=args.tol)
+    seconds = time.perf_counter() - started
     for name, err in sorted(result.worst_by_group().items()):
         print(f"{name:<28s} max rel err {err:.3e}")
-    print(f"{len(result.cases)} instances, {sum(c.report.num_coords for c in result.cases)} "
-          f"coordinates checked")
+    coords = sum(c.report.num_coords for c in result.cases)
+    print(f"{len(result.cases)} instances, {coords} coordinates checked")
+    # Central differences evaluate the objective twice per coordinate. Wall
+    # clock stays on its own line, apart from the deterministic ones.
+    print(f"{2 * coords} objective evaluations in {seconds:.2f} s")
     if result.passed:
         print(f"PASS, max rel err {result.max_rel_err:.3e} < {result.tol:g}")
         return EXIT_OK

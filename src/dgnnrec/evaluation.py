@@ -205,9 +205,19 @@ def export_memory_attention(state: LayerState, graph: HeteroGraph, banks,
         raise EvaluationError("the model has no propagation layer, so no attention to export")
     targets = state.layers[-2][:graph.num_users]
     att = [_batch_attention(targets, banks[et], variant)[0] for et in (EdgeType.UU, EdgeType.UI)]
-    lines = [f"{u}\t{label}\t" + ",".join(format(x, ".17g") for x in eta[u])
-             for u in range(graph.num_users) for label, eta in zip(("uu", "ui"), att)]
+    lines = [f"{u}\tuu\t{uu}\n{u}\tui\t{ui}"
+             for u, (uu, ui) in enumerate(zip(*(_comma_rows(eta) for eta in att)))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _comma_rows(values: np.ndarray) -> list[str]:
+    """Each row of a 2-D float array as its values in ``%.17g``, comma-separated.
+
+    ``%.17g`` round-trips every float64 and prints as ``format(x, ".17g")``
+    does; one ``%`` per row formats the whole row at once.
+    """
+    template = ",".join(["%.17g"] * values.shape[1])
+    return [template % tuple(row) for row in values.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,17 @@ class Adjacency:
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
+    @cached_property
+    def _closed_degrees(self) -> np.ndarray:
+        """deg + 1.0 per row, a read-only float64 (rows, 1) column; built once.
+
+        The size of each row's closed neighbourhood (its neighbours and
+        itself): the denominator of the social recalibration average.
+        """
+        out = (self.degrees() + 1.0)[:, None]
+        out.setflags(write=False)
+        return out
+
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 

@@ -551,8 +551,7 @@ def recalibrated_users(hstar: np.ndarray, graph: HeteroGraph,
     if not variant.recalibration:
         return users.copy()
     neigh = _spread(_neighbor_sum(users, graph.uu), graph.uu)
-    deg = graph.uu.degrees()[:, None]
-    return users + (neigh + users) / (deg + 1.0)
+    return users + (neigh + users) / graph.uu._closed_degrees
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
 
     if variant.recalibration:
         # q_u = H*[u] + (sum_neighbors + H*[u]) / (deg_u + 1)
-        w = d_q / (graph.uu.degrees() + 1.0)[:, None]
+        w = d_q / graph.uu._closed_degrees
         # uu is symmetric, so summing w over neighbours is its transpose.
         d_hstar[:num_users] += d_q + w + _spread(_neighbor_sum(w, graph.uu), graph.uu)
     else:
@@ -385,6 +385,22 @@ def _kink_margin(graph, params, variant) -> float:
     return margin
 
 
+def _vector_objective(graph, params, users, pos, neg, reg, variant, cache):
+    """``vec -> bpr_batch_loss`` at parameters holding ``vec``, for ``finite_diff_check``.
+
+    Each call copies ``vec`` into one probe ``ModelParams`` built here
+    (shaped as ``params``, which is never written), so an evaluation costs
+    one forward and no parameter views.
+    """
+    probe = params.zeros_like()
+
+    def objective(vec):
+        probe.vector[...] = vec
+        return bpr_batch_loss(graph, probe, users, pos, neg, reg, variant, cache)
+
+    return objective
+
+
 def check_model_gradients(dims=(2, 4, 8), memory_units=(1, 2, 4), layers=(0, 1, 2),
                           seed: int = 0, h: float = 1e-5, tol: float = 1e-4,
                           reg: float = 1e-3, variant: ModelVariant = FULL_VARIANT,
@@ -406,11 +422,7 @@ def check_model_gradients(dims=(2, 4, 8), memory_units=(1, 2, 4), layers=(0, 1, 
                 cache = EdgeCache(graph)
                 users, pos, neg = triplets
                 _, grad = bpr_batch_grad(graph, params, users, pos, neg, reg, variant, cache)
-
-                def objective(vec):
-                    return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
-                                          reg, variant, cache)
-
+                objective = _vector_objective(graph, params, users, pos, neg, reg, variant, cache)
                 report = de.finite_diff_check(objective, params.to_vector(), grad, h, tol)
                 group_errors = {name: float(report.errors[sl].max())
                                 for name, sl in params.group_slices() if sl.stop > sl.start}

@@ -1,4 +1,5 @@
 from dataclasses import fields
+import re
 
 import numpy as np
 import pytest
@@ -283,6 +284,9 @@ def test_grad_check_command(capsys):
     assert cli.main(["grad-check", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "PASS, max rel err" in out
+    coords = int(re.search(r"^\d+ instances, (\d+) coordinates checked$", out, re.M).group(1))
+    evals = re.search(r"^(\d+) objective evaluations in \d+\.\d\d s$", out, re.M)
+    assert evals is not None and int(evals.group(1)) == 2 * coords
 
 
 def test_bench_command_emits_table(capsys):

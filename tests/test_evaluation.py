@@ -388,6 +388,16 @@ def test_export_is_deterministic(tmp_path, tiny_graph):
     assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
 
+@pytest.mark.parametrize("width", [1, 8])
+def test_comma_rows_print_each_value_as_format_does(width):
+    specials = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+                1e300, -1e-300, 1.0 / 3.0, 1e16, 123.0]
+    values = np.concatenate([specials, np.random.default_rng(0).normal(size=4 * width)])
+    values = np.resize(values, (-(-values.size // width), width))
+    expected = [",".join(format(x, ".17g") for x in row) for row in values]
+    assert ev._comma_rows(values) == expected
+
+
 def test_report_serialization_round_trip_format():
     report = ev.EvalReport((5, 10), 7, {5: 0.25, 10: 0.5}, {5: 0.2, 10: 0.3},
                            [ev.GroupMetrics("q1", 7, 3.0, {5: 0.1, 10: 0.2},

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from dgnnrec import diffengine as de
-from dgnnrec import model
+from dgnnrec import model, training
 from dgnnrec.evaluation import strip_graph
 from dgnnrec.hetgraph import build_graph
 from dgnnrec.model import EdgeCache, FULL_VARIANT, ModelParams, ModelVariant
 from dgnnrec.training import (bpr_batch_grad, bpr_batch_loss, check_model_gradients,
-                              _kink_margin, _random_instance)
+                              _kink_margin, _random_instance, _vector_objective)
 
 
 def test_gradients_smoke_grid():
@@ -89,11 +89,7 @@ def test_gradients_on_graphs_with_empty_edge_types(reduce, num_layers):
     for name, sl in params.group_slices():
         if name.startswith("bank.") and name.split(".")[1] in empty:
             assert np.array_equal(grad[sl], decay[sl]), f"{name} got a model gradient"
-
-    def objective(vec):
-        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
-                              1e-3, FULL_VARIANT, cache)
-
+    objective = _vector_objective(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
     report = de.finite_diff_check(objective, params.to_vector(), grad)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
 
@@ -108,10 +104,60 @@ def test_blocked_mix_backward_matches_one_block(monkeypatch):
     monkeypatch.setattr(model, "MIX_BLOCK_FLOATS", 3 * units * dim)  # 3 rows per block
     _, blocked = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
     np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
-
-    def objective(vec):
-        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
-                              1e-3, FULL_VARIANT, cache)
-
+    objective = _vector_objective(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
     report = de.finite_diff_check(objective, params.to_vector(), blocked, tol=1e-4)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
+
+
+def _objective_per_evaluation(graph, params, users, pos, neg, reg, variant, cache):
+    """The reference objective: fresh parameters viewing each evaluated vector."""
+    def objective(vec):
+        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg, reg, variant, cache)
+    return objective
+
+
+@pytest.mark.parametrize("variant", [
+    FULL_VARIANT,
+    ModelVariant(memory_attention=False),
+    ModelVariant(recalibration=False),
+])
+def test_probe_objective_reports_equal_the_per_evaluation_reference(variant, monkeypatch):
+    grid = dict(dims=(2, 3), memory_units=(1, 2), layers=(0, 2), seed=5, variant=variant)
+    result = check_model_gradients(**grid)
+    monkeypatch.setattr(training, "_vector_objective", _objective_per_evaluation)
+    reference = check_model_gradients(**grid)
+    assert len(result.cases) == len(reference.cases) == 8
+    for case, ref in zip(result.cases, reference.cases):
+        assert case.report.errors.tobytes() == ref.report.errors.tobytes()
+        assert case.report.max_rel_err == ref.report.max_rel_err
+        assert case.report.worst_coord == ref.report.worst_coord
+
+
+def test_sweep_leaves_the_instance_parameters_untouched(monkeypatch):
+    drawn = []
+
+    def recording_instance(*args):
+        graph, params, triplets = _random_instance(*args)
+        drawn.append((params, params.vector.tobytes()))
+        return graph, params, triplets
+
+    monkeypatch.setattr(training, "_random_instance", recording_instance)
+    check_model_gradients(dims=(2, 3), memory_units=(2,), layers=(1, 2))
+    assert len(drawn) >= 4
+    for params, before in drawn:
+        assert params.vector.tobytes() == before
+
+
+def test_sweep_builds_a_fixed_number_of_parameter_sets(monkeypatch):
+    """One instance's sweep: init, the gradient buffer and the probe, not one per coordinate."""
+    built = []
+    init = ModelParams.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModelParams, "__init__", counting_init)
+    result = check_model_gradients(dims=(3,), memory_units=(2,), layers=(2,))
+    assert result.cases[0].report.num_coords > 200
+    assert len(built) == 3

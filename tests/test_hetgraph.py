@@ -397,6 +397,24 @@ def test_adjacency_is_frozen(tiny_graph):
         tiny_graph.ui.indices[0] = 99
 
 
+def test_closed_degrees_are_degrees_plus_one_built_once(tiny_graph):
+    uu = tiny_graph.uu
+    col = uu._closed_degrees
+    assert col.dtype == np.float64 and col.shape == (uu.num_rows, 1)
+    assert col.tobytes() == (uu.degrees() + 1.0)[:, None].tobytes()
+    assert col.ravel().tolist() == [2.0, 3.0, 2.0]
+    assert uu._closed_degrees is col
+    with pytest.raises(ValueError):
+        col[0, 0] = 5.0
+
+
+def test_closed_degrees_are_ones_without_social_ties(tiny_graph):
+    from dgnnrec.evaluation import strip_graph
+    uu = strip_graph(tiny_graph, True, False).uu
+    assert uu.num_edges == 0
+    assert np.array_equal(uu._closed_degrees, np.ones((tiny_graph.num_users, 1)))
+
+
 @pytest.mark.parametrize("case", ["random_with_duplicates", "empty", "rows_without_pairs",
                                   "every_pair_repeated"])
 def test_from_pairs_matches_unique_rows(case):
