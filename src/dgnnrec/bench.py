@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EdgeCache, FULL_VARIANT, ModelParams, layer_step
+from .model import FULL_VARIANT, ModelParams, layer_step
 from .seeding import PARAM_INIT, rng_for
 from .synthetic import make_random_graph
 
@@ -41,12 +41,11 @@ def time_layer_step(graph, dim: int = 16, memory_units: int = 8,
     """
     params = ModelParams.init(graph.num_nodes, dim, memory_units, 1,
                               rng_for(seed, PARAM_INIT))
-    cache = EdgeCache(graph)
-    layer_step(params.embeddings, graph, params, 0, FULL_VARIANT, cache)  # warmup
+    layer_step(params.embeddings, graph, params, 0, FULL_VARIANT)  # warmup, builds the layout
     samples = []
     for _ in range(reps):
         started = time.process_time()
-        layer_step(params.embeddings, graph, params, 0, FULL_VARIANT, cache)
+        layer_step(params.embeddings, graph, params, 0, FULL_VARIANT)
         samples.append(time.process_time() - started)
     return float(np.median(samples))
 

@@ -57,7 +57,12 @@ class RunConfig:
     eval_every: int = 0
 
     def cutoff_list(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.cutoffs.split(",") if x.strip())
+        """The comma-separated ``cutoffs``; ValueError unless they are distinct positive ints."""
+        out = tuple(int(x) if x.strip().isdigit() else 0
+                    for x in self.cutoffs.split(",") if x.strip())
+        if not out or min(out) < 1 or len(set(out)) < len(out):
+            raise ValueError(f"cutoffs {self.cutoffs!r}: expected distinct positive integers")
+        return out
 
     def training(self) -> TrainingConfig:
         return TrainingConfig(**{f.name: getattr(self, f.name) for f in fields(TrainingConfig)})

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from enum import IntEnum
 from functools import cached_property
 from pathlib import Path
 
@@ -165,6 +166,45 @@ def _in_sorted(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
 # the graph
 
 
+class EdgeType(IntEnum):
+    """Fixed order: checkpoints and parameter vectors serialize banks this way."""
+
+    UU = 0            # user <- user (social)
+    UI = 1            # user <- item
+    IU = 2            # item <- user
+    IR = 3            # item <- relation node
+    RI = 4            # relation node <- item
+    SELF_USER = 5
+    SELF_ITEM = 6
+    SELF_RELATION = 7
+
+
+@dataclass
+class TypedEdges:
+    """One message type's rows in the global node table and its adjacencies."""
+
+    tgt: slice          # target rows in the global node table
+    src: slice          # source rows in the global node table
+    adj: Adjacency      # target -> sources
+    rev: Adjacency      # source -> targets, the transpose of ``adj``
+
+    @cached_property
+    def receivers(self):
+        """Global rows of the targets that have a neighbour, ascending."""
+        return _shift(self.adj.plan.targets, self.tgt.start)
+
+    @cached_property
+    def senders(self):
+        """Global rows of the sources that have a neighbour, ascending."""
+        return _shift(self.rev.plan.targets, self.src.start)
+
+
+def _shift(rows, offset: int):
+    if isinstance(rows, slice):
+        return slice(rows.start + offset, rows.stop + offset)
+    return rows + offset
+
+
 @dataclass(frozen=True)
 class HeteroGraph:
     num_users: int
@@ -179,6 +219,43 @@ class HeteroGraph:
     @property
     def num_nodes(self) -> int:
         return self.num_users + self.num_items + self.num_relations
+
+    # The edge layout, built once per graph object; a copy made by ``replace`` builds its own.
+    @cached_property
+    def type_rows(self) -> dict:
+        """Self-loop EdgeType -> the rows of its node type, in EdgeType order."""
+        I, J, R = self.num_users, self.num_items, self.num_relations
+        return {EdgeType.SELF_USER: slice(0, I), EdgeType.SELF_ITEM: slice(I, I + J),
+                EdgeType.SELF_RELATION: slice(I + J, I + J + R)}
+
+    @cached_property
+    def typed_edges(self) -> dict:
+        """Message EdgeType -> its TypedEdges, in EdgeType order."""
+        users, items, rels = self.type_rows.values()
+        return {
+            EdgeType.UU: TypedEdges(users, users, self.uu, self.uu),
+            EdgeType.UI: TypedEdges(users, items, self.ui, self.iu),
+            EdgeType.IU: TypedEdges(items, users, self.iu, self.ui),
+            EdgeType.IR: TypedEdges(items, rels, self.ir, self.ri),
+            EdgeType.RI: TypedEdges(rels, items, self.ri, self.ir),
+        }
+
+    @cached_property
+    def node_denom(self) -> np.ndarray:
+        """Per node, its typed in-degree: the count its messages are averaged over. Read-only."""
+        denom = np.concatenate([self.uu.degrees() + self.ui.degrees(),
+                                self.iu.degrees() + self.ir.degrees(), self.ri.degrees()],
+                               dtype=np.float64)
+        denom.setflags(write=False)
+        return denom
+
+    @cached_property
+    def every_member(self):
+        """Every node, grouped as a layer works through them (see ``model.RowSet.members``)."""
+        messages = [(et, te, slice(None), te.receivers)
+                    for et, te in self.typed_edges.items() if te.adj.num_edges]
+        selves = [(et, sl, sl) for et, sl in self.type_rows.items() if sl.start != sl.stop]
+        return messages, selves
 
     @property
     def num_interactions(self) -> int:
@@ -368,10 +445,6 @@ class Split:
     def __post_init__(self):
         for a in (self.test_users, self.test_items, self.eval_negatives):
             a.setflags(write=False)
-
-    @property
-    def test_positives(self) -> list[tuple[int, int]]:
-        return list(zip(self.test_users.tolist(), self.test_items.tolist()))
 
 
 def split_leave_one_out(graph: HeteroGraph, seed: int,

@@ -25,7 +25,10 @@ neighbours, then the targets of one degree k are summed as k contiguous
 (targets, d) slabs. ``forward`` computes everything vectorized per edge
 type; ``backward`` walks the same schedule in reverse with analytical
 gradients, sending the sum's gradient back to the sources through the
-transpose adjacency.
+transpose adjacency. Which rows each type covers, its adjacencies and
+the in-degree denominators are the graph's own edge layout
+(``HeteroGraph.type_rows``, ``typed_edges`` and ``node_denom``), built
+once per graph.
 
 The last layer and H* work row by row, so ``forward`` can compute them
 on a ``RowSet`` only: a training batch reads the H* of every user and of
@@ -42,31 +45,16 @@ agree to about 1e-14.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import IntEnum
-from functools import cached_property
 
 import numpy as np
 
 from . import diffengine as de
-from .hetgraph import Adjacency, HeteroGraph
+from .hetgraph import Adjacency, EdgeType, HeteroGraph
 
 DEFAULT_LN_EPS = 1e-6
 # _mix_backward works through its rows in blocks whose (rows, M*d)
 # temporaries hold about this many float64, so its passes stay in cache.
 MIX_BLOCK_FLOATS = 1 << 18
-
-
-class EdgeType(IntEnum):
-    """Fixed order: checkpoints and parameter vectors serialize banks this way."""
-
-    UU = 0            # user <- user (social)
-    UI = 1            # user <- item
-    IU = 2            # item <- user
-    IR = 3            # item <- relation node
-    RI = 4            # relation node <- item
-    SELF_USER = 5
-    SELF_ITEM = 6
-    SELF_RELATION = 7
 
 
 @dataclass(frozen=True)
@@ -222,35 +210,7 @@ class ModelParams:
 
 
 # ---------------------------------------------------------------------------
-# edge tensors derived from the graph (built once, reused across layers)
-
-
-@dataclass
-class _TypedEdges:
-    tgt: slice          # target rows in the global embedding table
-    src: slice          # source rows in the global embedding table
-    adj: Adjacency      # target -> sources
-    rev: Adjacency      # source -> targets, the transpose of ``adj``
-
-    @property
-    def num_edges(self) -> int:
-        return self.adj.num_edges
-
-    @cached_property
-    def receivers(self):
-        """Global rows of the targets that have a neighbour, ascending."""
-        return _shift(self.adj.plan.targets, self.tgt.start)
-
-    @cached_property
-    def senders(self):
-        """Global rows of the sources that have a neighbour, ascending."""
-        return _shift(self.rev.plan.targets, self.src.start)
-
-
-def _shift(rows, offset: int):
-    if isinstance(rows, slice):
-        return slice(rows.start + offset, rows.stop + offset)
-    return rows + offset
+# row sets and neighbour sums
 
 
 def _take(rows, keep):
@@ -287,20 +247,11 @@ class RowSet:
         below = np.searchsorted(self.index, (I, I + J)).tolist()
         self._below = {0: 0, I: below[0], I + J: below[1], N: self.index.size}
 
-    def of_type(self, sl: slice):
-        """(compact slice, full-height rows) of the members of the node type ``sl``."""
-        if self.mask is None:
-            return sl, sl
-        lo, hi = self._below[sl.start], self._below[sl.stop]
-        return slice(lo, hi), sl if hi - lo == sl.stop - sl.start else self.index[lo:hi]
-
     def within(self, rows, sl: slice):
         """(positions of the members in ``rows``, those members), or None when none is.
 
         ``rows`` are ascending rows of the node type ``sl``, a slice or an array.
         """
-        if self.mask is None:
-            return slice(None), rows
         count = self._below[sl.stop] - self._below[sl.start]
         if count == sl.stop - sl.start:
             return slice(None), rows
@@ -320,60 +271,38 @@ class RowSet:
         out[self.index] = compact
         return out
 
-
-ALL_ROWS = RowSet()
-
-
-class EdgeCache:
-    """Per-edge-type row slices and adjacencies plus aggregation denominators."""
-
-    def __init__(self, graph: HeteroGraph):
-        I, J, R = graph.num_users, graph.num_items, graph.num_relations
-        users, items, rels = slice(0, I), slice(I, I + J), slice(I + J, I + J + R)
-        self.slices = {
-            EdgeType.SELF_USER: users,
-            EdgeType.SELF_ITEM: items,
-            EdgeType.SELF_RELATION: rels,
-        }
-        self.edges = {
-            EdgeType.UU: _TypedEdges(users, users, graph.uu, graph.uu),
-            EdgeType.UI: _TypedEdges(users, items, graph.ui, graph.iu),
-            EdgeType.IU: _TypedEdges(items, users, graph.iu, graph.ui),
-            EdgeType.IR: _TypedEdges(items, rels, graph.ir, graph.ri),
-            EdgeType.RI: _TypedEdges(rels, items, graph.ri, graph.ir),
-        }
-        denom = np.zeros(I + J + R)
-        denom[users] = graph.uu.degrees() + graph.ui.degrees()
-        denom[items] = graph.iu.degrees() + graph.ir.degrees()
-        denom[rels] = graph.ri.degrees()
-        self.node_denom = denom
-
-    def members(self, rows: RowSet):
-        """The members of ``rows``, grouped as a layer works through them.
+    def members(self, graph: HeteroGraph):
+        """The members, grouped as a layer of ``graph`` works through them.
 
         Returns (messages, selves): per message type that reaches a member,
         (type, edges, positions of the members among its receivers, those
         receivers); per node type with a member, (type, compact slice,
-        full-height rows). Both in EdgeType order.
+        full-height rows). Both in EdgeType order. For every row this is
+        the graph's own ``every_member``.
         """
-        return self._every_member if rows.mask is None else self._group(rows)
-
-    @cached_property
-    def _every_member(self):
-        return self._group(ALL_ROWS)
-
-    def _group(self, rows: RowSet):
+        if self.mask is None:
+            return graph.every_member
+        every_message, every_self = graph.every_member
         messages = []
-        for et, te in self.edges.items():
-            found = rows.within(te.receivers, te.tgt) if te.num_edges else None
+        for et, te, _, receivers in every_message:
+            found = self.within(receivers, te.tgt)
             if found is not None:
                 messages.append((et, te, *found))
         selves = []
-        for et, sl in self.slices.items():
-            part, type_rows = rows.of_type(sl)
-            if part.start != part.stop:
-                selves.append((et, part, type_rows))
+        for et, sl, _ in every_self:
+            lo, hi = self._below[sl.start], self._below[sl.stop]
+            if lo != hi:
+                whole = hi - lo == sl.stop - sl.start
+                selves.append((et, slice(lo, hi), sl if whole else self.index[lo:hi]))
         return messages, selves
+
+
+ALL_ROWS = RowSet()
+
+
+def EdgeCache(graph: HeteroGraph) -> HeteroGraph:
+    """Returns ``graph``, which owns its edge layout; kept only for the benchmark harness."""
+    return graph
 
 
 def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
@@ -445,16 +374,15 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
 
 
 def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: int,
-               variant: ModelVariant = FULL_VARIANT, edge_cache: EdgeCache | None = None,
-               _record: list | None = None, rows: RowSet = ALL_ROWS) -> np.ndarray:
+               variant: ModelVariant = FULL_VARIANT, _record: list | None = None,
+               rows: RowSet = ALL_ROWS) -> np.ndarray:
     """One propagation layer: aggregate, normalize, activate, add self loop.
 
     Only the ``rows`` are computed, each as the full layer computes it (bit
     for bit where BLAS allows, see the module docstring); the other rows of
     the result are NaN. A message type mixes only the members it reaches.
     """
-    cache = edge_cache if edge_cache is not None else EdgeCache(graph)
-    messages, selves = cache.members(rows)
+    messages, selves = rows.members(graph)
     agg = np.zeros_like(emb)
     att_pre: dict = {}
     sums: dict = {}
@@ -463,7 +391,7 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
         mixed, att_pre[et] = _mix(emb[receivers], sums[et], params.banks[et], variant)
         agg[receivers] += mixed
     agg = agg[rows.index]
-    denom = cache.node_denom[rows.index, None]
+    denom = graph.node_denom[rows.index, None]
     np.divide(agg, denom, out=agg, where=denom > 0)
 
     if variant.layer_norm:
@@ -519,23 +447,22 @@ def final_embeddings(layers, eps: float = DEFAULT_LN_EPS, rows: RowSet = ALL_ROW
 
 def forward(graph: HeteroGraph, params: ModelParams,
             variant: ModelVariant = FULL_VARIANT,
-            edge_cache: EdgeCache | None = None,
-            rows: RowSet = ALL_ROWS) -> LayerState:
+            rows: RowSet = ALL_ROWS, edge_cache=None) -> LayerState:
     """Run all propagation layers from the initial embeddings, then H*.
 
     ``rows`` are the rows of H* to compute. Since the last layer and H*
     work row by row, only the last layer is cut to them; the earlier
-    layers stay whole, as their neighbours feed it.
+    layers stay whole, as their neighbours feed it. ``edge_cache`` is
+    unused and is kept only for the benchmark harness.
     """
     if params.num_nodes != graph.num_nodes:
         raise de.ShapeError(
             f"params cover {params.num_nodes} nodes but graph has {graph.num_nodes}")
-    cache = edge_cache if edge_cache is not None else EdgeCache(graph)
     records: list = []
     layers = [params.embeddings]
     for step in range(params.num_layers):
         last = rows if step == params.num_layers - 1 else ALL_ROWS
-        layers.append(layer_step(layers[-1], graph, params, step, variant, cache, records, last))
+        layers.append(layer_step(layers[-1], graph, params, step, variant, records, last))
     hstar, inv = final_embeddings(layers, params.ln_eps, rows)
     return LayerState(layers, hstar, inv, records, rows)
 
@@ -590,15 +517,15 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
 
 
 def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
-                   params: ModelParams, step: int, variant: ModelVariant,
-                   cache: EdgeCache, grads: ModelParams) -> np.ndarray:
+                   graph: HeteroGraph, params: ModelParams, step: int,
+                   variant: ModelVariant, grads: ModelParams) -> np.ndarray:
     """Backward of one layer_step; returns gradient w.r.t. the layer input.
 
     ``d_out`` holds the rows the layer computed (``scache.rows``) and is
     overwritten.
     """
     rows = scache.rows
-    messages, selves = cache.members(rows)
+    messages, selves = rows.members(graph)
     d_emb = np.zeros_like(emb)
 
     # Self-loop path: the row is both the attention target and the "sum".
@@ -617,7 +544,7 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
     else:
         d_agg = d_y
 
-    denom = cache.node_denom[rows.index, None]
+    denom = graph.node_denom[rows.index, None]
     d_msum = np.zeros_like(d_agg)
     np.divide(d_agg, denom, out=d_msum, where=denom > 0)
     d_msum = rows.expand(d_msum, 0.0)
@@ -632,13 +559,11 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
 
 
 def backward(graph: HeteroGraph, params: ModelParams, state: LayerState,
-             d_hstar: np.ndarray, variant: ModelVariant = FULL_VARIANT,
-             edge_cache: EdgeCache | None = None) -> ModelParams:
+             d_hstar: np.ndarray, variant: ModelVariant = FULL_VARIANT) -> ModelParams:
     """Gradients of a scalar loss w.r.t. every parameter, given dL/dH*.
 
     Only the rows of ``d_hstar`` that ``state``'s forward computed are read.
     """
-    cache = edge_cache if edge_cache is not None else EdgeCache(graph)
     grads = params.zeros_like()
     num_layers = state.num_layers
     d = params.dim
@@ -656,6 +581,6 @@ def backward(graph: HeteroGraph, params: ModelParams, state: LayerState,
     for step in reversed(range(num_layers)):
         d_layers[step] += _step_backward(
             d_layers[step + 1], state.layers[step], state.step_caches[step],
-            params, step, variant, cache, grads)
+            graph, params, step, variant, grads)
     grads.embeddings += d_layers[0]
     return grads

@@ -4,9 +4,10 @@ A batch runs one forward, which computes the final representation
 only on the rows its objective reads (every user and the sampled items)
 when those are under half of the nodes, scores its sampled triplets, and
 takes a single Adam step on the mean pairwise loss plus weight decay
-over the whole parameter vector. Per-epoch RNG streams are derived from
-(seed, epoch), so resuming from a checkpoint mid-run reproduces the
-loss trajectory of an uninterrupted run exactly.
+over the whole parameter vector. Every batch reads the train graph's
+edge layout, which its first forward builds. Per-epoch RNG streams are
+derived from (seed, epoch), so resuming from a checkpoint mid-run
+reproduces the loss trajectory of an uninterrupted run exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import diffengine as de
 from .hetgraph import HeteroGraph, sample_bpr_batch
-from .model import (ALL_ROWS, EdgeCache, FULL_VARIANT, ModelParams, ModelVariant, RowSet,
+from .model import (ALL_ROWS, FULL_VARIANT, ModelParams, ModelVariant, RowSet,
                     _neighbor_sum, _spread, backward, forward, recalibrated_users)
 from .seeding import PARAM_INIT, TRIPLETS, rng_for
 
@@ -66,7 +67,7 @@ def _triplet_scores(hstar: np.ndarray, q_users: np.ndarray, num_users: int,
 
 
 def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, reg: float,
-                     variant: ModelVariant, edge_cache: EdgeCache | None):
+                     variant: ModelVariant):
     """(objective value, forward state, pos - neg scores, scoring vectors of ``users``).
 
     The objective reads H* on every user (recalibration averages social
@@ -87,7 +88,7 @@ def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, r
         items[pos] = True
         items[neg] = True
         rows = RowSet(graph, mask)
-    state = forward(graph, params, variant, edge_cache, rows)
+    state = forward(graph, params, variant, rows)
     q_users = recalibrated_users(state.hstar, graph, variant)
     s_pos, s_neg, qp = _triplet_scores(state.hstar, q_users, graph.num_users, users, pos, neg)
     vec = params.to_vector()
@@ -97,10 +98,9 @@ def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, r
 
 def bpr_batch_loss(graph: HeteroGraph, params: ModelParams,
                    users, pos, neg, reg: float,
-                   variant: ModelVariant = FULL_VARIANT,
-                   edge_cache: EdgeCache | None = None) -> float:
+                   variant: ModelVariant = FULL_VARIANT) -> float:
     """Forward-only objective value for a fixed triplet batch."""
-    return _batch_objective(graph, params, users, pos, neg, reg, variant, edge_cache)[0]
+    return _batch_objective(graph, params, users, pos, neg, reg, variant)[0]
 
 
 def _scatter_rows(rows: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndarray:
@@ -115,16 +115,14 @@ def _scatter_rows(rows: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndar
 
 def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
                    users, pos, neg, reg: float,
-                   variant: ModelVariant = FULL_VARIANT,
-                   edge_cache: EdgeCache | None = None):
+                   variant: ModelVariant = FULL_VARIANT):
     """(loss, flat gradient) of the batch objective; exact analytical backward."""
-    cache = edge_cache if edge_cache is not None else EdgeCache(graph)
     users = np.asarray(users, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
     neg = np.asarray(neg, dtype=np.int64)
     num_users = graph.num_users
 
-    loss, state, margin, qp = _batch_objective(graph, params, users, pos, neg, reg, variant, cache)
+    loss, state, margin, qp = _batch_objective(graph, params, users, pos, neg, reg, variant)
     hstar = state.hstar
 
     # d(mean softplus(-margin))/d margin = -sigmoid(-margin)/B
@@ -145,7 +143,7 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
     else:
         d_hstar[:num_users] += d_q
 
-    grads = backward(graph, params, state, d_hstar, variant, cache)
+    grads = backward(graph, params, state, d_hstar, variant)
     return loss, grads.to_vector() + (2.0 * reg) * params.vector
 
 
@@ -155,20 +153,18 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
 
 def train_epoch(graph: HeteroGraph, params: ModelParams, config: TrainingConfig,
                 rng: np.random.Generator, adam_state: de.AdamState | None = None,
-                variant: ModelVariant = FULL_VARIANT,
-                edge_cache: EdgeCache | None = None):
+                variant: ModelVariant = FULL_VARIANT):
     """ceil(|Y|/batch) batches of sampled triplets, one Adam step each.
 
     Returns (params, adam_state, mean batch loss); inputs are not mutated.
     """
-    cache = edge_cache if edge_cache is not None else EdgeCache(graph)
     if adam_state is None:
         adam_state = de.AdamState.zeros(params.num_params)
     num_batches = max(1, math.ceil(graph.num_interactions / config.batch_size))
     losses = []
     for batch_no in range(num_batches):
         users, pos, neg = sample_bpr_batch(graph, rng, config.batch_size)
-        loss, grad = bpr_batch_grad(graph, params, users, pos, neg, config.reg, variant, cache)
+        loss, grad = bpr_batch_grad(graph, params, users, pos, neg, config.reg, variant)
         if not np.isfinite(loss):
             raise de.NonFiniteError(
                 f"non-finite loss in batch {batch_no}; "
@@ -196,14 +192,13 @@ def train_model(train_graph: HeteroGraph, config: TrainingConfig,
         params = ModelParams.init(train_graph.num_nodes, config.dim, config.memory_units,
                                   config.layers, rng_for(config.seed, PARAM_INIT))
     adam_state = initial_adam if initial_adam is not None else de.AdamState.zeros(params.num_params)
-    cache = EdgeCache(train_graph)
     losses = []
     for epoch in range(start_epoch + 1, config.epochs + 1):
         rng = rng_for(config.seed, TRIPLETS, epoch)
         started = time.perf_counter()
         try:
             params, adam_state, mean_loss = train_epoch(
-                train_graph, params, config, rng, adam_state, variant, cache)
+                train_graph, params, config, rng, adam_state, variant)
         except de.NonFiniteError as exc:
             raise de.NonFiniteError(f"epoch {epoch}: {exc}") from None
         losses.append(mean_loss)
@@ -385,7 +380,7 @@ def _kink_margin(graph, params, variant) -> float:
     return margin
 
 
-def _vector_objective(graph, params, users, pos, neg, reg, variant, cache):
+def _vector_objective(graph, params, users, pos, neg, reg, variant):
     """``vec -> bpr_batch_loss`` at parameters holding ``vec``, for ``finite_diff_check``.
 
     Each call copies ``vec`` into one probe ``ModelParams`` built here
@@ -396,7 +391,7 @@ def _vector_objective(graph, params, users, pos, neg, reg, variant, cache):
 
     def objective(vec):
         probe.vector[...] = vec
-        return bpr_batch_loss(graph, probe, users, pos, neg, reg, variant, cache)
+        return bpr_batch_loss(graph, probe, users, pos, neg, reg, variant)
 
     return objective
 
@@ -419,10 +414,9 @@ def check_model_gradients(dims=(2, 4, 8), memory_units=(1, 2, 4), layers=(0, 1, 
                     attempt += 1
                     if attempt > 100:
                         raise RuntimeError("could not draw a kink-free instance")
-                cache = EdgeCache(graph)
                 users, pos, neg = triplets
-                _, grad = bpr_batch_grad(graph, params, users, pos, neg, reg, variant, cache)
-                objective = _vector_objective(graph, params, users, pos, neg, reg, variant, cache)
+                _, grad = bpr_batch_grad(graph, params, users, pos, neg, reg, variant)
+                objective = _vector_objective(graph, params, users, pos, neg, reg, variant)
                 report = de.finite_diff_check(objective, params.to_vector(), grad, h, tol)
                 group_errors = {name: float(report.errors[sl].max())
                                 for name, sl in params.group_slices() if sl.stop > sl.start}

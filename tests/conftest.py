@@ -1,4 +1,5 @@
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # dense_reference import
 
-from dgnnrec.hetgraph import build_graph
+from dgnnrec.hetgraph import HeteroGraph, build_graph
 from dgnnrec.model import FULL_VARIANT, ModelParams, recalibrated_users
 from dgnnrec.seeding import PARAM_INIT, rng_for
 
@@ -26,6 +27,26 @@ def random_small_graph(rng, max_users=6, max_items=8, max_relations=4):
     ir = {(int(rng.integers(J)), int(rng.integers(R)))
           for _ in range(int(rng.integers(0, J + 2)))}
     return build_graph(sorted(ui), sorted(uu), sorted(ir), I, J, R)
+
+
+# The cached properties that make up a graph's edge layout.
+LAYOUT = ("type_rows", "typed_edges", "node_denom", "every_member")
+
+
+def count_layout_builds(monkeypatch) -> list:
+    """From here on, each build of a layout property appends (name, graph) to the list returned."""
+    builds = []
+    for name in LAYOUT:
+        build = getattr(HeteroGraph, name).func
+
+        def counted(graph, build=build, name=name):
+            builds.append((name, graph))
+            return build(graph)
+
+        prop = cached_property(counted)
+        prop.__set_name__(HeteroGraph, name)
+        monkeypatch.setattr(HeteroGraph, name, prop)
+    return builds
 
 
 def random_params(graph, dim, num_units, num_layers, seed=0):

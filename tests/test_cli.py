@@ -211,6 +211,18 @@ def test_ablate_single_variant(dataset_dir, tmp_path, capsys):
     assert "-ST" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cutoffs", ["", ",", "0,-5", "5,0", "10,5,10", "5,x"])
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_bad_cutoffs_are_a_usage_error(dataset_dir, tmp_path, capsys, command, cutoffs):
+    out = tmp_path / "run"
+    if command == "eval":
+        assert cli.main(["train", *_base_args(dataset_dir, out, ["--epochs", "0"])]) == 0
+    argv = [command, *_base_args(dataset_dir, out, ["--variant=-ST"]), f"--cutoffs={cutoffs}"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"cutoffs {cutoffs!r}" in capsys.readouterr().err
+    assert not list(out.glob("metrics*.tsv"))
+
+
 def test_export_attn(dataset_dir, tmp_path):
     out = tmp_path / "run"
     cli.main(["train", *_base_args(dataset_dir, out)])

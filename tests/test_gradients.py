@@ -11,7 +11,7 @@ from dgnnrec import diffengine as de
 from dgnnrec import model, training
 from dgnnrec.evaluation import strip_graph
 from dgnnrec.hetgraph import build_graph
-from dgnnrec.model import EdgeCache, FULL_VARIANT, ModelParams, ModelVariant
+from dgnnrec.model import FULL_VARIANT, ModelParams, ModelVariant
 from dgnnrec.training import (bpr_batch_grad, bpr_batch_loss, check_model_gradients,
                               _kink_margin, _random_instance, _vector_objective)
 
@@ -35,25 +35,22 @@ def test_gradients_cover_ablation_variants(variant):
 
 def test_every_parameter_group_receives_gradient():
     graph, params, (users, pos, neg) = _random_instance(4, 2, 2, seed=3)
-    cache = EdgeCache(graph)
-    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
     for name, sl in params.group_slices():
         assert np.any(grad[sl] != 0.0), f"group {name} got no gradient"
 
 
 def test_objective_matches_between_loss_and_grad_paths():
     graph, params, (users, pos, neg) = _random_instance(3, 2, 1, seed=8)
-    cache = EdgeCache(graph)
-    loss_a = bpr_batch_loss(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
-    loss_b, _ = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    loss_a = bpr_batch_loss(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
+    loss_b, _ = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
     assert loss_a == loss_b
 
 
 def test_zero_regularization_drops_decay_term():
     graph, params, (users, pos, neg) = _random_instance(3, 1, 1, seed=2)
-    cache = EdgeCache(graph)
-    with_reg = bpr_batch_loss(graph, params, users, pos, neg, 1e-2, FULL_VARIANT, cache)
-    without = bpr_batch_loss(graph, params, users, pos, neg, 0.0, FULL_VARIANT, cache)
+    with_reg = bpr_batch_loss(graph, params, users, pos, neg, 1e-2, FULL_VARIANT)
+    without = bpr_batch_loss(graph, params, users, pos, neg, 0.0, FULL_VARIANT)
     vec = params.to_vector()
     assert with_reg == pytest.approx(without + 1e-2 * float(vec @ vec))
 
@@ -81,15 +78,14 @@ def test_gradients_on_graphs_with_empty_edge_types(reduce, num_layers):
     # keeps their activation off the leaky_relu kink.
     params.ln_shift[:] = 0.3
     assert _kink_margin(graph, params, FULL_VARIANT) >= 1e-4
-    cache = EdgeCache(graph)
-    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
-    empty = {et.name.lower() for et, te in cache.edges.items() if te.num_edges == 0}
+    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
+    empty = {et.name.lower() for et, te in graph.typed_edges.items() if te.adj.num_edges == 0}
     assert empty >= {"ir", "ri"}
     decay = (2.0 * 1e-3) * params.to_vector()
     for name, sl in params.group_slices():
         if name.startswith("bank.") and name.split(".")[1] in empty:
             assert np.array_equal(grad[sl], decay[sl]), f"{name} got a model gradient"
-    objective = _vector_objective(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    objective = _vector_objective(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
     report = de.finite_diff_check(objective, params.to_vector(), grad)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
 
@@ -98,21 +94,20 @@ def test_blocked_mix_backward_matches_one_block(monkeypatch):
     """The oracle and grad-check graphs fit in one block; force several here."""
     dim, units = 3, 2
     graph, params, (users, pos, neg) = _random_instance(dim, units, 2, seed=6)
-    cache = EdgeCache(graph)
     assert graph.num_items > 3
-    _, whole = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    _, whole = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
     monkeypatch.setattr(model, "MIX_BLOCK_FLOATS", 3 * units * dim)  # 3 rows per block
-    _, blocked = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    _, blocked = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
     np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
-    objective = _vector_objective(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    objective = _vector_objective(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
     report = de.finite_diff_check(objective, params.to_vector(), blocked, tol=1e-4)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
 
 
-def _objective_per_evaluation(graph, params, users, pos, neg, reg, variant, cache):
+def _objective_per_evaluation(graph, params, users, pos, neg, reg, variant):
     """The reference objective: fresh parameters viewing each evaluated vector."""
     def objective(vec):
-        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg, reg, variant, cache)
+        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg, reg, variant)
     return objective
 
 

@@ -181,7 +181,7 @@ def _chain_graph(num_users=8, num_items=12, per_user=3, seed=0):
 def test_split_partitions_each_user():
     g = _chain_graph()
     split = hg.split_leave_one_out(g, seed=5, num_negatives=5)
-    for u, held in split.test_positives:
+    for u, held in zip(split.test_users.tolist(), split.test_items.tolist()):
         train_items = set(split.train_graph.ui.neighbors(u).tolist())
         full_items = set(g.ui.neighbors(u).tolist())
         assert held not in train_items

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import random_params, random_small_graph, score
+from conftest import LAYOUT, random_params, random_small_graph, score
 from dense_reference import dense_forward, dense_predict, mixed_transform
 from dgnnrec import diffengine as de
 from dgnnrec import model
-from dgnnrec.hetgraph import Adjacency, build_graph, sample_bpr_batch
-from dgnnrec.model import (EdgeCache, EdgeType, FULL_VARIANT, MemoryBank, ModelParams,
+from dgnnrec.evaluation import strip_graph
+from dgnnrec.hetgraph import Adjacency, build_graph, sample_bpr_batch, split_leave_one_out
+from dgnnrec.model import (EdgeType, FULL_VARIANT, MemoryBank, ModelParams,
                            ModelVariant, RowSet, _batch_attention, _mix_backward, _neighbor_sum,
                            _spread, final_embeddings, forward, layer_step,
                            recalibrated_users)
-from dgnnrec.synthetic import make_planted_dataset
+from dgnnrec.synthetic import make_planted_dataset, make_random_graph
 from dgnnrec.training import _kink_margin, bpr_batch_grad, bpr_batch_loss
 
 
@@ -299,6 +300,42 @@ def test_forward_rejects_mismatched_params(tiny_graph):
     bad = ModelParams.zeros(2, 4, 2, 1)
     with pytest.raises(de.ShapeError):
         forward(tiny_graph, bad)
+
+
+def test_every_graph_reads_its_own_edge_layout():
+    a, b = (make_random_graph(num_users=12, num_items=20, num_relations=3, num_interactions=40,
+                              num_social=15, num_item_relations=20, seed=seed) for seed in (1, 2))
+    assert a.num_nodes == b.num_nodes and a.ui.pairs().tolist() != b.ui.pairs().tolist()
+    p = random_params(a, 4, 2, 2)
+    want = forward(a, p)
+    # The argument is unused: another graph's layout cannot leak into the forward.
+    got = forward(a, p, edge_cache=model.EdgeCache(b))
+    for x, y in zip(got.layers + [got.hstar], want.layers + [want.hstar]):
+        assert x.tobytes() == y.tobytes()
+    assert not np.array_equal(forward(b, p).hstar, want.hstar)
+    for name in LAYOUT:
+        assert getattr(a, name) is getattr(a, name), name
+
+    # The train graph of a split counts the held-out interactions out of its denominators.
+    split = split_leave_one_out(a, seed=0, num_negatives=5)
+    held = a.node_denom.copy()
+    np.subtract.at(held, split.test_users, 1.0)
+    np.subtract.at(held, a.num_users + split.test_items, 1.0)
+    assert split.test_users.size and np.array_equal(split.train_graph.node_denom, held)
+
+    users, items, rels = a.type_rows.values()
+    for drop_social, drop_relations in ((True, False), (False, True), (True, True)):
+        g = strip_graph(a, drop_social, drop_relations)
+        assert all(getattr(g, name) is not getattr(a, name) for name in LAYOUT)
+        denom = a.node_denom.copy()
+        if drop_social:
+            denom[users] -= a.uu.degrees()
+        if drop_relations:
+            denom[items] -= a.ir.degrees()
+            denom[rels] = 0.0
+        assert np.array_equal(g.node_denom, denom), (drop_social, drop_relations)
+        assert [et for et, *_ in g.every_member[0]] == [
+            et for et, te in g.typed_edges.items() if te.adj.num_edges]
 
 
 VARIANTS = {"full": FULL_VARIANT, "-M": ModelVariant(memory_attention=False),
@@ -607,13 +644,12 @@ def test_batch_gradient_with_most_items_unsampled(monkeypatch):
         return _mix_backward(g, *args)
 
     monkeypatch.setattr(model, "_mix_backward", recording)
-    cache = EdgeCache(graph)
-    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT, cache)
+    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
     assert min(mixed_rows) <= 4
 
     def objective(vec):
         return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
-                              1e-3, FULL_VARIANT, cache)
+                              1e-3, FULL_VARIANT)
 
     report = de.finite_diff_check(objective, params.to_vector(), grad)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import dgnnrec
-from conftest import score
+from conftest import LAYOUT, count_layout_builds, score
 from dgnnrec import diffengine as de
 from dgnnrec import training
 from dgnnrec.hetgraph import build_graph, sample_bpr_batch, split_leave_one_out
-from dgnnrec.model import (ALL_ROWS, EdgeCache, FULL_VARIANT, ModelParams, ModelVariant, RowSet,
+from dgnnrec.model import (ALL_ROWS, FULL_VARIANT, ModelParams, ModelVariant, RowSet,
                            forward)
 from dgnnrec.seeding import PARAM_INIT, rng_for
 from dgnnrec.synthetic import make_planted_dataset, make_random_graph
@@ -110,19 +110,18 @@ def test_margin_grows_with_embeddings_only():
     # embeddings; plain gradient descent must push sigmoid(margin) toward 1.
     g = build_graph([(0, 0)], [], [], 1, 2, 0)
     params = ModelParams.init(g.num_nodes, 4, 1, 1, rng_for(3, PARAM_INIT))
-    cache = EdgeCache(g)
     users, pos, neg = np.array([0]), np.array([0]), np.array([1])
     emb_slice = dict(params.group_slices())["embeddings"]
 
     def margin_of(p):
-        state = forward(g, p, FULL_VARIANT, cache)
+        state = forward(g, p)
         return score(0, 0, state.hstar, g) - score(0, 1, state.hstar, g)
 
     margins = [margin_of(params)]
     vec = params.to_vector()
     for _ in range(100):
         _, grad = bpr_batch_grad(g, params.with_vector(vec), users, pos, neg,
-                                 0.0, FULL_VARIANT, cache)
+                                 0.0, FULL_VARIANT)
         masked = np.zeros_like(grad)
         masked[emb_slice] = grad[emb_slice]
         vec = vec - 0.05 * masked
@@ -158,18 +157,17 @@ def _live_and_full(graph, params, triplets, reg, variant):
 
     Returns per run (loss, gradient, H*, the row set the objective asked for).
     """
-    cache = EdgeCache(graph)
     runs = []
     for every_row in (False, True):
         seen = []
 
-        def recording(g, p, v, c, rows):
-            seen.append((rows, forward(g, p, v, c, ALL_ROWS if every_row else rows)))
+        def recording(g, p, v, rows):
+            seen.append((rows, forward(g, p, v, ALL_ROWS if every_row else rows)))
             return seen[-1][1]
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(training, "forward", recording)
-            loss, grad = bpr_batch_grad(graph, params, *triplets, reg, variant, cache)
+            loss, grad = bpr_batch_grad(graph, params, *triplets, reg, variant)
         (rows, state), = seen
         runs.append((loss, grad, state.hstar, rows))
     return runs
@@ -250,12 +248,11 @@ def test_row_set_gradient_matches_finite_differences(name, num_layers):
         pytest.fail("no kink-free parameters drawn")
     users, pos, neg = sample_bpr_batch(graph, np.random.default_rng(3), 2)
     assert len(set(pos.tolist()) | set(neg.tolist())) <= 4
-    cache = EdgeCache(graph)
-    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, variant, cache)
+    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, variant)
 
     def objective(vec):
         return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
-                              1e-3, variant, cache)
+                              1e-3, variant)
 
     report = de.finite_diff_check(objective, params.to_vector(), grad)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
@@ -266,10 +263,10 @@ def test_an_item_missing_from_the_row_set_poisons_the_loss(monkeypatch):
     cfg = TrainingConfig(dim=4, layers=2, memory_units=2, batch_size=4, epochs=1, seed=0)
     params = ModelParams.init(g.num_nodes, 4, 2, 2, rng_for(0, PARAM_INIT))
 
-    def dropping_an_item(graph, p, variant, cache, rows):
+    def dropping_an_item(graph, p, variant, rows):
         mask = rows.mask.copy()
         mask[graph.num_users + np.flatnonzero(mask[graph.num_users:])[0]] = False
-        return forward(graph, p, variant, cache, RowSet(graph, mask))
+        return forward(graph, p, variant, RowSet(graph, mask))
 
     monkeypatch.setattr(training, "forward", dropping_an_item)
     with np.errstate(invalid="ignore"):
@@ -423,6 +420,16 @@ def test_train_model_leaves_initial_params_untouched():
     assert not np.shares_memory(out.vector, initial.vector)
     again, _, _ = train_model(g, cfg, initial=initial)
     assert again.to_vector().tobytes() == out.to_vector().tobytes()
+
+
+def test_training_and_scoring_build_the_layout_once(monkeypatch):
+    g = _small_world()
+    builds = count_layout_builds(monkeypatch)
+    cfg = TrainingConfig(dim=4, layers=2, memory_units=2, batch_size=16, epochs=3, seed=0)
+    params, _, _ = train_model(g, cfg)
+    forward(g, params)
+    assert sorted(name for name, _ in builds) == sorted(LAYOUT)
+    assert all(graph is g for _, graph in builds)
 
 
 def test_resume_reproduces_loss_trajectory(tmp_path):
