@@ -38,23 +38,28 @@ EXIT_IO = 5
 EXIT_EVAL = 6
 
 
-@dataclass
-class RunConfig:
+@dataclass(frozen=True)
+class RunConfig(TrainingConfig):
+    """A run's settings: the training config plus the data, output and evaluation ones.
+
+    Every value is checked on construction, so a bad setting is a ValueError
+    before anything is read or written. ``variant`` may be ``all`` here;
+    only ``ablate`` accepts it (see ``_resolve_config``).
+    """
+
     interactions: str = ""
     social: str = ""
     item_relations: str = ""
     out: str = "runs/out"
-    dim: int = 16
-    layers: int = 2
-    memory_units: int = 8
-    lr: float = 0.01
-    batch_size: int = 2048
-    reg: float = 1e-4
-    epochs: int = 80
-    seed: int = 0
     cutoffs: str = "5,10,20"
     variant: str = "full"
     eval_every: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.cutoff_list()
+        if self.variant != "all":
+            AblationVariant.parse(self.variant)
 
     def cutoff_list(self) -> tuple[int, ...]:
         """The comma-separated ``cutoffs``; ValueError unless they are distinct positive ints."""
@@ -63,9 +68,6 @@ class RunConfig:
         if not out or min(out) < 1 or len(set(out)) < len(out):
             raise ValueError(f"cutoffs {self.cutoffs!r}: expected distinct positive integers")
         return out
-
-    def training(self) -> TrainingConfig:
-        return TrainingConfig(**{f.name: getattr(self, f.name) for f in fields(TrainingConfig)})
 
 
 def load_config(path) -> RunConfig:
@@ -100,11 +102,15 @@ def save_config(cfg: RunConfig, path) -> None:
 def _resolve_config(args) -> RunConfig:
     """The config file's values (or the defaults), overridden by every flag given.
 
-    Each flag's argparse ``dest`` is the name of its RunConfig field.
+    Each flag's argparse ``dest`` is the name of its RunConfig field. Raises
+    ValueError on a bad setting, and on variant ``all`` outside ``ablate``.
     """
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    if cfg.variant == "all" and args.command != "ablate":
+        raise ValueError(f"variant 'all' is for ablate only, not {args.command}")
+    return cfg
 
 
 def _load_graph(cfg: RunConfig, users=None, items=None, relations=None):
@@ -149,7 +155,7 @@ def _forward_checkpoint(args):
     """(config, output directory, split on the variant's graph, model variant,
     parameters, layer state) of the checkpoint trained on this data, run forward."""
     cfg, out, split = _prepare(args)
-    split, model_variant, _ = AblationVariant.parse(cfg.variant).apply(split, cfg.training())
+    split, model_variant, _ = AblationVariant.parse(cfg.variant).apply(split, cfg)
     graph = split.train_graph
     ckpt = load_checkpoint(args.checkpoint or out / "model.ckpt")
     if (ckpt.num_users, ckpt.num_items, ckpt.num_relations) != (
@@ -185,7 +191,7 @@ def cmd_build(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, out, split = _prepare(args)
-    split, model_variant, tc = AblationVariant.parse(cfg.variant).apply(split, cfg.training())
+    split, model_variant, tc = AblationVariant.parse(cfg.variant).apply(split, cfg)
     graph = split.train_graph
 
     log_path = out / "train_log.tsv"
@@ -223,13 +229,15 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg, out, split = _prepare(args)
+    # Without --variant, every variant runs, whatever the config file says.
     wanted = (list(AblationVariant) if args.variant in (None, "all")
-              else [AblationVariant.parse(args.variant)])
+              else [AblationVariant.parse(cfg.variant)])
+    cutoffs = cfg.cutoff_list()
+    n = cutoffs[min(1, len(cutoffs) - 1)]
     for variant in wanted:
-        report = run_ablation(variant, split, cfg.training(), cfg.cutoff_list())
+        report = run_ablation(variant, split, cfg, cutoffs)
         tag = variant.value.lstrip("-") or "full"
         (out / f"metrics_{tag}.tsv").write_text(report_lines(report), encoding="utf-8")
-        n = cfg.cutoff_list()[min(1, len(cfg.cutoff_list()) - 1)]
         print(f"{variant.value:<5s} HR@{n} {report.hr[n]:.4f}  NDCG@{n} {report.ndcg[n]:.4f}")
     return EXIT_OK
 

@@ -147,8 +147,8 @@ class AblationVariant(Enum):
                  "ln": cls.NO_LAYER_NORM, "t": cls.NO_ITEM_RELATIONS,
                  "s": cls.NO_SOCIAL, "st": cls.NO_SOCIAL_NO_RELATIONS}
         if norm not in table:
-            raise EvaluationError(f"unknown ablation variant {token!r}; "
-                                  f"expected one of {[v.value for v in cls]}")
+            raise ValueError(f"unknown ablation variant {token!r}; "
+                             f"expected one of {[v.value for v in cls]}")
         return table[norm]
 
     def apply(self, split: Split, config: TrainingConfig):

@@ -61,32 +61,25 @@ def make_planted_dataset(num_users: int = 200, num_items: int = 500,
                 + popularity_weight * popularity)
 
     noisy = affinity + choice_noise * rng.gumbel(size=affinity.shape)
-    interactions = set()
-    for u in range(num_users):
-        top = np.argpartition(-noisy[u], interactions_per_user)[:interactions_per_user]
-        interactions.update((u, int(v)) for v in top)
+    interactions = _top_pairs(noisy, interactions_per_user)
 
     # Social ties to the most factor-similar users; symmetrized at build time.
     user_f = np.concatenate([aspect1, aspect2, aspect3], axis=1)
     sim = user_f @ user_f.T
     np.fill_diagonal(sim, -np.inf)
-    social = set()
-    for u in range(num_users):
-        for v in np.argpartition(-sim[u], social_degree)[:social_degree]:
-            social.add((min(u, int(v)), max(u, int(v))))
+    social = np.unique(np.sort(_top_pairs(sim, social_degree), axis=1), axis=0)
 
     prototypes = rng.normal(size=(num_relations, f))
-    closeness = item_f @ prototypes.T
-    item_relations = set()
-    for j in range(num_items):
-        for r in np.argpartition(-closeness[j], relations_per_item)[:relations_per_item]:
-            item_relations.add((j, int(r)))
+    item_relations = _top_pairs(item_f @ prototypes.T, relations_per_item)
+    return PlantedDataset(interactions, social, item_relations,
+                          num_users, num_items, num_relations)
 
-    return PlantedDataset(
-        np.asarray(sorted(interactions), dtype=np.int64),
-        np.asarray(sorted(social), dtype=np.int64),
-        np.asarray(sorted(item_relations), dtype=np.int64),
-        num_users, num_items, num_relations)
+
+def _top_pairs(scores: np.ndarray, k: int) -> np.ndarray:
+    """The sorted, distinct (row, column) pairs of each row's k highest scores."""
+    top = np.argpartition(-scores, k, axis=1)[:, :k]
+    rows = np.repeat(np.arange(scores.shape[0], dtype=np.int64), k)
+    return np.unique(np.column_stack([rows, top.ravel()]), axis=0)
 
 
 def make_random_graph(num_users: int, num_items: int, num_relations: int,

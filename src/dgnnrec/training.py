@@ -22,7 +22,7 @@ import numpy as np
 from . import diffengine as de
 from .hetgraph import HeteroGraph, sample_bpr_batch
 from .model import (ALL_ROWS, FULL_VARIANT, ModelParams, ModelVariant, RowSet,
-                    _neighbor_sum, _spread, backward, forward, recalibrated_users)
+                    _neighbor_sum, _place, backward, forward, recalibrated_users)
 from .seeding import PARAM_INIT, TRIPLETS, rng_for
 
 
@@ -137,9 +137,11 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
 
     if variant.recalibration:
         # q_u = H*[u] + (sum_neighbors + H*[u]) / (deg_u + 1)
-        w = d_q / graph.uu._closed_degrees
+        uu = graph.uu
+        w = d_q / uu._closed_degrees
         # uu is symmetric, so summing w over neighbours is its transpose.
-        d_hstar[:num_users] += d_q + w + _spread(_neighbor_sum(w, graph.uu), graph.uu)
+        d_hstar[:num_users] += d_q + w + _place(_neighbor_sum(w, uu), uu.plan.targets,
+                                                num_users, 0.0)
     else:
         d_hstar[:num_users] += d_q
 

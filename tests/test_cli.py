@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import asdict, fields
 import re
 
 import numpy as np
@@ -223,6 +223,31 @@ def test_bad_cutoffs_are_a_usage_error(dataset_dir, tmp_path, capsys, command, c
     assert not list(out.glob("metrics*.tsv"))
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("train", ["--epochs=-1"]), ("train", ["--dim=0"]), ("ablate", ["--lr=-1"]),
+    ("ablate", ["--cutoffs=0,-5"]), ("train", ["--variant=bogus"]),
+    ("eval", ["--variant=bogus"]), ("export-attn", ["--variant=bogus"]),
+    ("ablate", ["--variant=bogus"]), ("train", ["--variant=all"]),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_bad_setting_exits_before_anything_is_written(dataset_dir, tmp_path, capsys,
+                                                      command, flags):
+    out = tmp_path / "run"
+    assert cli.main([command, *_base_args(dataset_dir, out, flags)]) == cli.EXIT_USAGE
+    assert "error: " in capsys.readouterr().err
+    assert not (out / "split.txt").exists()
+
+
+def test_eval_split_listing_a_user_twice_exit_code(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli.main(["train", *_base_args(dataset_dir, out, ["--epochs", "0"])]) == 0
+    manifest = out / "split.txt"
+    lines = manifest.read_text().splitlines()
+    manifest.write_text("\n".join(lines + [lines[3]]) + "\n")
+    assert cli.main(["eval", *_base_args(dataset_dir, out)]) == cli.EXIT_DATA
+    assert f"listed twice, on lines 4 and {len(lines) + 1}" in capsys.readouterr().err
+    assert not (out / "metrics.tsv").exists()
+
+
 def test_export_attn(dataset_dir, tmp_path):
     out = tmp_path / "run"
     cli.main(["train", *_base_args(dataset_dir, out)])
@@ -280,8 +305,9 @@ def test_config_file_overridden_by_flags(dataset_dir, tmp_path):
             *(f"{flag}={value}" for flag, (_, value) in flags.items())]
     resolved = cli._resolve_config(parser.parse_args(argv))
     assert resolved == cli.RunConfig(**dict(flags.values()))
-    assert resolved.training() == TrainingConfig(dim=5, layers=3, memory_units=6, lr=0.5,
-                                                 batch_size=7, reg=0.25, epochs=11, seed=9)
+    assert {f.name: getattr(resolved, f.name) for f in fields(TrainingConfig)} == asdict(
+        TrainingConfig(dim=5, layers=3, memory_units=6, lr=0.5, batch_size=7, reg=0.25,
+                       epochs=11, seed=9))
 
 
 def test_config_unknown_key_rejected(tmp_path):

@@ -284,8 +284,9 @@ def test_variant_parsing():
     assert ev.AblationVariant.parse("tau") is ev.AblationVariant.NO_RECALIBRATION
     assert ev.AblationVariant.parse("full") is ev.AblationVariant.FULL
     assert ev.AblationVariant.parse("-ST") is ev.AblationVariant.NO_SOCIAL_NO_RELATIONS
-    with pytest.raises(ev.EvaluationError):
+    with pytest.raises(ValueError) as err:  # a usage error (exit 2), not an evaluation one
         ev.AblationVariant.parse("bogus")
+    assert not isinstance(err.value, ev.EvaluationError)
 
 
 def test_strip_graph_removes_structures(tiny_graph):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ingest_reference
 from dgnnrec import hetgraph as hg
+from dgnnrec import synthetic
 from dgnnrec.seeding import NEGATIVES, rng_for
 from dgnnrec.synthetic import make_planted_dataset
 
@@ -247,6 +248,17 @@ def test_planted_manifest_bytes_are_pinned(tmp_path):
         "77115c500a753b5460e57fe2026b520fe0a997f60b77f975e3e8c00e2229d434")
 
 
+def test_planted_top_pairs_match_a_per_row_loop():
+    rng = np.random.default_rng(3)
+    for rows, cols, k in ((1, 5, 2), (30, 40, 6), (12, 12, 11), (8, 3, 0)):
+        scores = rng.normal(size=(rows, cols))
+        want = sorted({(r, int(c)) for r in range(rows)
+                       for c in np.argpartition(-scores[r], k)[:k]})
+        got = synthetic._top_pairs(scores, k)
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert got.tolist() == [list(pair) for pair in want]
+
+
 def test_manifest_round_trip(tmp_path):
     g = _chain_graph(num_users=10, num_items=150, per_user=4)
     split = hg.split_leave_one_out(g, seed=17)
@@ -319,6 +331,29 @@ def test_manifest_rejects_out_of_range_ids(tmp_path):
     _rewrite_first_test_row(path, lambda u, item, negs: (
         str(u), str(item), ",".join(negs[:-1] + ["150"])))
     with pytest.raises(hg.SplitError, match="out of range"):
+        hg.load_split_manifest(path, g)
+
+
+def _duplicate_first_user(path, graph, another_item):
+    """Append a second row for the manifest's first test user; returns that user."""
+    lines = path.read_text().splitlines()
+    u, item, negs = lines[3].split("\t")
+    if another_item:
+        item = str(next(j for j in graph.ui.neighbors(int(u)).tolist() if j != int(item)))
+    path.write_text("\n".join(lines + [f"{u}\t{item}\t{negs}"]) + "\n")
+    return int(u), len(lines) + 1
+
+
+@pytest.mark.parametrize("another_item", [False, True], ids=["copied_row", "another_item"])
+def test_manifest_rejects_a_user_listed_twice(tmp_path, another_item):
+    # Loaded, the copy counted the user twice in the metrics, and a second
+    # held-out item took one more interaction out of the train graph.
+    g = make_planted_dataset(num_users=40, num_items=300).build()
+    path = tmp_path / "split.txt"
+    hg.save_split_manifest(hg.split_leave_one_out(g, seed=7), path)
+    user, last_line = _duplicate_first_user(path, g, another_item)
+    with pytest.raises(hg.SplitError,
+                       match=rf"split\.txt: user {user} is listed twice, on lines 4 and {last_line}$"):
         hg.load_split_manifest(path, g)
 
 

@@ -9,7 +9,7 @@ from dgnnrec.evaluation import strip_graph
 from dgnnrec.hetgraph import Adjacency, build_graph, sample_bpr_batch, split_leave_one_out
 from dgnnrec.model import (EdgeType, FULL_VARIANT, MemoryBank, ModelParams,
                            ModelVariant, RowSet, _batch_attention, _mix_backward, _neighbor_sum,
-                           _spread, final_embeddings, forward, layer_step,
+                           _place, final_embeddings, forward, layer_step,
                            recalibrated_users)
 from dgnnrec.synthetic import make_planted_dataset, make_random_graph
 from dgnnrec.training import _kink_margin, bpr_batch_grad, bpr_batch_loss
@@ -389,6 +389,65 @@ def test_row_set_must_be_a_mask_over_the_nodes(tiny_graph):
             RowSet(tiny_graph, bad)
 
 
+def _members_by_hand(graph, mask):
+    """RowSet(graph, mask).members(graph) as plain lists, grouped one row at a time."""
+    nodes, index = np.arange(graph.num_nodes), np.flatnonzero(mask)
+    messages = []
+    for et, te, _, receivers in graph.every_member[0]:
+        keep = [k for k, row in enumerate(nodes[receivers]) if mask[row]]
+        if keep:
+            messages.append((et, te, keep, nodes[receivers][keep].tolist()))
+    selves = []
+    for et, sl, _ in graph.every_member[1]:
+        part = [k for k, row in enumerate(index) if sl.start <= row < sl.stop]
+        if part:
+            selves.append((et, part, index[part].tolist()))
+    return messages, selves
+
+
+@pytest.mark.parametrize("case", ["batch", "type_left_out", "single_row", "whole_type"])
+def test_row_set_groups_its_members_as_the_rows_do(case):
+    rng = np.random.default_rng(len(case))
+    for trial in range(30):
+        g = random_small_graph(rng)
+        users, items, rels = g.type_rows.values()
+        mask = rng.random(g.num_nodes) < 0.5
+        picked = [users, items, rels][trial % 3]
+        if case == "batch":  # every user and some items, as a training batch reads
+            mask[users], mask[rels] = True, False
+        elif case == "type_left_out":
+            mask[picked] = False
+        elif case == "single_row":
+            mask[picked] = False
+            mask[rng.integers(picked.start, picked.stop)] = True
+        else:
+            mask[picked] = True
+        if mask.all():  # every row is ALL_ROWS's grouping, the graph's own
+            assert RowSet(g, mask).members(g) is g.every_member
+            continue
+        messages, selves = RowSet(g, mask).members(g)
+        nodes, positions = np.arange(g.num_nodes), np.arange(np.count_nonzero(mask))
+        got = ([(et, te, list(keep), nodes[receivers].tolist())
+                for et, te, keep, receivers in messages],
+               [(et, positions[part].tolist(), nodes[rows].tolist())
+                for et, part, rows in selves])
+        assert got == _members_by_hand(g, mask), (case, trial)
+        assert all(isinstance(part, slice) for _, part, _ in selves)
+
+
+def test_place_is_a_dense_scatter(rng):
+    for height, count, fill in ((9, 4, np.nan), (9, 0, 0.0), (1, 1, 0.0), (40, 39, -1.5)):
+        compact = rng.normal(size=(count, 3))
+        rows = np.sort(rng.choice(height, size=count, replace=False))
+        want = np.full((height, 3), fill)
+        for row, values in zip(rows, compact):
+            want[row] = values
+        assert _place(compact, rows, height, fill).tobytes() == want.tobytes()
+        every = rng.normal(size=(height, 3))
+        for sl in (slice(None), slice(0, height)):
+            assert _place(every, sl, height, fill) is every
+
+
 def test_reading_a_row_the_forward_skipped_fails_loudly(tiny_graph):
     p = random_params(tiny_graph, 3, 2, 2)
     rows = np.zeros(tiny_graph.num_nodes, dtype=bool)
@@ -539,7 +598,8 @@ def test_neighbor_sum_matches_dense_product(case, width):
     sums = _neighbor_sum(x, adj)
     assert sums.shape == (has_neighbors.size, width)
     np.testing.assert_allclose(sums, expected[has_neighbors], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(_spread(sums, adj), expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(_place(sums, plan.targets, adj.num_rows, 0.0), expected,
+                               rtol=0, atol=1e-12)
 
 
 def test_take_is_fancy_indexing_bit_for_bit(rng):
