@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +70,8 @@ class RunConfig(TrainingConfig):
         return out
 
 
-def load_config(path) -> RunConfig:
+def _config_values(path) -> dict:
+    """The settings a config file gives, each cast to its field's type; the rest are absent."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -80,14 +81,17 @@ def load_config(path) -> RunConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         values[key] = value
-    cfg = RunConfig()
-    casts = {f.name: f.type for f in fields(RunConfig)}
+    defaults = RunConfig()
+    names = {f.name for f in fields(RunConfig)}
     for key, value in values.items():
-        if key not in casts:
+        if key not in names:
             raise ValueError(f"{path}: unknown config key {key!r}")
-        current = getattr(cfg, key)
-        cfg = replace(cfg, **{key: type(current)(value)})
-    return cfg
+        values[key] = type(getattr(defaults, key))(value)
+    return values
+
+
+def load_config(path) -> RunConfig:
+    return RunConfig(**_config_values(path))
 
 
 def save_config(cfg: RunConfig, path) -> None:
@@ -102,12 +106,18 @@ def save_config(cfg: RunConfig, path) -> None:
 def _resolve_config(args) -> RunConfig:
     """The config file's values (or the defaults), overridden by every flag given.
 
-    Each flag's argparse ``dest`` is the name of its RunConfig field. Raises
-    ValueError on a bad setting, and on variant ``all`` outside ``ablate``.
+    Each flag's argparse ``dest`` is the name of its RunConfig field. A
+    variant set neither in the file nor by ``--variant`` is ``all`` for
+    ``ablate`` and ``full`` for the other commands. Raises ValueError on a
+    bad setting, and on variant ``all`` outside ``ablate``.
     """
-    cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    values = _config_values(args.config) if args.config else {}
+    for f in fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            values[f.name] = getattr(args, f.name)
+    if args.command == "ablate":
+        values.setdefault("variant", "all")
+    cfg = RunConfig(**values)
     if cfg.variant == "all" and args.command != "ablate":
         raise ValueError(f"variant 'all' is for ablate only, not {args.command}")
     return cfg
@@ -229,8 +239,7 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     cfg, out, split = _prepare(args)
-    # Without --variant, every variant runs, whatever the config file says.
-    wanted = (list(AblationVariant) if args.variant in (None, "all")
+    wanted = (list(AblationVariant) if cfg.variant == "all"
               else [AblationVariant.parse(cfg.variant)])
     cutoffs = cfg.cutoff_list()
     n = cutoffs[min(1, len(cutoffs) - 1)]

@@ -4,7 +4,9 @@ The model has a fixed architecture, so there is no taped autodiff graph:
 each differentiable helper is paired with a function returning its
 analytical gradient, and ``finite_diff_check`` is the harness that
 verifies gradients against central differences (used by the test suite,
-the model's gradient check and the ``grad-check`` CLI command).
+the model's gradient check and the ``grad-check`` CLI command). It hands
+its objective a whole block of perturbed parameter vectors at once, so
+numpy's per-call cost is paid once per block and not once per coordinate.
 
 Everything operates on float64 and is pure, no function mutating its
 arguments, except ``leaky_relu_backward``, which scales the gradient it is
@@ -19,6 +21,13 @@ import numpy as np
 
 # Negative slope shared by every activation in the model.
 LEAKY_SLOPE = 0.2
+# finite_diff_check perturbs as many coordinates at once as keep its
+# (2 * coordinates, P) stack of perturbed vectors within this many float64.
+# A stacked model forward holds ~15 KB per row at P = 408. On the perfbench
+# gradcheck sub-grid (seeds 31-33, parent 1.81-1.91 s and 59.1 MB), 1 << 14
+# read op_s 0.143-0.152 s at +0.7-1.2 MB peak RSS; 1 << 16 read 0.102-0.115 s
+# at +2.3-3.6 MB, and 1 << 17 +4.5-5.0 MB.
+FD_BLOCK_FLOATS = 1 << 14
 
 
 class ShapeError(ValueError):
@@ -142,8 +151,13 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
-    """One Adam update. Pure: returns (new_params, new_state)."""
+    """One Adam update. Pure: returns (new_params, new_state).
+
+    ``params`` is one flat vector; a 2-D stack of them raises ShapeError.
+    """
     params, grads = _as_f64(params), _as_f64(grads)
+    if params.ndim != 1:
+        raise ShapeError(f"adam_step takes one flat parameter vector, not shape {params.shape}")
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError("adam_step: parameter/gradient/state shapes disagree")
     if lr < 0.0:
@@ -181,7 +195,15 @@ def finite_diff_check(f, params: np.ndarray, grad: np.ndarray, h: float = 1e-5,
                       tol: float = 1e-4, denom_floor: float = 1e-5) -> FiniteDiffReport:
     """Compare an analytical gradient against central differences of f.
 
-    ``f`` receives an array shaped like ``params`` and returns a scalar.
+    ``f`` maps a stack of K parameter arrays, shaped (K, *params.shape)
+    (a (K, P) stack for a flat vector), to its K objective values; each
+    value must depend on its own row only. The coordinates are perturbed
+    in blocks: for a block of n coordinates ``f`` gets 2n rows, the first
+    n holding ``params`` with one coordinate each at +h, the next n the
+    same at -h. A block is as large as keeps the stack within
+    FD_BLOCK_FLOATS float64. A non-finite value raises NonFiniteError
+    naming the first coordinate whose perturbation gave one.
+
     Relative error per coordinate is |a - n| / max(|a|, |n|, denom_floor),
     so a gradient that is wrong by 2x reports an error near 0.5 and
     zero-gradient coordinates do not divide by zero. The floor sits well
@@ -192,21 +214,30 @@ def finite_diff_check(f, params: np.ndarray, grad: np.ndarray, h: float = 1e-5,
     grad = _as_f64(grad)
     if grad.shape != params.shape:
         raise ShapeError(f"gradient shape {grad.shape} does not match params {params.shape}")
-    work = params.copy()
-    flat = work.ravel()
-    numeric = np.empty(flat.size)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = float(f(work))
-        flat[i] = orig - h
-        fm = float(f(work))
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NonFiniteError(f"non-finite evaluation while perturbing coordinate {i}")
-        numeric[i] = (fp - fm) / (2.0 * h)
+    flat = params.ravel()
+    size = flat.size
+    block = max(1, min(size, FD_BLOCK_FLOATS // (2 * max(size, 1))))
+    work = np.empty((2 * block, size))
+    numeric = np.empty(size)
+    for lo in range(0, size, block):
+        coords = np.arange(lo, min(lo + block, size))
+        n = coords.size
+        stack = work[:2 * n]
+        stack[...] = flat
+        plus = np.arange(n)
+        stack[plus, coords] += h
+        stack[plus + n, coords] -= h
+        values = np.asarray(f(stack.reshape(2 * n, *params.shape)), dtype=np.float64)
+        if values.shape != (2 * n,):
+            raise ShapeError(f"objective gave shape {values.shape} for a stack of {2 * n}")
+        fp, fm = values[:n], values[n:]
+        bad = ~(np.isfinite(fp) & np.isfinite(fm))
+        if bad.any():
+            raise NonFiniteError("non-finite evaluation while perturbing coordinate "
+                                 f"{int(coords[bad.argmax()])}")
+        numeric[coords] = (fp - fm) / (2.0 * h)
     analytic = grad.ravel()
     errors = np.abs(analytic - numeric) / np.maximum(
         np.maximum(np.abs(analytic), np.abs(numeric)), denom_floor)
     worst = int(np.argmax(errors))
-    return FiniteDiffReport(float(errors[worst]), worst, flat.size, tol, errors)
+    return FiniteDiffReport(float(errors[worst]), worst, size, tol, errors)

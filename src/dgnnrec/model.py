@@ -40,10 +40,20 @@ rounds each row of a product on its own: at d <= 4, and at d = 16 with
 M = 2, 4 and 8 (the tests pin these). At some other shapes (M = 1, or
 d = 32 and 64) BLAS rounds a row by its place in the block, and the rows
 agree to about 1e-14.
+
+The forward also runs on a stack of K parameter sets (a ``ModelParams``
+over a (K, P) buffer), as the gradient check does for its perturbed
+vectors. There is one code path for one set and for a stack: each array
+carries the stack's axis in front, node rows are indexed as
+``x[..., rows, :]`` and products broadcast over the leading axis. numpy
+runs a stacked product as one BLAS call per set, and every other step
+works row by row, so each set of a stack is computed bit for bit as it
+would be alone. ``backward`` takes one set only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,17 +90,17 @@ FULL_VARIANT = ModelVariant()
 @dataclass
 class MemoryBank:
     edge_type: EdgeType
-    transforms: np.ndarray  # (M, d, d)
-    keys: np.ndarray        # (M, d)
-    biases: np.ndarray      # (M,)
+    transforms: np.ndarray  # (M, d, d), or (K, M, d, d) in a stack
+    keys: np.ndarray        # (M, d), or (K, M, d)
+    biases: np.ndarray      # (M,), or (K, M)
 
     @property
     def num_units(self) -> int:
-        return self.transforms.shape[0]
+        return self.transforms.shape[-3]
 
     @property
     def dim(self) -> int:
-        return self.transforms.shape[1]
+        return self.transforms.shape[-1]
 
     def draw(self, rng: np.random.Generator) -> None:
         """Overwrite transforms, then keys, with their initial uniform draws."""
@@ -109,29 +119,40 @@ class ModelParams:
     order of ``_arrays`` (the checkpoint layout); every bank has ``num_units``
     units, and the layer count follows from the vector's size. A vector that
     cannot be viewed so raises ShapeError.
+
+    ``vector`` may also be a C-contiguous (K, P) stack of K parameter
+    vectors. Every view then gains that leading axis (embeddings
+    (K, N, d), transforms (K, M, d, d), ``ln_scale`` (K, L, d)), and the
+    forward computes all K sets in one pass, each row as it would alone.
+    The sizes (``dim``, ``num_nodes``, ``num_layers``, ``num_units`` and
+    ``num_params``) are per set. Only the forward read path takes a stack;
+    what trains, differentiates or saves parameters raises ShapeError on one.
     """
 
     def __init__(self, vector: np.ndarray, num_nodes: int, dim: int, num_units: int,
                  ln_eps: float = DEFAULT_LN_EPS):
-        if vector.ndim != 1 or vector.dtype != np.float64 or not vector.flags.c_contiguous:
-            raise de.ShapeError("parameters need a 1-D contiguous float64 vector")
-        tail = vector.size - self._size(num_nodes, dim, num_units, 0)
+        if (vector.ndim not in (1, 2) or vector.dtype != np.float64
+                or not vector.flags.c_contiguous):
+            raise de.ShapeError("parameters need a contiguous float64 vector or (K, P) stack")
+        lead, width = vector.shape[:-1], vector.shape[-1]
+        tail = width - self._size(num_nodes, dim, num_units, 0)
         if num_nodes < 0 or dim < 1 or num_units < 1 or tail < 0 or tail % (2 * dim):
-            raise de.ShapeError(f"{vector.size} parameters fit no layer count for "
+            raise de.ShapeError(f"{width} parameters fit no layer count for "
                                 f"{num_nodes} nodes, d={dim} and M={num_units}")
         self.vector, self.ln_eps = vector, ln_eps
         stop = num_nodes * dim
-        self.embeddings = vector[:stop].reshape(num_nodes, dim)
+        self.embeddings = vector[..., :stop].reshape(*lead, num_nodes, dim)
         banks = []
         for et in EdgeType:
             keys, biases = stop + num_units * dim * dim, stop + num_units * dim * (dim + 1)
-            banks.append(MemoryBank(et, vector[stop:keys].reshape(num_units, dim, dim),
-                                    vector[keys:biases].reshape(num_units, dim),
-                                    vector[biases:biases + num_units]))
+            banks.append(MemoryBank(et, vector[..., stop:keys].reshape(*lead, num_units, dim, dim),
+                                    vector[..., keys:biases].reshape(*lead, num_units, dim),
+                                    vector[..., biases:biases + num_units]))
             stop = biases + num_units
         self.banks = tuple(banks)
-        ln = vector[stop:].reshape(-1, 2, dim)  # scale and shift interleave per layer
-        self.ln_scale, self.ln_shift = ln[:, 0], ln[:, 1]
+        # scale and shift interleave per layer
+        ln = vector[..., stop:].reshape(*lead, tail // (2 * dim), 2, dim)
+        self.ln_scale, self.ln_shift = ln[..., 0, :], ln[..., 1, :]
 
     @staticmethod
     def _size(nodes: int, dim: int, units: int, layers: int) -> int:
@@ -139,19 +160,25 @@ class ModelParams:
 
     @property
     def dim(self) -> int:
-        return self.embeddings.shape[1]
+        return self.embeddings.shape[-1]
 
     @property
     def num_nodes(self) -> int:
-        return self.embeddings.shape[0]
+        return self.embeddings.shape[-2]
 
     @property
     def num_layers(self) -> int:
-        return self.ln_scale.shape[0]
+        return self.ln_scale.shape[-2]
 
     @property
     def num_units(self) -> int:
         return self.banks[0].num_units
+
+    def require_one_set(self, caller: str) -> None:
+        """Raise ShapeError when these parameters are a stack, which ``caller`` cannot take."""
+        if self.vector.ndim != 1:
+            raise de.ShapeError(f"{caller} takes one parameter set, "
+                                f"not a stack of {self.vector.shape[0]}")
 
     @classmethod
     def init(cls, num_nodes: int, dim: int, num_units: int, num_layers: int,
@@ -173,7 +200,7 @@ class ModelParams:
                    num_nodes, dim, num_units, ln_eps)
 
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(np.zeros(self.vector.size), self.num_nodes, self.dim,
+        return ModelParams(np.zeros(self.vector.shape), self.num_nodes, self.dim,
                            self.num_units, self.ln_eps)
 
     def _arrays(self):
@@ -185,29 +212,36 @@ class ModelParams:
             yield f"bank.{tag}.keys", bank.keys
             yield f"bank.{tag}.biases", bank.biases
         for layer in range(self.num_layers):
-            yield f"ln.{layer}.scale", self.ln_scale[layer]
-            yield f"ln.{layer}.shift", self.ln_shift[layer]
+            yield f"ln.{layer}.scale", self.ln_scale[..., layer, :]
+            yield f"ln.{layer}.shift", self.ln_shift[..., layer, :]
 
     def group_slices(self) -> list[tuple[str, slice]]:
-        out, start = [], 0
+        """(name, slice of one parameter vector) per array, in ``_arrays`` order."""
+        out, start, lead = [], 0, self.vector.ndim - 1
         for name, arr in self._arrays():
-            out.append((name, slice(start, start + arr.size)))
-            start += arr.size
+            size = math.prod(arr.shape[lead:])
+            out.append((name, slice(start, start + size)))
+            start += size
         return out
 
     @property
     def num_params(self) -> int:
-        return self.vector.size
+        return self.vector.shape[-1]
 
     def to_vector(self) -> np.ndarray:
         """The parameter buffer itself, not a copy: writing to it writes the parameters."""
         return self.vector
 
     def with_vector(self, vec: np.ndarray) -> "ModelParams":
-        """Parameters viewing ``vec``; a contiguous float64 ``vec`` is not copied."""
+        """Parameters viewing ``vec``; a contiguous float64 ``vec`` is not copied.
+
+        One set only: a stacked ``self`` or a ``vec`` that is not 1-D raises ShapeError.
+        """
+        self.require_one_set("with_vector")
         vec = np.ascontiguousarray(vec, dtype=np.float64)
         if vec.shape != self.vector.shape:
-            raise de.ShapeError(f"parameter vector has {vec.size} entries, expected {self.num_params}")
+            raise de.ShapeError(f"parameter vector has shape {vec.shape}, "
+                                f"expected ({self.num_params},)")
         return ModelParams(vec, self.num_nodes, self.dim, self.num_units, self.ln_eps)
 
 
@@ -279,27 +313,32 @@ def EdgeCache(graph: HeteroGraph) -> HeteroGraph:
 
 
 def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
-    """Sum of ``rows[s]`` over the neighbours s of each of ``adj.plan.targets``.
+    """Sum of ``rows[..., s, :]`` over the neighbours s of each of ``adj.plan.targets``.
 
-    One output row per target that has a neighbour, in ascending order.
+    One output row per target that has a neighbour, in ascending order;
+    leading axes (a parameter stack's) are kept. Each run adds its k slabs
+    in edge order, so a row's sum does not depend on the other rows.
     """
     plan = adj.plan
-    gathered = np.take(rows, plan.sources, axis=0)
-    out = np.empty((plan.num_targets, rows.shape[1]))
+    lead, d = rows.shape[:-2], rows.shape[-1]
+    gathered = np.take(rows, plan.sources, axis=-2)
+    out = np.empty((*lead, plan.num_targets, d))
     for k, run_rows, run_edges in plan.runs:
-        gathered[run_edges].reshape(k, -1).sum(axis=0, out=out[run_rows].reshape(-1))
-    return out if plan.unsort is None else out[plan.unsort]
+        np.add.reduce(gathered[..., run_edges, :].reshape(*lead, k, -1, d), axis=-3,
+                      out=out[..., run_rows, :])
+    return out if plan.unsort is None else out[..., plan.unsort, :]
 
 
 def _place(compact: np.ndarray, rows, height: int, fill: float) -> np.ndarray:
     """``compact`` on the ascending ``rows`` of a ``height``-row array, ``fill`` elsewhere.
 
-    ``rows`` is an array or, for every row, a slice; then this is ``compact`` itself.
+    Rows are the second-to-last axis. ``rows`` is an array or, for every
+    row, a slice; then this is ``compact`` itself.
     """
     if isinstance(rows, slice):
         return compact
-    out = np.full((height, compact.shape[1]), fill)
-    out[rows] = compact
+    out = np.full((*compact.shape[:-2], height, compact.shape[-1]), fill)
+    out[..., rows, :] = compact
     return out
 
 
@@ -324,8 +363,8 @@ def _batch_attention(rows: np.ndarray, bank: MemoryBank, variant: ModelVariant):
     Without memory attention eta is all ones and pre is None.
     """
     if not variant.memory_attention:
-        return np.ones((rows.shape[0], bank.num_units)), None
-    pre = rows @ bank.keys.T + bank.biases
+        return np.ones((*rows.shape[:-1], bank.num_units)), None
+    pre = rows @ np.swapaxes(bank.keys, -1, -2) + bank.biases[..., None, :]
     return de.leaky_relu(pre), pre
 
 
@@ -339,13 +378,15 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
     kernel's, so one row is mixed as two: a row set that leaves one row
     of a type gets it as the full forward does.
     """
-    if rows.shape[0] == 1:
-        mixed, pre = _mix(np.repeat(rows, 2, axis=0), np.repeat(sums, 2, axis=0), bank, variant)
-        return mixed[:1], None if pre is None else pre[:1]
+    if rows.shape[-2] == 1:
+        mixed, pre = _mix(np.repeat(rows, 2, axis=-2), np.repeat(sums, 2, axis=-2),
+                          bank, variant)
+        return mixed[..., :1, :], None if pre is None else pre[..., :1, :]
     att, pre = _batch_attention(rows, bank, variant)
     M, d = bank.num_units, bank.dim
-    trans = (sums @ bank.transforms.reshape(M * d, d).T).reshape(-1, M, d)
-    return np.einsum("nm,nmd->nd", att, trans), pre
+    flat = bank.transforms.reshape(*bank.transforms.shape[:-3], M * d, d)
+    trans = (sums @ np.swapaxes(flat, -1, -2)).reshape(*sums.shape[:-1], M, d)
+    return np.einsum("...nm,...nmd->...nd", att, trans), pre
 
 
 def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: int,
@@ -362,17 +403,18 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
     att_pre: dict = {}
     sums: dict = {}
     for et, te, keep, receivers in messages:
-        sums[et] = _neighbor_sum(emb[te.src], te.adj)[keep]
-        mixed, att_pre[et] = _mix(emb[receivers], sums[et], params.banks[et], variant)
-        agg[receivers] += mixed
-    agg = agg[rows.index]
+        sums[et] = _neighbor_sum(emb[..., te.src, :], te.adj)[..., keep, :]
+        mixed, att_pre[et] = _mix(emb[..., receivers, :], sums[et], params.banks[et], variant)
+        agg[..., receivers, :] += mixed
+    agg = agg[..., rows.index, :]
     denom = graph.node_denom[rows.index, None]
     np.divide(agg, denom, out=agg, where=denom > 0)
 
     if variant.layer_norm:
         xhat, inv = de.layer_normalize(agg, params.ln_eps)
-        y = np.multiply(params.ln_scale[step], xhat, out=agg)  # agg is not needed again
-        y += params.ln_shift[step]
+        # agg is not needed again
+        y = np.multiply(params.ln_scale[..., step, None, :], xhat, out=agg)
+        y += params.ln_shift[..., step, None, :]
     else:
         xhat = inv = None
         y = agg
@@ -380,12 +422,12 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
 
     self_pre: dict = {}
     for et, part, type_rows in selves:
-        x = emb[type_rows]
+        x = emb[..., type_rows, :]
         mixed, self_pre[et] = _mix(x, x, params.banks[et], variant)
-        out[part] += mixed
+        out[..., part, :] += mixed
     if _record is not None:
         _record.append(_StepCache(rows, xhat, inv, y, att_pre, self_pre, sums))
-    return _place(out, rows.index, emb.shape[0], np.nan)
+    return _place(out, rows.index, emb.shape[-2], np.nan)
 
 
 @dataclass
@@ -414,10 +456,10 @@ def final_embeddings(layers, eps: float = DEFAULT_LN_EPS, rows: RowSet = ALL_ROW
     Only the ``rows`` are normalized: H* is NaN on the others and ``inv``
     holds the computed rows only.
     """
-    parts = [layer[rows.index] for layer in layers]
-    conc = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    parts = [layer[..., rows.index, :] for layer in layers]
+    conc = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
     xhat, inv = de.layer_normalize(conc, eps)
-    return _place(xhat, rows.index, layers[0].shape[0], np.nan), inv
+    return _place(xhat, rows.index, layers[0].shape[-2], np.nan), inv
 
 
 def forward(graph: HeteroGraph, params: ModelParams,
@@ -427,8 +469,9 @@ def forward(graph: HeteroGraph, params: ModelParams,
 
     ``rows`` are the rows of H* to compute. Since the last layer and H*
     work row by row, only the last layer is cut to them; the earlier
-    layers stay whole, as their neighbours feed it. ``edge_cache`` is
-    unused and is kept only for the benchmark harness.
+    layers stay whole, as their neighbours feed it. For a stack of K
+    parameter sets every array of the state gains a leading K axis.
+    ``edge_cache`` is unused and is kept only for the benchmark harness.
     """
     if params.num_nodes != graph.num_nodes:
         raise de.ShapeError(
@@ -449,7 +492,7 @@ def forward(graph: HeteroGraph, params: ModelParams,
 def recalibrated_users(hstar: np.ndarray, graph: HeteroGraph,
                        variant: ModelVariant = FULL_VARIANT) -> np.ndarray:
     """Per-user scoring vector q_u = H*[u] + tau(H*[u]) for all users at once."""
-    users = hstar[:graph.num_users]
+    users = hstar[..., :graph.num_users, :]
     if not variant.recalibration:
         return users.copy()
     uu = graph.uu
@@ -540,7 +583,9 @@ def backward(graph: HeteroGraph, params: ModelParams, state: LayerState,
     """Gradients of a scalar loss w.r.t. every parameter, given dL/dH*.
 
     Only the rows of ``d_hstar`` that ``state``'s forward computed are read.
+    ``params`` is one set; a stack raises ShapeError.
     """
+    params.require_one_set("backward")
     grads = params.zeros_like()
     num_layers = state.num_layers
     d = params.dim

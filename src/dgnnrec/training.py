@@ -60,15 +60,18 @@ def bpr_loss(score_pos, score_neg):
 
 def _triplet_scores(hstar: np.ndarray, q_users: np.ndarray, num_users: int,
                     users: np.ndarray, pos: np.ndarray, neg: np.ndarray):
-    qp = q_users[users]
-    s_pos = np.einsum("nd,nd->n", qp, hstar[num_users + pos])
-    s_neg = np.einsum("nd,nd->n", qp, hstar[num_users + neg])
+    qp = q_users[..., users, :]
+    s_pos = np.einsum("...nd,...nd->...n", qp, hstar[..., num_users + pos, :])
+    s_neg = np.einsum("...nd,...nd->...n", qp, hstar[..., num_users + neg, :])
     return s_pos, s_neg, qp
 
 
 def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, reg: float,
                      variant: ModelVariant):
     """(objective value, forward state, pos - neg scores, scoring vectors of ``users``).
+
+    For a stack of K parameter sets the value is a (K,) array and every
+    other part gains a leading K axis; for one set the value is a float.
 
     The objective reads H* on every user (recalibration averages social
     neighbours) and on the sampled items. When the users and both item
@@ -92,14 +95,21 @@ def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, r
     q_users = recalibrated_users(state.hstar, graph, variant)
     s_pos, s_neg, qp = _triplet_scores(state.hstar, q_users, graph.num_users, users, pos, neg)
     vec = params.to_vector()
-    loss = float(bpr_loss(s_pos, s_neg).mean()) + reg * float(vec @ vec)
-    return loss, state, s_pos - s_neg, qp
+    # A (1, P) @ (P, 1) product is a dot per set, bitwise ``vec @ vec``; an
+    # einsum over the stack rounds the decay differently.
+    decay = (vec[..., None, :] @ vec[..., :, None])[..., 0, 0]
+    loss = bpr_loss(s_pos, s_neg).mean(axis=-1) + reg * decay
+    return (float(loss) if loss.ndim == 0 else loss), state, s_pos - s_neg, qp
 
 
 def bpr_batch_loss(graph: HeteroGraph, params: ModelParams,
                    users, pos, neg, reg: float,
-                   variant: ModelVariant = FULL_VARIANT) -> float:
-    """Forward-only objective value for a fixed triplet batch."""
+                   variant: ModelVariant = FULL_VARIANT) -> float | np.ndarray:
+    """Forward-only objective value for a fixed triplet batch.
+
+    A float for one parameter set; a (K,) array for a stack of K, each
+    entry bitwise the value its set gives alone.
+    """
     return _batch_objective(graph, params, users, pos, neg, reg, variant)[0]
 
 
@@ -116,7 +126,11 @@ def _scatter_rows(rows: np.ndarray, values: np.ndarray, shape: tuple) -> np.ndar
 def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
                    users, pos, neg, reg: float,
                    variant: ModelVariant = FULL_VARIANT):
-    """(loss, flat gradient) of the batch objective; exact analytical backward."""
+    """(loss, flat gradient) of the batch objective; exact analytical backward.
+
+    One parameter set only: a stack raises ShapeError.
+    """
+    params.require_one_set("bpr_batch_grad")
     users = np.asarray(users, dtype=np.int64)
     pos = np.asarray(pos, dtype=np.int64)
     neg = np.asarray(neg, dtype=np.int64)
@@ -249,7 +263,8 @@ class Checkpoint:
 def save_checkpoint(path, params: ModelParams, num_users: int, num_items: int,
                     num_relations: int, adam_state: de.AdamState | None = None,
                     epoch: int = 0, loss: float = float("nan")) -> None:
-    """Binary little-endian dump; see README for the exact layout."""
+    """Binary little-endian dump; see README for the exact layout. A stack raises ShapeError."""
+    params.require_one_set("save_checkpoint")
     if params.num_nodes != num_users + num_items + num_relations:
         raise CheckpointError("params do not cover num_users + num_items + num_relations nodes")
     flags = _FLAG_ADAM if adam_state is not None else 0
@@ -383,16 +398,22 @@ def _kink_margin(graph, params, variant) -> float:
 
 
 def _vector_objective(graph, params, users, pos, neg, reg, variant):
-    """``vec -> bpr_batch_loss`` at parameters holding ``vec``, for ``finite_diff_check``.
+    """``stack -> bpr_batch_loss`` of each row of a (K, P) stack, for ``finite_diff_check``.
 
-    Each call copies ``vec`` into one probe ``ModelParams`` built here
-    (shaped as ``params``, which is never written), so an evaluation costs
-    one forward and no parameter views.
+    Each call copies the stack into a probe ``ModelParams`` over a (K, P)
+    buffer and returns the K objective values from one stacked forward.
+    The probe is built again only when K changes (the sweep's last block
+    may be shorter), so a sweep builds at most two however many
+    coordinates it checks; ``params`` is never written.
     """
-    probe = params.zeros_like()
+    probe = None
 
-    def objective(vec):
-        probe.vector[...] = vec
+    def objective(stack):
+        nonlocal probe
+        if probe is None or probe.vector.shape != stack.shape:
+            probe = ModelParams(np.empty(stack.shape), params.num_nodes, params.dim,
+                                params.num_units, params.ln_eps)
+        probe.vector[...] = stack
         return bpr_batch_loss(graph, probe, users, pos, neg, reg, variant)
 
     return objective

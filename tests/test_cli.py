@@ -211,6 +211,39 @@ def test_ablate_single_variant(dataset_dir, tmp_path, capsys):
     assert "-ST" in capsys.readouterr().out
 
 
+ALL_TAGS = {"full", "M", "tau", "LN", "T", "S", "ST"}
+
+
+@pytest.mark.parametrize("file_variant, flags, tags", [
+    ("-M", [], {"M"}),
+    ("-M", ["--variant=all"], ALL_TAGS),
+    ("-M", ["--variant=-tau"], {"tau"}),
+    (None, [], ALL_TAGS),
+], ids=["file", "flag-all", "flag-over-file", "unset"])
+def test_ablate_runs_the_variant_set_in_the_config_file(dataset_dir, tmp_path, capsys,
+                                                        file_variant, flags, tags):
+    """A variant set in the file or by a flag is the one run; unset, every variant runs."""
+    out = tmp_path / "run"
+    lines = [f"interactions = {dataset_dir / 'interactions.tsv'}",
+             f"social = {dataset_dir / 'social.tsv'}",
+             f"item_relations = {dataset_dir / 'relations.tsv'}",
+             f"out = {out}", "seed = 3", "dim = 4", "layers = 1", "memory_units = 2",
+             "batch_size = 64", "epochs = 1"]
+    if file_variant is not None:
+        lines.append(f"variant = {file_variant}")
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["ablate", "--config", str(path), *flags]) == 0
+    assert {p.stem[len("metrics_"):] for p in out.glob("metrics_*.tsv")} == tags
+    assert len(capsys.readouterr().out.splitlines()) == len(tags)
+
+
+def test_plain_ablate_runs_every_variant(dataset_dir, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["ablate", *_base_args(dataset_dir, out, ["--epochs", "1"])]) == 0
+    assert {p.stem[len("metrics_"):] for p in out.glob("metrics_*.tsv")} == ALL_TAGS
+
+
 @pytest.mark.parametrize("cutoffs", ["", ",", "0,-5", "5,0", "10,5,10", "5,x"])
 @pytest.mark.parametrize("command", ["eval", "ablate"])
 def test_bad_cutoffs_are_a_usage_error(dataset_dir, tmp_path, capsys, command, cutoffs):

@@ -121,25 +121,28 @@ def test_layer_normalize_requires_positive_eps():
 # finite differences
 
 
+# ``finite_diff_check`` hands its objective a (K, P) stack and reads K values.
+
+
 def test_finite_diff_quadratic_passes():
-    report = de.finite_diff_check(lambda p: float(p[0] ** 2), np.array([3.0]),
+    report = de.finite_diff_check(lambda s: s[:, 0] ** 2, np.array([3.0]),
                                   np.array([6.0]), h=1e-5)
     assert report.passed and report.max_rel_err < 1e-6
 
 
 def test_finite_diff_constant_function_passes():
-    report = de.finite_diff_check(lambda p: 7.0, np.ones(4), np.zeros(4))
+    report = de.finite_diff_check(lambda s: np.full(len(s), 7.0), np.ones(4), np.zeros(4))
     assert report.passed
 
 
 def test_finite_diff_detects_doubled_gradient():
-    report = de.finite_diff_check(lambda p: float(p[0] ** 2), np.array([3.0]),
+    report = de.finite_diff_check(lambda s: s[:, 0] ** 2, np.array([3.0]),
                                   np.array([12.0]), h=1e-5)
     assert not report.passed
     assert report.max_rel_err == pytest.approx(0.5, abs=1e-4)
     # f = |x|^2 at (3, 1, 0), true gradient (6, 2, 0): only the doubled
     # middle coordinate errs; the zero one sits below the denominator floor.
-    report = de.finite_diff_check(lambda p: float(p @ p), np.array([3.0, 1.0, 0.0]),
+    report = de.finite_diff_check(lambda s: (s * s).sum(axis=1), np.array([3.0, 1.0, 0.0]),
                                   np.array([6.0, 4.0, 0.0]), h=1e-5)
     assert report.errors.shape == (3,)
     assert report.errors[0] < 1e-6 and report.errors[2] < 1e-6
@@ -148,10 +151,49 @@ def test_finite_diff_detects_doubled_gradient():
 
 
 def test_finite_diff_nonfinite_names_coordinate():
-    def f(p):
-        return float("inf") if p[1] > 1.5 else float(p.sum())
+    def f(stack):
+        return np.where(stack[:, 1] > 1.5, np.inf, stack.sum(axis=1))
     with pytest.raises(de.NonFiniteError, match="coordinate 1"):
         de.finite_diff_check(f, np.array([0.0, 1.5]), np.ones(2))
+    # Within one block, the first bad coordinate is named, not a later one.
+    with pytest.raises(de.NonFiniteError, match="coordinate 2$"):
+        de.finite_diff_check(lambda s: np.where(s.max(axis=1) > 1.5, np.inf, 0.0),
+                             np.array([0.0, 1.0, 1.5, 1.5]), np.zeros(4))
+
+
+@pytest.mark.parametrize("budget", [2 * 7, 2 * 7 * 3, 1 << 16])
+def test_finite_diff_blocks_perturb_one_coordinate_per_row(budget, monkeypatch):
+    """Rows of a block hold ``params`` with one coordinate at +h, then the same at -h."""
+    monkeypatch.setattr(de, "FD_BLOCK_FLOATS", budget)
+    x = np.linspace(-1.0, 2.0, 7)
+    w = np.arange(1.0, 8.0)
+    seen = []
+
+    def f(stack):
+        seen.append(stack.copy())
+        return np.sin(stack) @ w
+
+    report = de.finite_diff_check(f, x, np.cos(x) * w, h=1e-5)
+    assert report.passed and report.num_coords == 7
+    block = min(7, budget // 14)
+    assert [len(s) for s in seen] == [2 * min(block, 7 - lo) for lo in range(0, 7, block)]
+    rows = np.concatenate([np.concatenate([s[:len(s) // 2], s[len(s) // 2:]], axis=1)
+                           for s in seen])
+    for i, (plus, minus) in enumerate(zip(rows[:, :7], rows[:, 7:])):
+        want = x.copy()
+        want[i] = x[i] + 1e-5
+        assert plus.tobytes() == want.tobytes()
+        want[i] = x[i] - 1e-5
+        assert minus.tobytes() == want.tobytes()
+    # One coordinate at a time gives the same errors bit for bit.
+    monkeypatch.setattr(de, "FD_BLOCK_FLOATS", 1)
+    single = de.finite_diff_check(lambda s: np.sin(s) @ w, x, np.cos(x) * w, h=1e-5)
+    assert single.errors.tobytes() == report.errors.tobytes()
+
+
+def test_finite_diff_refuses_an_objective_that_is_not_stacked():
+    with pytest.raises(de.ShapeError, match="stack of"):
+        de.finite_diff_check(lambda s: float(s.sum()), np.ones(3), np.ones(3))
 
 
 # Gradient contract: every op passes FD at h=1e-5, rtol 1e-4, 20+ seeds, d in {2,4,8}.
@@ -164,14 +206,14 @@ def test_all_ops_pass_finite_differences(dim):
         # keep activations away from their kink
         x1 = rng.normal(size=dim)
         x1[np.abs(x1) < 1e-2] = 0.5
-        rep = de.finite_diff_check(lambda p: float(w @ de.leaky_relu(p)), x1,
+        rep = de.finite_diff_check(lambda s: de.leaky_relu(s) @ w, x1,
                                    de.leaky_relu_backward(x1, w.copy()))
         assert rep.passed, f"leaky_relu d={dim} seed={seed}: {rep.max_rel_err}"
 
         # The backward is built from the forward's saved (xhat, inv), as the model uses it.
         x3 = rng.normal(size=dim) * 2
         xhat, inv = de.layer_normalize(x3, 1e-6)
-        rep = de.finite_diff_check(lambda p: float(w @ de.layer_normalize(p, 1e-6)[0]), x3,
+        rep = de.finite_diff_check(lambda s: de.layer_normalize(s, 1e-6)[0] @ w, x3,
                                    de.layer_normalize_backward(xhat, inv, w))
         assert rep.passed, f"layer_normalize d={dim} seed={seed}: {rep.max_rel_err}"
 
@@ -226,6 +268,11 @@ def test_adam_is_pure_and_deterministic():
     assert np.array_equal(out1[0], out2[0])
     assert np.array_equal(out1[1].m, out2[1].m)
     assert s1.step == 0  # input state untouched
+
+
+def test_adam_refuses_a_stack_of_vectors():
+    with pytest.raises(de.ShapeError, match="one flat parameter vector"):
+        de.adam_step(np.zeros((2, 3)), np.ones((2, 3)), de.AdamState.zeros((2, 3)), lr=0.1)
 
 
 def test_adam_rejects_nonfinite_gradient():

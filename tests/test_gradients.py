@@ -105,9 +105,10 @@ def test_blocked_mix_backward_matches_one_block(monkeypatch):
 
 
 def _objective_per_evaluation(graph, params, users, pos, neg, reg, variant):
-    """The reference objective: fresh parameters viewing each evaluated vector."""
-    def objective(vec):
-        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg, reg, variant)
+    """The reference objective: one-set ``bpr_batch_loss`` on each row of the stack in turn."""
+    def objective(stack):
+        return np.array([bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg, reg,
+                                        variant) for vec in stack])
     return objective
 
 
@@ -115,6 +116,7 @@ def _objective_per_evaluation(graph, params, users, pos, neg, reg, variant):
     FULL_VARIANT,
     ModelVariant(memory_attention=False),
     ModelVariant(recalibration=False),
+    ModelVariant(layer_norm=False),
 ])
 def test_probe_objective_reports_equal_the_per_evaluation_reference(variant, monkeypatch):
     grid = dict(dims=(2, 3), memory_units=(1, 2), layers=(0, 2), seed=5, variant=variant)
@@ -144,7 +146,8 @@ def test_sweep_leaves_the_instance_parameters_untouched(monkeypatch):
 
 
 def test_sweep_builds_a_fixed_number_of_parameter_sets(monkeypatch):
-    """One instance's sweep: init, the gradient buffer and the probe, not one per coordinate."""
+    """One instance's sweep: init, the gradient buffer and at most two probes (a full
+    block and a shorter last one), however many coordinates and blocks it checks."""
     built = []
     init = ModelParams.__init__
 
@@ -152,7 +155,15 @@ def test_sweep_builds_a_fixed_number_of_parameter_sets(monkeypatch):
         built.append(1)
         init(self, *args, **kwargs)
 
+    default_budget = de.FD_BLOCK_FLOATS
     monkeypatch.setattr(ModelParams, "__init__", counting_init)
-    result = check_model_gradients(dims=(3,), memory_units=(2,), layers=(2,))
-    assert result.cases[0].report.num_coords > 200
-    assert len(built) == 3
+    for coords_per_block in (None, 7, 1):
+        for dim in (2, 3):
+            size = _random_instance(dim, 2, 2, 0)[1].num_params
+            monkeypatch.setattr(de, "FD_BLOCK_FLOATS", default_budget if coords_per_block is None
+                                else 2 * size * coords_per_block)
+            built.clear()
+            result = check_model_gradients(dims=(dim,), memory_units=(2,), layers=(2,))
+            assert result.passed
+            assert result.cases[0].report.num_coords == size > 100
+            assert len(built) <= 4

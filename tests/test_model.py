@@ -12,7 +12,7 @@ from dgnnrec.model import (EdgeType, FULL_VARIANT, MemoryBank, ModelParams,
                            _place, final_embeddings, forward, layer_step,
                            recalibrated_users)
 from dgnnrec.synthetic import make_planted_dataset, make_random_graph
-from dgnnrec.training import _kink_margin, bpr_batch_grad, bpr_batch_loss
+from dgnnrec.training import _kink_margin, _vector_objective, bpr_batch_grad
 
 
 def bank_of(et, transforms, keys, biases):
@@ -707,10 +707,7 @@ def test_batch_gradient_with_most_items_unsampled(monkeypatch):
     _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
     assert min(mixed_rows) <= 4
 
-    def objective(vec):
-        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
-                              1e-3, FULL_VARIANT)
-
+    objective = _vector_objective(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
     report = de.finite_diff_check(objective, params.to_vector(), grad)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
 
@@ -764,7 +761,32 @@ def test_constructor_refuses_a_vector_it_cannot_view(tiny_graph):
     vec = random_params(tiny_graph, 3, 2, 2).to_vector()
     assert ModelParams(vec.copy(), n, 3, 2).num_layers == 2
     assert ModelParams(np.zeros(vec.size + 6), n, 3, 2).num_layers == 3
-    for bad in (vec.reshape(1, -1), vec.astype(np.float32), vec[:-1], vec[:-13],
-                np.repeat(vec, 2)[::2]):
+    assert ModelParams(vec.reshape(1, -1), n, 3, 2).num_layers == 2  # a stack of one
+    stack = np.stack([vec, vec])
+    for bad in (vec.astype(np.float32), vec[:-1], vec[:-13], np.repeat(vec, 2)[::2],
+                vec.reshape(1, 1, -1), np.asfortranarray(stack),
+                np.repeat(stack, 2, axis=1)[:, ::2], stack[:, :-1], stack[:, :-13]):
         with pytest.raises(de.ShapeError):
             ModelParams(bad, n, 3, 2)
+
+
+def test_a_stack_views_one_parameter_set_per_row(tiny_graph):
+    n = tiny_graph.num_nodes
+    one = random_params(tiny_graph, 3, 2, 2)
+    stack = np.stack([one.vector, 2.0 * one.vector, -one.vector])
+    p = ModelParams(stack, n, 3, 2)
+    assert (p.num_nodes, p.dim, p.num_units, p.num_layers, p.num_params) == (
+        one.num_nodes, one.dim, one.num_units, one.num_layers, one.num_params)
+    assert p.group_slices() == one.group_slices()
+    assert p.embeddings.shape == (3, n, 3) and p.ln_scale.shape == (3, 2, 3)
+    assert p.banks[EdgeType.UI].transforms.shape == (3, 2, 3, 3)
+    assert p.zeros_like().vector.shape == stack.shape
+    for k in range(3):
+        row = ModelParams(stack[k], n, 3, 2)
+        for (name, arr), (_, want) in zip(p._arrays(), row._arrays()):
+            assert np.shares_memory(arr, stack), name
+            assert np.array_equal(arr[k], want), name
+    with pytest.raises(de.ShapeError, match="with_vector takes one parameter set"):
+        p.with_vector(stack)
+    with pytest.raises(de.ShapeError, match=r"shape \(3, "):
+        one.with_vector(stack)

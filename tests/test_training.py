@@ -20,9 +20,9 @@ from dgnnrec.synthetic import make_planted_dataset, make_random_graph
 from dgnnrec.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER, CheckpointError,
                               CheckpointMagicError, CheckpointTruncatedError,
                               CheckpointVersionError, TrainingConfig, _kink_margin,
-                              _random_instance, _scatter_rows, bpr_batch_grad, bpr_batch_loss,
-                              bpr_loss, load_checkpoint, save_checkpoint, train_epoch,
-                              train_model)
+                              _random_instance, _scatter_rows, _vector_objective,
+                              bpr_batch_grad, bpr_batch_loss, bpr_loss, load_checkpoint,
+                              save_checkpoint, train_epoch, train_model)
 
 
 # ---------------------------------------------------------------------------
@@ -250,10 +250,7 @@ def test_row_set_gradient_matches_finite_differences(name, num_layers):
     assert len(set(pos.tolist()) | set(neg.tolist())) <= 4
     _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, variant)
 
-    def objective(vec):
-        return bpr_batch_loss(graph, params.with_vector(vec), users, pos, neg,
-                              1e-3, variant)
-
+    objective = _vector_objective(graph, params, users, pos, neg, 1e-3, variant)
     report = de.finite_diff_check(objective, params.to_vector(), grad)
     assert report.passed, f"max rel err {report.max_rel_err} at {report.worst_coord}"
 
@@ -272,6 +269,97 @@ def test_an_item_missing_from_the_row_set_poisons_the_loss(monkeypatch):
     with np.errstate(invalid="ignore"):
         with pytest.raises(de.NonFiniteError, match="non-finite loss in batch 0"):
             train_epoch(g, params, cfg, rng_for(0, 4))
+
+
+# ---------------------------------------------------------------------------
+# a stack of parameter sets: each row is evaluated as it would be alone
+
+
+def _stacked(params, stack):
+    return ModelParams(stack, params.num_nodes, params.dim, params.num_units, params.ln_eps)
+
+
+def _bitwise_equal(a, b) -> bool:
+    """Equal bits, except that a NaN's sign bit is not compared."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+def _assert_stack_rows_are_single_evaluations(graph, params, triplets, reg, variant, stack,
+                                              rows=ALL_ROWS):
+    """The stacked loss and H* against one-set evaluations, row by row, bit for bit."""
+    losses = bpr_batch_loss(graph, _stacked(params, stack), *triplets, reg, variant)
+    hstar = forward(graph, _stacked(params, stack), variant, rows).hstar
+    assert losses.shape == (len(stack),) and hstar.shape == (len(stack), graph.num_nodes,
+                                                             params.dim * (params.num_layers + 1))
+    for k, vec in enumerate(stack):
+        one = params.with_vector(vec)
+        loss = bpr_batch_loss(graph, one, *triplets, reg, variant)
+        assert isinstance(loss, float)
+        assert _bitwise_equal(losses[k], loss), k
+        assert _bitwise_equal(hstar[k], forward(graph, one, variant, rows).hstar), k
+    return losses
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_stacked_rows_equal_single_evaluations_on_gradient_check_instances(name):
+    """14-node instances, where the objective computes every row."""
+    for dim, units, num_layers in ((2, 1, 0), (2, 2, 1), (4, 2, 2), (3, 1, 2), (8, 4, 2)):
+        graph, params, triplets = _random_instance(dim, units, num_layers, 0)
+        rng = np.random.default_rng(dim * units + num_layers)
+        for count in (1, 2, 5):
+            stack = params.vector + rng.normal(scale=1e-3, size=(count, params.num_params))
+            _assert_stack_rows_are_single_evaluations(graph, params, triplets, 1e-3,
+                                                      VARIANTS[name], stack)
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_stacked_rows_equal_single_evaluations_on_a_row_set_batch(name):
+    """A planted batch that reads under half of the nodes takes the masked row set.
+
+    The rows it leaves out are NaN in each set's H*, and a NaN parameter in
+    one set poisons that set's loss only.
+    """
+    graph = split_leave_one_out(make_planted_dataset(num_users=30, num_items=300,
+                                                     num_relations=5, seed=2).build(),
+                                2).train_graph
+    params = ModelParams.init(graph.num_nodes, 4, 1 if name == "-M" else 2, 2,
+                              rng_for(2, PARAM_INIT))
+    users, pos, neg = triplets = sample_bpr_batch(graph, rng_for(2, 4), 6)
+    assert 2 * (graph.num_users + len(pos) + len(neg)) < graph.num_nodes
+    mask = np.zeros(graph.num_nodes, dtype=bool)
+    mask[:graph.num_users] = True
+    mask[graph.num_users + np.concatenate([pos, neg])] = True
+    rows = RowSet(graph, mask)
+    stack = params.vector + np.random.default_rng(1).normal(scale=1e-3,
+                                                            size=(4, params.num_params))
+    variant = VARIANTS[name]
+    _assert_stack_rows_are_single_evaluations(graph, params, triplets, 1e-3, variant, stack,
+                                              rows)
+    hstar = forward(graph, _stacked(params, stack), variant, rows).hstar
+    assert np.isnan(hstar[:, ~mask]).all() and np.isfinite(hstar[:, mask]).all()
+
+    stack[1, 0] = np.nan  # user 0's embedding in the second set
+    with np.errstate(invalid="ignore"):
+        losses = _assert_stack_rows_are_single_evaluations(graph, params, triplets, 1e-3,
+                                                           variant, stack, rows)
+    assert np.isnan(losses[1]) and np.isfinite(np.delete(losses, 1)).all()
+
+
+def test_what_trains_or_saves_refuses_a_stack(tmp_path):
+    graph, params, (users, pos, neg) = _random_instance(2, 1, 1, 0)
+    stacked = _stacked(params, np.stack([params.vector, params.vector]))
+    state = forward(graph, stacked)
+    assert state.hstar.shape[0] == 2
+    with pytest.raises(de.ShapeError, match="bpr_batch_grad takes one parameter set"):
+        bpr_batch_grad(graph, stacked, users, pos, neg, 1e-3)
+    with pytest.raises(de.ShapeError, match="backward takes one parameter set"):
+        training.backward(graph, stacked, state, np.zeros_like(state.hstar))
+    with pytest.raises(de.ShapeError, match="save_checkpoint takes one parameter set"):
+        save_checkpoint(tmp_path / "model.ckpt", stacked, graph.num_users, graph.num_items,
+                        graph.num_relations)
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 # ---------------------------------------------------------------------------
