@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Negative slope shared by every activation in the model.
+# Negative slope shared by every activation in the model. leaky_relu's
+# max(x, slope*x) and the backward's branch-free factor are exact, -0.0, NaN
+# and +-inf included, only for 0 < slope <= 1 (at 0, max(inf, 0*inf) is NaN).
 LEAKY_SLOPE = 0.2
 # finite_diff_check perturbs as many coordinates at once as keep its
 # (2 * coordinates, P) stack of perturbed vectors within this many float64.
@@ -46,34 +48,22 @@ def _as_f64(x) -> np.ndarray:
 # activations
 
 
-def leaky_relu(x: np.ndarray, alpha: float = LEAKY_SLOPE) -> np.ndarray:
-    """Elementwise x for x >= 0 and alpha*x below, computed as max(x, alpha*x).
-
-    The two forms agree bit for bit, -0.0, NaN and +-inf included, only for
-    0 < alpha <= 1 (at alpha = 0, max(inf, 0*inf) is NaN), so any other
-    slope raises ValueError.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"leaky_relu needs 0 < alpha <= 1, got {alpha}")
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    """Elementwise x for x >= 0 and LEAKY_SLOPE*x below, computed as max(x, LEAKY_SLOPE*x)."""
     x = _as_f64(x)
-    return np.maximum(x, alpha * x)
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
-def leaky_relu_backward(x: np.ndarray, grad: np.ndarray,
-                        alpha: float = LEAKY_SLOPE) -> np.ndarray:
+def leaky_relu_backward(x: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """dL/dx of ``leaky_relu(x)`` given dL/dy ``grad``, written into ``grad``.
 
-    Where ``~(x >= 0)`` (NaN included) ``grad`` is multiplied by alpha, so the
-    result is ``grad * np.where(x >= 0, 1, alpha)`` bit for bit; the derivative
-    at exactly 0 is defined as 1 (a measure-zero choice). The factor is built
-    without a branch as (x >= 0) * (1 - alpha) + alpha, which is exactly 1 or
-    alpha for 0 < alpha <= 1; any other slope raises ValueError. ``grad`` must
-    be a writable float64 array shaped like ``x``.
+    Where ``~(x >= 0)`` (NaN included) ``grad`` is multiplied by LEAKY_SLOPE,
+    so the result is ``grad * np.where(x >= 0, 1, LEAKY_SLOPE)`` bit for bit;
+    the derivative at exactly 0 is defined as 1 (a measure-zero choice).
+    ``grad`` must be a writable float64 array shaped like ``x``.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"leaky_relu_backward needs 0 < alpha <= 1, got {alpha}")
-    factor = (_as_f64(x) >= 0.0) * (1.0 - alpha)
-    factor += alpha
+    factor = (_as_f64(x) >= 0.0) * (1.0 - LEAKY_SLOPE)
+    factor += LEAKY_SLOPE
     grad *= factor
     return grad
 
@@ -146,8 +136,8 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def zeros(cls, shape, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(np.zeros(shape), np.zeros(shape), 0, beta1, beta2, eps)
+    def zeros(cls, shape) -> "AdamState":
+        return cls(np.zeros(shape), np.zeros(shape))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
@@ -192,7 +182,7 @@ class FiniteDiffReport:
 
 
 def finite_diff_check(f, params: np.ndarray, grad: np.ndarray, h: float = 1e-5,
-                      tol: float = 1e-4, denom_floor: float = 1e-5) -> FiniteDiffReport:
+                      tol: float = 1e-4) -> FiniteDiffReport:
     """Compare an analytical gradient against central differences of f.
 
     ``f`` maps a stack of K parameter arrays, shaped (K, *params.shape)
@@ -204,7 +194,7 @@ def finite_diff_check(f, params: np.ndarray, grad: np.ndarray, h: float = 1e-5,
     FD_BLOCK_FLOATS float64. A non-finite value raises NonFiniteError
     naming the first coordinate whose perturbation gave one.
 
-    Relative error per coordinate is |a - n| / max(|a|, |n|, denom_floor),
+    Relative error per coordinate is |a - n| / max(|a|, |n|, 1e-5),
     so a gradient that is wrong by 2x reports an error near 0.5 and
     zero-gradient coordinates do not divide by zero. The floor sits well
     above the f64 rounding noise of the difference quotient (~1e-10 for
@@ -238,6 +228,6 @@ def finite_diff_check(f, params: np.ndarray, grad: np.ndarray, h: float = 1e-5,
         numeric[coords] = (fp - fm) / (2.0 * h)
     analytic = grad.ravel()
     errors = np.abs(analytic - numeric) / np.maximum(
-        np.maximum(np.abs(analytic), np.abs(numeric)), denom_floor)
+        np.maximum(np.abs(analytic), np.abs(numeric)), 1e-5)
     worst = int(np.argmax(errors))
     return FiniteDiffReport(float(errors[worst]), worst, size, tol, errors)

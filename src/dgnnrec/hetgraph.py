@@ -96,9 +96,6 @@ class Adjacency:
         out.setflags(write=False)
         return out
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
-
     def pairs(self) -> np.ndarray:
         src = np.repeat(np.arange(self.num_rows, dtype=np.int64), self.degrees())
         return np.column_stack([src, self.indices])
@@ -278,35 +275,6 @@ class HeteroGraph:
         """Sorted u*J+item keys for O(log E) membership tests."""
         pairs = self.ui.pairs()
         return pairs[:, 0] * self.num_items + pairs[:, 1]
-
-    def validate(self) -> None:
-        """Re-check every structural invariant; raises GraphBuildError."""
-        for name, adj, n_src, n_dst in (
-            ("ui", self.ui, self.num_users, self.num_items),
-            ("iu", self.iu, self.num_items, self.num_users),
-            ("uu", self.uu, self.num_users, self.num_users),
-            ("ir", self.ir, self.num_items, self.num_relations),
-            ("ri", self.ri, self.num_relations, self.num_items),
-        ):
-            if adj.num_rows != n_src:
-                raise GraphBuildError(f"{name}: row count {adj.num_rows} != {n_src}")
-            if adj.indices.size and (adj.indices.min() < 0 or adj.indices.max() >= n_dst):
-                raise GraphBuildError(f"{name}: neighbor id out of range")
-            row_of = adj.pairs()[:, 0]
-            bad = np.flatnonzero((np.diff(adj.indices) <= 0) & (np.diff(row_of) == 0))
-            if bad.size:
-                raise GraphBuildError(f"{name}: row {row_of[bad[0]]} not strictly ascending")
-        uu_pairs = self.uu.pairs()
-        if uu_pairs.size and np.any(uu_pairs[:, 0] == uu_pairs[:, 1]):
-            raise GraphBuildError("uu: self-loop present")
-        for name, fwd, rev in (("ui/iu", self.ui, self.iu),
-                               ("ir/ri", self.ir, self.ri),
-                               ("uu/uu", self.uu, self.uu)):
-            a = fwd.pairs()
-            b = _reverse_pairs(rev.pairs())
-            if a.shape != b.shape or (a.size and not np.array_equal(
-                    a[np.lexsort((a[:, 1], a[:, 0]))], b[np.lexsort((b[:, 1], b[:, 0]))])):
-                raise GraphBuildError(f"{name}: directions inconsistent")
 
 
 # ---------------------------------------------------------------------------
@@ -649,13 +617,12 @@ def _manifest_ids(path, rows) -> np.ndarray:
 # BPR triplet sampling
 
 
-def sample_bpr_batch(train_graph: HeteroGraph, rng: np.random.Generator, size: int,
-                     max_rounds: int = 200):
+def sample_bpr_batch(train_graph: HeteroGraph, rng: np.random.Generator, size: int):
     """``size`` triplets (u, j+, j-): a uniform observed edge, j- by rejection.
 
     Each negative is redrawn until it is not one of u's interactions. A
     triplet still pending after every 50 rounds has its edge resampled, in
-    case its user interacts with every item; after ``max_rounds`` rounds a
+    case its user interacts with every item; after 200 rounds a
     SamplingError is raised.
     """
     num_edges = train_graph.num_interactions
@@ -669,7 +636,7 @@ def sample_bpr_batch(train_graph: HeteroGraph, rng: np.random.Generator, size: i
     pos = train_graph.ui.indices[edges]
     neg = np.empty(size, dtype=np.int64)
     pending = np.arange(size)
-    for round_no in range(max_rounds):
+    for round_no in range(200):
         cand = rng.integers(0, J, size=pending.size)
         observed = _in_sorted(keys, users[pending] * J + cand)
         neg[pending[~observed]] = cand[~observed]

@@ -500,6 +500,18 @@ def recalibrated_users(hstar: np.ndarray, graph: HeteroGraph,
     return users + (neigh + users) / uu._closed_degrees
 
 
+def recalibrated_users_backward(d_q: np.ndarray, graph: HeteroGraph,
+                                variant: ModelVariant) -> np.ndarray:
+    """dL/dH* on the user rows given dL/dq of ``recalibrated_users``; one parameter set."""
+    if not variant.recalibration:
+        return d_q
+    # q_u = H*[u] + (sum_neighbors + H*[u]) / (deg_u + 1)
+    uu = graph.uu
+    w = d_q / uu._closed_degrees
+    # uu is symmetric, so summing w over neighbours is its transpose.
+    return d_q + w + _place(_neighbor_sum(w, uu), uu.plan.targets, graph.num_users, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # backward
 

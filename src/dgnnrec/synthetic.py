@@ -36,41 +36,45 @@ class PlantedDataset:
                            self.num_users, self.num_items, self.num_relations)
 
 
+NUM_FACTORS = 5
+ORDER_WEIGHTS = (0.35, 0.5, 0.9)
+POPULARITY_WEIGHT = 0.3
+CHOICE_NOISE = 0.3
+SOCIAL_DEGREE = 6
+RELATIONS_PER_ITEM = 2
+
+
 def make_planted_dataset(num_users: int = 200, num_items: int = 500,
-                         num_relations: int = 20, num_factors: int = 5,
-                         seed: int = 0, interactions_per_user: int = 30,
-                         social_degree: int = 6, relations_per_item: int = 2,
-                         choice_noise: float = 0.3,
-                         order_weights: tuple = (0.35, 0.5, 0.9),
-                         popularity_weight: float = 0.3) -> PlantedDataset:
+                         num_relations: int = 20, seed: int = 0,
+                         interactions_per_user: int = 30) -> PlantedDataset:
     rng = rng_for(seed, DATASET)
-    f = num_factors
+    f = NUM_FACTORS
     aspect1 = rng.normal(size=(num_users, f))
     aspect2 = rng.normal(size=(num_users, f))
     aspect3 = rng.normal(size=(num_users, f))
     item_f = rng.normal(size=(num_items, f))
     popularity = rng.normal(size=num_items)
 
-    w1, w2, w3 = order_weights
+    w1, w2, w3 = ORDER_WEIGHTS
     s1 = aspect1 @ item_f.T
     s2 = aspect2 @ item_f.T
     s3 = aspect3 @ item_f.T
     affinity = (w3 * s1 * s2 * s3 / f
                 + w2 * s1 * s2 / np.sqrt(f)
                 + w1 * s1
-                + popularity_weight * popularity)
+                + POPULARITY_WEIGHT * popularity)
 
-    noisy = affinity + choice_noise * rng.gumbel(size=affinity.shape)
+    noisy = affinity + CHOICE_NOISE * rng.gumbel(size=affinity.shape)
     interactions = _top_pairs(noisy, interactions_per_user)
 
     # Social ties to the most factor-similar users; symmetrized at build time.
     user_f = np.concatenate([aspect1, aspect2, aspect3], axis=1)
     sim = user_f @ user_f.T
     np.fill_diagonal(sim, -np.inf)
-    social = np.unique(np.sort(_top_pairs(sim, social_degree), axis=1), axis=0)
+    social = np.unique(np.sort(_top_pairs(sim, SOCIAL_DEGREE), axis=1), axis=0)
 
     prototypes = rng.normal(size=(num_relations, f))
-    item_relations = _top_pairs(item_f @ prototypes.T, relations_per_item)
+    item_relations = _top_pairs(item_f @ prototypes.T, RELATIONS_PER_ITEM)
     return PlantedDataset(interactions, social, item_relations,
                           num_users, num_items, num_relations)
 

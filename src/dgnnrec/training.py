@@ -21,8 +21,8 @@ import numpy as np
 
 from . import diffengine as de
 from .hetgraph import HeteroGraph, sample_bpr_batch
-from .model import (ALL_ROWS, FULL_VARIANT, ModelParams, ModelVariant, RowSet,
-                    _neighbor_sum, _place, backward, forward, recalibrated_users)
+from .model import (ALL_ROWS, FULL_VARIANT, ModelParams, ModelVariant, RowSet, backward,
+                    forward, recalibrated_users, recalibrated_users_backward)
 from .seeding import PARAM_INIT, TRIPLETS, rng_for
 
 
@@ -149,15 +149,7 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
                             np.concatenate([g_margin[:, None] * qp, -g_margin[:, None] * qp]),
                             hstar.shape)
 
-    if variant.recalibration:
-        # q_u = H*[u] + (sum_neighbors + H*[u]) / (deg_u + 1)
-        uu = graph.uu
-        w = d_q / uu._closed_degrees
-        # uu is symmetric, so summing w over neighbours is its transpose.
-        d_hstar[:num_users] += d_q + w + _place(_neighbor_sum(w, uu), uu.plan.targets,
-                                                num_users, 0.0)
-    else:
-        d_hstar[:num_users] += d_q
+    d_hstar[:num_users] += recalibrated_users_backward(d_q, graph, variant)
 
     grads = backward(graph, params, state, d_hstar, variant)
     return loss, grads.to_vector() + (2.0 * reg) * params.vector
@@ -321,6 +313,10 @@ def load_checkpoint(path) -> Checkpoint:
 # ---------------------------------------------------------------------------
 # gradient verification of the full objective
 
+# The checked objective's weight decay, and the least |pre-activation| an instance may have.
+GRAD_CHECK_REG = 1e-3
+GRAD_CHECK_KINK_MARGIN = 1e-4
+
 
 @dataclass
 class GradCheckCase:
@@ -400,46 +396,41 @@ def _kink_margin(graph, params, variant) -> float:
 def _vector_objective(graph, params, users, pos, neg, reg, variant):
     """``stack -> bpr_batch_loss`` of each row of a (K, P) stack, for ``finite_diff_check``.
 
-    Each call copies the stack into a probe ``ModelParams`` over a (K, P)
-    buffer and returns the K objective values from one stacked forward.
-    The probe is built again only when K changes (the sweep's last block
-    may be shorter), so a sweep builds at most two however many
-    coordinates it checks; ``params`` is never written.
+    Each call views the stack, without a copy, as a ``ModelParams`` of K
+    sets shaped as ``params`` and evaluates them in one stacked forward.
     """
-    probe = None
-
     def objective(stack):
-        nonlocal probe
-        if probe is None or probe.vector.shape != stack.shape:
-            probe = ModelParams(np.empty(stack.shape), params.num_nodes, params.dim,
-                                params.num_units, params.ln_eps)
-        probe.vector[...] = stack
-        return bpr_batch_loss(graph, probe, users, pos, neg, reg, variant)
+        return bpr_batch_loss(graph, ModelParams(stack, params.num_nodes, params.dim,
+                                                 params.num_units, params.ln_eps),
+                              users, pos, neg, reg, variant)
 
     return objective
 
 
 def check_model_gradients(dims=(2, 4, 8), memory_units=(1, 2, 4), layers=(0, 1, 2),
                           seed: int = 0, h: float = 1e-5, tol: float = 1e-4,
-                          reg: float = 1e-3, variant: ModelVariant = FULL_VARIANT,
-                          kink_margin: float = 1e-4) -> GradCheckResult:
+                          variant: ModelVariant = FULL_VARIANT) -> GradCheckResult:
     """Check analytical gradients of the batch objective on a (d, M, L) grid."""
     cases = []
     for dim in dims:
         for units in memory_units:
             for num_layers in layers:
-                attempt = 0
-                while True:
+                margins = []
+                for attempt in range(101):
                     graph, params, triplets = _random_instance(
                         dim, units, num_layers, seed + 1000 * attempt)
-                    if _kink_margin(graph, params, variant) >= kink_margin:
+                    margins.append(_kink_margin(graph, params, variant))
+                    if margins[-1] >= GRAD_CHECK_KINK_MARGIN:
                         break
-                    attempt += 1
-                    if attempt > 100:
-                        raise RuntimeError("could not draw a kink-free instance")
+                else:
+                    raise RuntimeError(
+                        f"could not draw a kink-free instance at d={dim}, M={units}, "
+                        f"L={num_layers} for {variant}: the best of {len(margins)} "
+                        f"draws has margin {max(margins):.3g} < {GRAD_CHECK_KINK_MARGIN:g}")
                 users, pos, neg = triplets
-                _, grad = bpr_batch_grad(graph, params, users, pos, neg, reg, variant)
-                objective = _vector_objective(graph, params, users, pos, neg, reg, variant)
+                _, grad = bpr_batch_grad(graph, params, users, pos, neg, GRAD_CHECK_REG, variant)
+                objective = _vector_objective(graph, params, users, pos, neg, GRAD_CHECK_REG,
+                                              variant)
                 report = de.finite_diff_check(objective, params.to_vector(), grad, h, tol)
                 group_errors = {name: float(report.errors[sl].max())
                                 for name, sl in params.group_slices() if sl.stop > sl.start}

@@ -8,6 +8,8 @@ vectorized implementation it is used to check.
 
 import numpy as np
 
+from graph_checks import neighbors
+
 ALPHA = 0.2
 
 
@@ -52,21 +54,21 @@ def dense_layer_step(emb, graph, params, step, variant):
         incoming = []
         if node < I:
             u = node
-            for u2 in graph.uu.neighbors(u):
+            for u2 in neighbors(graph.uu, u):
                 incoming.append(_message(own, emb[int(u2)], params.banks[EdgeType.UU], use_memory))
-            for j in graph.ui.neighbors(u):
+            for j in neighbors(graph.ui, u):
                 incoming.append(_message(own, emb[I + int(j)], params.banks[EdgeType.UI], use_memory))
             self_bank = params.banks[EdgeType.SELF_USER]
         elif node < I + J:
             v = node - I
-            for u in graph.iu.neighbors(v):
+            for u in neighbors(graph.iu, v):
                 incoming.append(_message(own, emb[int(u)], params.banks[EdgeType.IU], use_memory))
-            for r in graph.ir.neighbors(v):
+            for r in neighbors(graph.ir, v):
                 incoming.append(_message(own, emb[I + J + int(r)], params.banks[EdgeType.IR], use_memory))
             self_bank = params.banks[EdgeType.SELF_ITEM]
         else:
             r = node - I - J
-            for v in graph.ri.neighbors(r):
+            for v in neighbors(graph.ri, r):
                 incoming.append(_message(own, emb[I + int(v)], params.banks[EdgeType.RI], use_memory))
             self_bank = params.banks[EdgeType.SELF_RELATION]
 
@@ -98,11 +100,11 @@ def dense_forward(graph, params, variant):
 def dense_predict(u, v, hstar, graph, variant):
     I = graph.num_users
     if variant.recalibration:
-        neighbors = graph.uu.neighbors(u)
+        ties = neighbors(graph.uu, u)
         tau = hstar[u].copy()
-        for nb in neighbors:
+        for nb in ties:
             tau = tau + hstar[int(nb)]
-        tau = tau / (len(neighbors) + 1)
+        tau = tau / (len(ties) + 1)
         q = hstar[u] + tau
     else:
         q = hstar[u]

@@ -8,6 +8,7 @@ implementation in ``dgnnrec.hetgraph`` that it is used to check.
 
 import numpy as np
 
+from graph_checks import neighbors
 from dgnnrec.hetgraph import EdgeFileError
 
 CHUNK = 128
@@ -43,7 +44,7 @@ def draw_negatives(graph, users, num_negatives, rng):
     out = np.empty((len(users), num_negatives), dtype=np.int64)
     chunks = np.zeros(len(users), dtype=np.int64)
     for row, u in enumerate(users):
-        seen = set(graph.ui.neighbors(u).tolist())
+        seen = set(neighbors(graph.ui, u).tolist())
         chosen = []
         while len(chosen) < num_negatives:
             chunks[row] += 1

@@ -2,8 +2,10 @@
 
 import inspect
 
+import pytest
+
 import dgnnrec
-from dgnnrec import model, training
+from dgnnrec import diffengine, hetgraph, model, synthetic, training
 
 REMOVED = ("predict", "recalibrate", "sample_bpr_triplet", "sparsity_report")
 
@@ -21,3 +23,25 @@ def test_the_graph_owns_its_edge_layout():
     for fn in (model.layer_step, model.backward, training.bpr_batch_loss,
                training.bpr_batch_grad, training.train_epoch):
         assert "edge_cache" not in inspect.signature(fn).parameters, fn.__name__
+
+
+@pytest.mark.parametrize("fn, names", [
+    (diffengine.leaky_relu, ["x"]),
+    (diffengine.leaky_relu_backward, ["x", "grad"]),
+    (diffengine.finite_diff_check, ["f", "params", "grad", "h", "tol"]),
+    (diffengine.AdamState.zeros, ["shape"]),
+    (hetgraph.sample_bpr_batch, ["train_graph", "rng", "size"]),
+    (training.check_model_gradients, ["dims", "memory_units", "layers", "seed", "h", "tol",
+                                      "variant"]),
+    (synthetic.make_planted_dataset, ["num_users", "num_items", "num_relations", "seed",
+                                      "interactions_per_user"]),
+], ids=lambda x: x.__qualname__ if callable(x) else "")
+def test_settings_no_caller_sets_are_constants(fn, names):
+    """These take only the parameters their callers set; the rest are module constants."""
+    assert list(inspect.signature(fn).parameters) == names
+
+
+def test_training_calls_no_private_model_helper():
+    private = [name for name, obj in vars(training).items()
+               if name.startswith("_") and getattr(obj, "__module__", None) == model.__name__]
+    assert private == []

@@ -145,25 +145,42 @@ def test_sweep_leaves_the_instance_parameters_untouched(monkeypatch):
         assert params.vector.tobytes() == before
 
 
-def test_sweep_builds_a_fixed_number_of_parameter_sets(monkeypatch):
-    """One instance's sweep: init, the gradient buffer and at most two probes (a full
-    block and a shorter last one), however many coordinates and blocks it checks."""
-    built = []
+def test_objective_views_the_stack_with_one_parameter_set_per_call(monkeypatch):
+    graph, params, (users, pos, neg) = _random_instance(3, 2, 2, seed=0)
+    _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
+    objective = _vector_objective(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
+    stacks, built = [], []
     init = ModelParams.__init__
 
-    def counting_init(self, *args, **kwargs):
-        built.append(1)
+    def recording_init(self, *args, **kwargs):
+        built.append(self)
         init(self, *args, **kwargs)
 
-    default_budget = de.FD_BLOCK_FLOATS
-    monkeypatch.setattr(ModelParams, "__init__", counting_init)
-    for coords_per_block in (None, 7, 1):
-        for dim in (2, 3):
-            size = _random_instance(dim, 2, 2, 0)[1].num_params
-            monkeypatch.setattr(de, "FD_BLOCK_FLOATS", default_budget if coords_per_block is None
-                                else 2 * size * coords_per_block)
-            built.clear()
-            result = check_model_gradients(dims=(dim,), memory_units=(2,), layers=(2,))
-            assert result.passed
-            assert result.cases[0].report.num_coords == size > 100
-            assert len(built) <= 4
+    def recording_objective(stack):
+        stacks.append(stack)
+        return objective(stack)
+
+    monkeypatch.setattr(ModelParams, "__init__", recording_init)
+    monkeypatch.setattr(de, "FD_BLOCK_FLOATS", 2 * params.num_params * 7)  # 7 coordinates
+    report = de.finite_diff_check(recording_objective, params.to_vector(), grad)
+    assert report.passed
+    assert len(stacks) == -(-params.num_params // 7) > 2
+    assert len(built) == len(stacks)
+    for view, stack in zip(built, stacks):
+        assert view.vector is stack
+        assert np.shares_memory(view.embeddings, stack)
+        assert np.shares_memory(view.banks[-1].biases, stack)
+
+
+def test_a_screen_that_never_passes_names_the_shape_variant_and_best_margin():
+    # Without LN the layer-2 activations of d = 8, M = 1 peak at ~0.08, and no
+    # draw keeps its pre-activations 1e-4 away from the kink.
+    variant = ModelVariant(layer_norm=False)
+    best = max(_kink_margin(*_random_instance(8, 1, 2, 1000 * attempt)[:2], variant)
+               for attempt in range(101))
+    assert best < training.GRAD_CHECK_KINK_MARGIN
+    with pytest.raises(RuntimeError) as raised:
+        check_model_gradients(dims=(8,), memory_units=(1,), layers=(2,), variant=variant)
+    assert str(raised.value) == (
+        f"could not draw a kink-free instance at d=8, M=1, L=2 for {variant}: "
+        f"the best of 101 draws has margin {best:.3g} < 0.0001")

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference
+from graph_checks import neighbors, validate
 from dgnnrec import hetgraph as hg
 from dgnnrec import synthetic
 from dgnnrec.seeding import NEGATIVES, rng_for
@@ -115,8 +116,8 @@ def test_load_edge_file_matches_line_reference(lines, final_newline):
 
 def test_build_graph_symmetrizes_social():
     g = hg.build_graph([(0, 0)], [(0, 1)], [], 2, 1, 0)
-    assert g.uu.neighbors(0).tolist() == [1]
-    assert g.uu.neighbors(1).tolist() == [0]
+    assert neighbors(g.uu, 0).tolist() == [1]
+    assert neighbors(g.uu, 1).tolist() == [0]
 
 
 def test_build_graph_empty_social_and_relations():
@@ -124,7 +125,7 @@ def test_build_graph_empty_social_and_relations():
     assert g.uu.num_edges == 0
     assert g.ir.num_edges == 0
     assert g.num_interactions == 2
-    g.validate()
+    validate(g)
 
 
 @pytest.mark.parametrize("row1", [[1, 0], [1, 1]])
@@ -132,10 +133,10 @@ def test_validate_rejects_row_not_strictly_ascending(row1):
     from dataclasses import replace
     # Row 0 ends above where row 1 starts: a boundary is not a descent.
     g = hg.build_graph([(0, 2), (1, 0), (1, 1)], [], [], 3, 3, 0)
-    g.validate()
+    validate(g)
     bad = hg.Adjacency(np.array([0, 1, 3, 3]), np.array([2] + row1))
     with pytest.raises(hg.GraphBuildError, match="ui: row 1 not strictly ascending"):
-        replace(g, ui=bad).validate()
+        validate(replace(g, ui=bad))
 
 
 def test_build_graph_rejects_out_of_range():
@@ -163,7 +164,7 @@ def test_round_trip_rebuild_is_identical(tiny_graph):
 def test_random_graph_invariants(seed):
     from conftest import random_small_graph
     g = random_small_graph(np.random.default_rng(seed))
-    g.validate()  # symmetry, bidirectional consistency, sortedness, ranges
+    validate(g)  # symmetry, bidirectional consistency, sortedness, ranges
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +184,8 @@ def test_split_partitions_each_user():
     g = _chain_graph()
     split = hg.split_leave_one_out(g, seed=5, num_negatives=5)
     for u, held in zip(split.test_users.tolist(), split.test_items.tolist()):
-        train_items = set(split.train_graph.ui.neighbors(u).tolist())
-        full_items = set(g.ui.neighbors(u).tolist())
+        train_items = set(neighbors(split.train_graph.ui, u).tolist())
+        full_items = set(neighbors(g.ui, u).tolist())
         assert held not in train_items
         assert train_items | {held} == full_items
 
@@ -316,7 +317,7 @@ def test_manifest_rejects_negative_the_user_interacted_with(tmp_path):
     path = tmp_path / "split.txt"
     hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
     def swap_in_train_item(u, item, negs):
-        other = next(j for j in g.ui.neighbors(u).tolist() if j != item)
+        other = next(j for j in neighbors(g.ui, u).tolist() if j != item)
         return str(u), str(item), ",".join([str(other)] + negs[1:])
 
     _rewrite_first_test_row(path, swap_in_train_item)
@@ -339,7 +340,7 @@ def _duplicate_first_user(path, graph, another_item):
     lines = path.read_text().splitlines()
     u, item, negs = lines[3].split("\t")
     if another_item:
-        item = str(next(j for j in graph.ui.neighbors(int(u)).tolist() if j != int(item)))
+        item = str(next(j for j in neighbors(graph.ui, int(u)).tolist() if j != int(item)))
     path.write_text("\n".join(lines + [f"{u}\t{item}\t{negs}"]) + "\n")
     return int(u), len(lines) + 1
 
