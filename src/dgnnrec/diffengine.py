@@ -25,11 +25,12 @@ import numpy as np
 LEAKY_SLOPE = 0.2
 # finite_diff_check perturbs as many coordinates at once as keep its
 # (2 * coordinates, P) stack of perturbed vectors within this many float64.
-# A stacked model forward holds ~15 KB per row at P = 408. On the perfbench
-# gradcheck sub-grid (seeds 31-33, parent 1.81-1.91 s and 59.1 MB), 1 << 14
-# read op_s 0.143-0.152 s at +0.7-1.2 MB peak RSS; 1 << 16 read 0.102-0.115 s
-# at +2.3-3.6 MB, and 1 << 17 +4.5-5.0 MB.
-FD_BLOCK_FLOATS = 1 << 14
+# A stacked model forward, which keeps no backward caches, holds ~1.3 P
+# float64 per row at P = 408 besides its stack row. On the perfbench gradcheck
+# sub-grid (seeds 71-76, alternating pairs, 1 << 14 read op_s 0.158 s at
+# 59.7 MB peak RSS), 1 << 15 read 0.130 s at +0.3 MB and 1 << 16 read 0.115 s
+# at +0.85 MB (+1.4%).
+FD_BLOCK_FLOATS = 1 << 16
 
 
 class ShapeError(ValueError):

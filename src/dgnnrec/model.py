@@ -48,7 +48,9 @@ carries the stack's axis in front, node rows are indexed as
 ``x[..., rows, :]`` and products broadcast over the leading axis. numpy
 runs a stacked product as one BLAS call per set, and every other step
 works row by row, so each set of a stack is computed bit for bit as it
-would be alone. ``backward`` takes one set only.
+would be alone. ``backward`` takes one set only, so a stacked forward
+keeps no step caches, which would be about half of a stacked row's
+memory.
 """
 
 from __future__ import annotations
@@ -436,7 +438,9 @@ class LayerState:
 
     A forward over a row set computes H^(L) and H* on those rows only; their
     other rows are NaN, so a read of one poisons whatever it reaches.
-    ``final_inv_std`` holds the computed rows only.
+    ``final_inv_std`` holds the computed rows only. ``step_caches`` holds
+    one ``_StepCache`` per layer for ``backward``, and is empty after a
+    forward over a stack, which cannot be differentiated.
     """
 
     layers: list[np.ndarray]
@@ -470,17 +474,19 @@ def forward(graph: HeteroGraph, params: ModelParams,
     ``rows`` are the rows of H* to compute. Since the last layer and H*
     work row by row, only the last layer is cut to them; the earlier
     layers stay whole, as their neighbours feed it. For a stack of K
-    parameter sets every array of the state gains a leading K axis.
+    parameter sets every array of the state gains a leading K axis, and
+    no step cache is kept, since ``backward`` takes one set only.
     ``edge_cache`` is unused and is kept only for the benchmark harness.
     """
     if params.num_nodes != graph.num_nodes:
         raise de.ShapeError(
             f"params cover {params.num_nodes} nodes but graph has {graph.num_nodes}")
     records: list = []
+    record = records if params.vector.ndim == 1 else None
     layers = [params.embeddings]
     for step in range(params.num_layers):
         last = rows if step == params.num_layers - 1 else ALL_ROWS
-        layers.append(layer_step(layers[-1], graph, params, step, variant, records, last))
+        layers.append(layer_step(layers[-1], graph, params, step, variant, record, last))
     hstar, inv = final_embeddings(layers, params.ln_eps, rows)
     return LayerState(layers, hstar, inv, records, rows)
 
@@ -595,9 +601,12 @@ def backward(graph: HeteroGraph, params: ModelParams, state: LayerState,
     """Gradients of a scalar loss w.r.t. every parameter, given dL/dH*.
 
     Only the rows of ``d_hstar`` that ``state``'s forward computed are read.
-    ``params`` is one set; a stack raises ShapeError.
+    ``params`` and ``state`` are of one set; a stack, or the state of a
+    stacked forward (which keeps no step caches), raises ShapeError.
     """
     params.require_one_set("backward")
+    if state.hstar.ndim != 2:
+        raise de.ShapeError("backward takes the state of a one-set forward, not of a stack")
     grads = params.zeros_like()
     num_layers = state.num_layers
     d = params.dim

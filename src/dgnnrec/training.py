@@ -410,7 +410,13 @@ def _vector_objective(graph, params, users, pos, neg, reg, variant):
 def check_model_gradients(dims=(2, 4, 8), memory_units=(1, 2, 4), layers=(0, 1, 2),
                           seed: int = 0, h: float = 1e-5, tol: float = 1e-4,
                           variant: ModelVariant = FULL_VARIANT) -> GradCheckResult:
-    """Check analytical gradients of the batch objective on a (d, M, L) grid."""
+    """Check analytical gradients of the batch objective on a (d, M, L) grid.
+
+    ``tol`` must be finite and > 0, or no error could fail the check; any
+    other value is a ValueError before an instance is drawn.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"gradient-check tolerance {tol!r}: expected a finite number > 0")
     cases = []
     for dim in dims:
         for units in memory_units:

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from dgnnrec import cli
+from dgnnrec import cli, training
 from dgnnrec.synthetic import make_planted_dataset
 from dgnnrec.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER, TrainingConfig,
                               load_checkpoint, save_checkpoint)
@@ -358,6 +358,20 @@ def test_grad_check_command(capsys):
     coords = int(re.search(r"^\d+ instances, (\d+) coordinates checked$", out, re.M).group(1))
     evals = re.search(r"^(\d+) objective evaluations in \d+\.\d\d s$", out, re.M)
     assert evals is not None and int(evals.group(1)) == 2 * coords
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-inf", "0", "-1e-4"])
+def test_grad_check_refuses_a_tolerance_no_error_can_fail(tol, capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(training, "_random_instance", lambda *args: drawn.append(args))
+    assert cli.main(["grad-check", f"--tol={tol}"]) == cli.EXIT_USAGE
+    assert drawn == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite number > 0" in captured.err
+    with pytest.raises(ValueError, match="expected a finite number > 0"):
+        training.check_model_gradients(tol=float(tol))
+    assert drawn == []
 
 
 def test_bench_command_emits_table(capsys):

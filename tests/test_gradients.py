@@ -33,6 +33,16 @@ def test_gradients_cover_ablation_variants(variant):
     assert result.passed, f"{variant}: max rel err {result.max_rel_err}"
 
 
+@pytest.mark.parametrize("num_layers", [0, 1])
+def test_gradients_without_layer_norm_at_d8(num_layers):
+    # The -LN kink screen passes at d = 8 for L <= 1; L = 2 is the hole that
+    # test_a_screen_that_never_passes_names_the_shape_variant_and_best_margin pins.
+    result = check_model_gradients(dims=(8,), memory_units=(1, 2), layers=(num_layers,),
+                                   variant=ModelVariant(layer_norm=False))
+    assert len(result.cases) == 2
+    assert result.passed, f"max rel err {result.max_rel_err}"
+
+
 def test_every_parameter_group_receives_gradient():
     graph, params, (users, pos, neg) = _random_instance(4, 2, 2, seed=3)
     _, grad = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)

@@ -347,6 +347,19 @@ def test_stacked_rows_equal_single_evaluations_on_a_row_set_batch(name):
     assert np.isnan(losses[1]) and np.isfinite(np.delete(losses, 1)).all()
 
 
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
+def test_a_stacked_forward_keeps_no_step_caches(num_layers):
+    """One set records a step cache per layer for backward; a stack, which
+    backward refuses, records none."""
+    graph, params, _ = _random_instance(3, 2, num_layers, 0)
+    one = forward(graph, params)
+    assert len(one.step_caches) == num_layers
+    assert all(cache.normed.shape == (graph.num_nodes, 3) for cache in one.step_caches)
+    state = forward(graph, _stacked(params, np.stack([params.vector, params.vector])))
+    assert state.step_caches == [] and len(state.layers) == num_layers + 1
+    assert _bitwise_equal(state.hstar[1], one.hstar)
+
+
 def test_what_trains_or_saves_refuses_a_stack(tmp_path):
     graph, params, (users, pos, neg) = _random_instance(2, 1, 1, 0)
     stacked = _stacked(params, np.stack([params.vector, params.vector]))
@@ -356,6 +369,8 @@ def test_what_trains_or_saves_refuses_a_stack(tmp_path):
         bpr_batch_grad(graph, stacked, users, pos, neg, 1e-3)
     with pytest.raises(de.ShapeError, match="backward takes one parameter set"):
         training.backward(graph, stacked, state, np.zeros_like(state.hstar))
+    with pytest.raises(de.ShapeError, match="not of a stack"):
+        training.backward(graph, params, state, np.zeros_like(state.hstar))
     with pytest.raises(de.ShapeError, match="save_checkpoint takes one parameter set"):
         save_checkpoint(tmp_path / "model.ckpt", stacked, graph.num_users, graph.num_items,
                         graph.num_relations)
