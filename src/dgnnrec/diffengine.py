@@ -15,6 +15,7 @@ given in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,6 +183,19 @@ class FiniteDiffReport:
         return self.max_rel_err <= self.tol
 
 
+def check_step_and_tolerance(h: float, tol: float) -> None:
+    """Raise ValueError unless the step ``h`` and the tolerance ``tol`` are finite and > 0.
+
+    With any other tolerance no error can fail a check (inf, NaN) or none
+    can pass it (0 or below), and any other step gives no difference
+    quotient that means anything.
+    """
+    for name, value in (("step h", h), ("tolerance", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"finite-difference {name} {value!r}: "
+                             f"expected a finite number > 0")
+
+
 def finite_diff_check(f, params: np.ndarray, grad: np.ndarray, h: float = 1e-5,
                       tol: float = 1e-4) -> FiniteDiffReport:
     """Compare an analytical gradient against central differences of f.
@@ -199,8 +213,10 @@ def finite_diff_check(f, params: np.ndarray, grad: np.ndarray, h: float = 1e-5,
     so a gradient that is wrong by 2x reports an error near 0.5 and
     zero-gradient coordinates do not divide by zero. The floor sits well
     above the f64 rounding noise of the difference quotient (~1e-10 for
-    h=1e-5) while staying far below any gradient that matters.
+    h=1e-5) while staying far below any gradient that matters. ``h`` and
+    ``tol`` must be finite and > 0 (``check_step_and_tolerance``).
     """
+    check_step_and_tolerance(h, tol)
     params = _as_f64(params)
     grad = _as_f64(grad)
     if grad.shape != params.shape:

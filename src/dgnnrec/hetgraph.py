@@ -107,7 +107,7 @@ class Adjacency:
         rows = np.flatnonzero(deg)
         order = np.argsort(deg[rows], kind="stable")  # by degree, ascending row within one
         degs, starts, counts = np.unique(deg[rows[order]], return_index=True, return_counts=True)
-        runs, sources, e0 = [], [], 0
+        runs, ends, sources, e0 = [], [], [], 0
         for k, r0, n in zip(degs.tolist(), starts.tolist(), counts.tolist()):
             first = self.indptr[rows[order[r0:r0 + n]]]
             # Edge-major: the j-th neighbours of all n rows lie together, so the
@@ -115,6 +115,7 @@ class Adjacency:
             sources.append(self.indices[(np.arange(k)[:, None] + first).ravel()])
             runs.append((k, slice(r0, r0 + n), slice(e0, e0 + n * k)))
             e0 += n * k
+            ends.append(e0)
         sources = np.concatenate(sources) if sources else np.empty(0, dtype=np.int64)
         unsort = None
         if np.any(order[1:] < order[:-1]):
@@ -127,7 +128,7 @@ class Adjacency:
         for arr in (rows, sources, unsort):
             if arr is not None:
                 arr.setflags(write=False)
-        return DegreeRuns(targets, rows.size, sources, tuple(runs), unsort)
+        return DegreeRuns(targets, rows.size, sources, tuple(runs), tuple(ends), unsort)
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,9 @@ class DegreeRuns:
     distinct degree k: ``runs`` holds ``(k, run rows, run edges)`` slices,
     the run rows indexing the rows sorted by degree (ascending row within a
     run) and the run edges indexing ``sources``, where the run's neighbour
-    ids lie edge-major, as a (k, rows) array. A neighbour sum is then one
-    gather of ``sources`` and one k-slab sum per run; ``unsort`` takes the
+    ids lie edge-major, as a (k, rows) array; ``run_ends`` holds where each
+    run's edges end. A neighbour sum gathers ``sources`` a chunk of whole
+    runs at a time and sums each run as k slabs; ``unsort`` takes the
     degree-sorted rows back to ascending order (None when they already are).
     """
 
@@ -148,6 +150,7 @@ class DegreeRuns:
     num_targets: int
     sources: np.ndarray
     runs: tuple
+    run_ends: tuple
     unsort: np.ndarray | None
 
 

@@ -51,11 +51,26 @@ works row by row, so each set of a stack is computed bit for bit as it
 would be alone. ``backward`` takes one set only, so a stacked forward
 keeps no step caches, which would be about half of a stacked row's
 memory.
+
+Every temporary that grows with the rows stays within ``BLOCK_FLOATS``
+float64 (2 MB; K times fewer rows for a stack of K). The mixing's
+(rows, M*d) product is made block by block into one buffer, a neighbour
+sum gathers its sources a chunk of whole degree runs at a time, and the
+mixing backward works in row blocks. Made at once on the Ciao-shaped
+graph, the item self loop's product was a fresh 15.4 MB array, which
+made its GEMM 1.6x slower (5.5 ms against 3.5 ms inside a forward), and
+the gathers of the user recalibration and of the candidate scoring were
+24 MB and 9.9 MB. The forward's blocks start at multiples of a power of
+two and none is short (``_row_blocks``), so each row gets the bits that
+one product over all rows gives it: at the default budget for d <= 64
+and M <= 8, and at any budget for d <= 16. A chunked gather adds every
+sum in the same order as one gather.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,11 +79,19 @@ from . import diffengine as de
 from .hetgraph import Adjacency, EdgeType, HeteroGraph
 
 DEFAULT_LN_EPS = 1e-6
-# _mix_backward works through its rows in blocks whose (rows, M*d)
-# temporaries hold about this many float64, so its passes stay in cache.
-# One pass over all rows cost ciao-train op_s 2.816 -> 3.177 s (+12.8%) and
-# peak_rss_mb 149.2 -> 165.7 (+11%) in alternating perfbench pairs.
-MIX_BLOCK_FLOATS = 1 << 18
+# Every row-blocked temporary on the hot path holds about this many float64
+# (2 MB): the mixing's (rows, M*d) products, forward and backward, a
+# neighbour sum's gathered sources and the candidate scoring's gathered
+# embeddings. Measured on the Ciao-shaped graph (d = 16, M = 8, one BLAS
+# thread): one backward pass over all rows cost ciao-train op_s 2.816 ->
+# 3.177 s (+12.8%) and peak_rss_mb 149.2 -> 165.7 (+11%) in alternating
+# perfbench pairs; inside a forward, the item self loop's product
+# (15,053 x 16 @ 16 x 128) took 5.5 ms writing a fresh 15.4 MB array and
+# 3.5 ms in blocks written into one buffer; and unblocked, the gathers of
+# the user recalibration and of the candidate scoring were 24 MB and 9.9 MB.
+# Another value regroups the backward's dW sums, which changes the bits of a
+# trained checkpoint.
+BLOCK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -314,20 +337,48 @@ def EdgeCache(graph: HeteroGraph) -> HeteroGraph:
     return graph
 
 
+def _row_blocks(n: int, width: int) -> list[slice]:
+    """Slices that cover ``range(n)`` in blocks of about BLOCK_FLOATS / ``width`` rows.
+
+    Rows that fit the budget are one block. Otherwise a block holds the
+    largest power of two rows the budget holds (at least 2), so every
+    block starts at a multiple of it, and a last block of under half that
+    many rows joins the block before it. BLAS then rounds each row of a
+    blocked product as in one product over all rows: it multiplies one
+    row with a matrix-vector kernel, and at d >= 32 a product of a few
+    rows (8 at d = 32, M = 1) with a small-matrix kernel, whose last bits
+    differ.
+    """
+    if n * width <= BLOCK_FLOATS:
+        return [slice(0, n)]
+    block = 1 << max(1, (BLOCK_FLOATS // width).bit_length() - 1)
+    cuts = range(block, n - max(2, block // 2) + 1, block)
+    return list(map(slice, [0, *cuts], [*cuts, n]))
+
+
 def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
     """Sum of ``rows[..., s, :]`` over the neighbours s of each of ``adj.plan.targets``.
 
     One output row per target that has a neighbour, in ascending order;
-    leading axes (a parameter stack's) are kept. Each run adds its k slabs
-    in edge order, so a row's sum does not depend on the other rows.
+    leading axes (a parameter stack's) are kept. The sources are gathered
+    a chunk of whole degree runs at a time, a chunk holding about
+    BLOCK_FLOATS float64 unless one run is larger. Each run adds its k
+    slabs in edge order, so a row's sum does not depend on the other rows
+    or on the chunks.
     """
     plan = adj.plan
     lead, d = rows.shape[:-2], rows.shape[-1]
-    gathered = np.take(rows, plan.sources, axis=-2)
+    budget = BLOCK_FLOATS // (d * math.prod(lead))  # edges per chunk
+    ends = plan.run_ends
     out = np.empty((*lead, plan.num_targets, d))
+    lo = hi = 0
     for k, run_rows, run_edges in plan.runs:
-        np.add.reduce(gathered[..., run_edges, :].reshape(*lead, k, -1, d), axis=-3,
-                      out=out[..., run_rows, :])
+        if run_edges.stop > hi:  # gather this run and the whole runs after it that fit
+            lo = run_edges.start
+            hi = ends[bisect_right(ends, max(run_edges.stop, lo + budget)) - 1]
+            gathered = rows.take(plan.sources[lo:hi], axis=-2)
+        run = gathered[..., run_edges.start - lo:run_edges.stop - lo, :]
+        np.add.reduce(run.reshape(*lead, k, -1, d), axis=-3, out=out[..., run_rows, :])
     return out if plan.unsort is None else out[..., plan.unsort, :]
 
 
@@ -366,7 +417,7 @@ def _batch_attention(rows: np.ndarray, bank: MemoryBank, variant: ModelVariant):
     """
     if not variant.memory_attention:
         return np.ones((*rows.shape[:-1], bank.num_units)), None
-    pre = rows @ np.swapaxes(bank.keys, -1, -2) + bank.biases[..., None, :]
+    pre = rows @ bank.keys.swapaxes(-1, -2) + bank.biases[..., None, :]
     return de.leaky_relu(pre), pre
 
 
@@ -378,7 +429,9 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
     equals summing the mixed messages. BLAS multiplies a single row with
     a matrix-vector kernel whose last bits differ from the matrix-matrix
     kernel's, so one row is mixed as two: a row set that leaves one row
-    of a type gets it as the full forward does.
+    of a type gets it as the full forward does. The (rows, M*d) product
+    of the sums with the transforms is made block by block
+    (``_row_blocks``), the blocks writing into one buffer.
     """
     if rows.shape[-2] == 1:
         mixed, pre = _mix(np.repeat(rows, 2, axis=-2), np.repeat(sums, 2, axis=-2),
@@ -386,9 +439,19 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
         return mixed[..., :1, :], None if pre is None else pre[..., :1, :]
     att, pre = _batch_attention(rows, bank, variant)
     M, d = bank.num_units, bank.dim
-    flat = bank.transforms.reshape(*bank.transforms.shape[:-3], M * d, d)
-    trans = (sums @ np.swapaxes(flat, -1, -2)).reshape(*sums.shape[:-1], M, d)
-    return np.einsum("...nm,...nmd->...nd", att, trans), pre
+    lead, n = sums.shape[:-2], sums.shape[-2]
+    flat_t = bank.transforms.reshape(*lead, M * d, d).swapaxes(-1, -2)
+    blocks = _row_blocks(n, math.prod(lead) * M * d)
+    # One block is within the budget as it is; more share one buffer.
+    buf = None if len(blocks) == 1 else np.empty(
+        (*lead, max(b.stop - b.start for b in blocks), M * d))
+    mixed = np.empty(sums.shape)
+    for b in blocks:
+        trans = np.matmul(sums[..., b, :], flat_t,
+                          out=None if buf is None else buf[..., :b.stop - b.start, :])
+        np.einsum("...nm,...nmd->...nd", att[..., b, :], trans.reshape(*trans.shape[:-1], M, d),
+                  out=mixed[..., b, :])
+    return mixed, pre
 
 
 def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: int,
@@ -527,25 +590,32 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
     """Backward of ``_mix`` given dL/d(mixed) ``g``; adds into ``gbank``.
 
     Returns (dL/d rows through the attention, dL/d sums). The rows are
-    worked through in blocks of about MIX_BLOCK_FLOATS / (M*d), one pass
-    when they fit. The caller passes only the rows it needs: in the last
-    layer those of the forward's row set.
+    worked through in blocks of about BLOCK_FLOATS / (M*d), one pass when
+    they fit, with one buffer for each (rows, M*d) temporary. The blocks
+    are plain ``range`` steps, not ``_row_blocks``: they fix how the dW
+    sums group, and with it the bits of a trained checkpoint. The caller
+    passes only the rows it needs: in the last layer those of the
+    forward's row set.
     """
     M, d = bank.num_units, bank.dim
     flat = bank.transforms.reshape(M * d, d)
     d_rows = np.zeros_like(rows)
     d_sums = np.empty_like(sums)
-    block = max(1, MIX_BLOCK_FLOATS // (M * d))
+    block = max(1, BLOCK_FLOATS // (M * d))
+    most = min(block, g.shape[0])
+    d_trans_buf = np.empty((most, M, d))
+    trans_buf = None if pre is None else np.empty((most, M * d))
     for lo in range(0, g.shape[0], block):
         b = slice(lo, lo + block)
         gb, sb = g[b], sums[b]
-        att = de.leaky_relu(pre[b]) if pre is not None else np.ones((gb.shape[0], M))
-        d_trans = np.einsum("nm,nd->nmd", att, gb).reshape(-1, M * d)
+        n = gb.shape[0]
+        att = de.leaky_relu(pre[b]) if pre is not None else np.ones((n, M))
+        d_trans = np.einsum("nm,nd->nmd", att, gb, out=d_trans_buf[:n]).reshape(n, M * d)
         gbank.transforms += (d_trans.T @ sb).reshape(M, d, d)
-        d_sums[b] = d_trans @ flat
+        np.matmul(d_trans, flat, out=d_sums[b])
         if pre is None:
             continue
-        trans = (sb @ flat.T).reshape(-1, M, d)
+        trans = np.matmul(sb, flat.T, out=trans_buf[:n]).reshape(n, M, d)
         d_pre = de.leaky_relu_backward(pre[b], np.einsum("nmd,nd->nm", trans, gb))
         gbank.keys += d_pre.T @ rows[b]
         gbank.biases += d_pre.sum(axis=0)

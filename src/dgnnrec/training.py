@@ -412,11 +412,10 @@ def check_model_gradients(dims=(2, 4, 8), memory_units=(1, 2, 4), layers=(0, 1, 
                           variant: ModelVariant = FULL_VARIANT) -> GradCheckResult:
     """Check analytical gradients of the batch objective on a (d, M, L) grid.
 
-    ``tol`` must be finite and > 0, or no error could fail the check; any
-    other value is a ValueError before an instance is drawn.
+    ``h`` and ``tol`` must be finite and > 0, as ``finite_diff_check``
+    requires; any other value is a ValueError before an instance is drawn.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"gradient-check tolerance {tol!r}: expected a finite number > 0")
+    de.check_step_and_tolerance(h, tol)
     cases = []
     for dim in dims:
         for units in memory_units:

@@ -145,6 +145,26 @@ def test_finite_diff_detects_doubled_gradient():
     assert report.worst_coord == 1 and report.max_rel_err == report.errors[1]
 
 
+@pytest.mark.parametrize("name, value", [("tol", np.inf), ("tol", np.nan), ("tol", 0.0),
+                                         ("tol", -1e-4), ("h", np.inf), ("h", np.nan),
+                                         ("h", 0.0), ("h", -1e-5)])
+def test_finite_diff_refuses_a_step_or_tolerance_that_is_not_finite_and_positive(name, value):
+    # sum(x**2) against a gradient 100x too large: with tol=inf this passed.
+    x = np.array([3.0, -1.0, 0.5])
+    called = []
+
+    def f(stack):
+        called.append(stack)
+        return (stack * stack).sum(axis=1)
+
+    word = {"tol": "tolerance", "h": "step h"}[name]
+    with pytest.raises(ValueError, match=f"{word} .*: expected a finite number > 0"):
+        de.finite_diff_check(f, x, 100.0 * x, **{name: value})
+    assert called == []
+    report = de.finite_diff_check(f, x, 100.0 * x)
+    assert not report.passed and report.max_rel_err == pytest.approx(0.98, abs=1e-6)
+
+
 def test_finite_diff_nonfinite_names_coordinate():
     def f(stack):
         return np.where(stack[:, 1] > 1.5, np.inf, stack.sum(axis=1))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgnnrec import evaluation as ev
+from dgnnrec import model
 from dgnnrec.hetgraph import Split, build_graph, split_leave_one_out
 from dgnnrec.model import EdgeType, forward
 from dgnnrec.synthetic import make_planted_dataset
@@ -212,7 +213,7 @@ def test_blocked_scoring_matches_one_block_and_names_later_users(monkeypatch):
     split = _split_for(g, range(5), [0] * 5, negs)
     hstar = rng.standard_normal((5 + 103, 4))
     one_block = ev.evaluate(hstar, split, g)
-    monkeypatch.setattr(ev, "SCORE_BLOCK_USERS", 2)
+    monkeypatch.setattr(model, "BLOCK_FLOATS", 2 * 101 * 4)  # 2 users' candidates per block
     assert ev.evaluate(hstar, split, g) == one_block
     bad = hstar.copy()
     bad[5 + 102] = np.inf
@@ -222,6 +223,31 @@ def test_blocked_scoring_matches_one_block_and_names_later_users(monkeypatch):
     negs[4, 10] = negs[4, 11]
     with pytest.raises(ev.EvaluationError, match="duplicate candidate ids for user 4"):
         ev.evaluate(hstar, _split_for(g, range(5), [0] * 5, negs), g)
+
+
+@pytest.mark.parametrize("blocks, users_per_block, num_users",
+                         [(1, 64, 33), (2, 16, 33), (3, 8, 20), (18, 2, 37)])
+def test_candidate_ranks_do_not_depend_on_the_blocks(blocks, users_per_block, num_users,
+                                                     monkeypatch):
+    """Blocks of 1, 2, 3 and many users rank as one; at 2 and many a one-user tail joins on."""
+    rng = np.random.default_rng(blocks)
+    num_items, d = 130, 4
+    hstar = rng.standard_normal((num_users + num_items, d))
+    hstar[num_users + 1::7] = hstar[num_users]  # exact ties, broken by item id
+    q = rng.standard_normal((num_users, d))
+    users = rng.permutation(num_users)
+    cands = np.stack([rng.choice(num_items, 101, replace=False) for _ in users])
+    positives, negatives = cands[:, 0], cands[:, 1:]
+    monkeypatch.setattr(model, "BLOCK_FLOATS", users_per_block * 101 * d)
+    assert len(model._row_blocks(num_users, 101 * d)) == blocks
+    got = ev._candidate_ranks(q, hstar, num_users, users, positives, negatives)
+    # each user alone: candidates ordered by score, then by ascending id
+    want = []
+    for u, row in zip(users, cands):
+        scores = hstar[num_users + row] @ q[u]
+        order = sorted(range(101), key=lambda c: (-scores[c], row[c]))
+        want.append(1 + order.index(0))
+    assert got.tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ def test_blocked_mix_backward_matches_one_block(monkeypatch):
     graph, params, (users, pos, neg) = _random_instance(dim, units, 2, seed=6)
     assert graph.num_items > 3
     _, whole = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
-    monkeypatch.setattr(model, "MIX_BLOCK_FLOATS", 3 * units * dim)  # 3 rows per block
+    monkeypatch.setattr(model, "BLOCK_FLOATS", 3 * units * dim)  # 3 rows per block
     _, blocked = bpr_batch_grad(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
     np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=1e-12)
     objective = _vector_objective(graph, params, users, pos, neg, 1e-3, FULL_VARIANT)
@@ -194,3 +194,13 @@ def test_a_screen_that_never_passes_names_the_shape_variant_and_best_margin():
     assert str(raised.value) == (
         f"could not draw a kink-free instance at d=8, M=1, L=2 for {variant}: "
         f"the best of 101 draws has margin {best:.3g} < 0.0001")
+
+
+@pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -1e-5])
+def test_gradient_check_refuses_a_bad_step_before_drawing(h, monkeypatch):
+    """The step goes through the same check as finite_diff_check's, before any instance."""
+    drawn = []
+    monkeypatch.setattr(training, "_random_instance", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match="step h .*: expected a finite number > 0"):
+        check_model_gradients(h=h)
+    assert drawn == []

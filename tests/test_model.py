@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from dgnnrec import model
 from dgnnrec.evaluation import strip_graph
 from dgnnrec.hetgraph import Adjacency, build_graph, sample_bpr_batch, split_leave_one_out
 from dgnnrec.model import (EdgeType, FULL_VARIANT, MemoryBank, ModelParams,
-                           ModelVariant, RowSet, _batch_attention, _mix_backward, _neighbor_sum,
-                           _place, final_embeddings, forward, layer_step,
-                           recalibrated_users)
+                           ModelVariant, RowSet, _batch_attention, _mix, _mix_backward,
+                           _neighbor_sum, _place, _row_blocks, final_embeddings, forward,
+                           layer_step, recalibrated_users)
 from dgnnrec.synthetic import make_planted_dataset, make_random_graph
 from dgnnrec.training import _kink_margin, _vector_objective, bpr_batch_grad
 
@@ -613,6 +615,117 @@ def test_take_is_fancy_indexing_bit_for_bit(rng):
 
 
 # ---------------------------------------------------------------------------
+# blocks under the shared float budget
+
+# (blocks, rows per block, rows): 1, 2, 3 and many blocks. In the 2 and the
+# many, the last block would otherwise hold one row.
+BLOCK_CASES = [(1, 64, 33), (2, 16, 33), (3, 8, 20), (18, 2, 37)]
+
+
+def test_row_blocks_cover_the_rows_from_power_of_two_starts(monkeypatch):
+    for budget in (1, 7, 64, 1000, 1 << 18):
+        monkeypatch.setattr(model, "BLOCK_FLOATS", budget)
+        for width in (1, 3, 16, 128):
+            fit = max(2, budget // width)  # rows the budget holds, at least 2
+            size = 1 << (fit.bit_length() - 1)  # the largest power of two in that
+            short = max(2, size // 2)
+            ns = set(range(12)) | {k * size + r for k in (1, 2, 3) for r in (-1, 0, 1, 2, short)}
+            for n in sorted(ns):
+                spans = [(b.start, b.stop) for b in _row_blocks(n, width)]
+                assert spans[0][0] == 0 and spans[-1][1] == n
+                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                assert (len(spans) == 1) == (n * width <= budget or n < size + short)
+                if len(spans) > 1:
+                    assert all(hi - lo == size for lo, hi in spans[:-1])
+                    assert short <= spans[-1][1] - spans[-1][0] < size + short
+
+
+def _mix_one_pass(rows, sums, bank, variant):
+    """``_mix`` as one product over every row, written apart from model.py."""
+    att, pre = _batch_attention(rows, bank, variant)
+    M, d = bank.num_units, bank.dim
+    flat = bank.transforms.reshape(*bank.transforms.shape[:-3], M * d, d)
+    trans = (sums @ np.swapaxes(flat, -1, -2)).reshape(*sums.shape[:-1], M, d)
+    return np.einsum("...nm,...nmd->...nd", att, trans), pre
+
+
+@pytest.mark.parametrize("blocks, rows_per_block, n", BLOCK_CASES)
+@pytest.mark.parametrize("stack", [None, 3])
+@pytest.mark.parametrize("dim, units", [(4, 2), (16, 8)])
+@pytest.mark.parametrize("attention", [True, False])
+def test_blocked_mix_is_bitwise_one_pass(blocks, rows_per_block, n, stack, dim, units,
+                                         attention, monkeypatch):
+    rng = np.random.default_rng(dim + units)
+    lead = () if stack is None else (stack,)
+    vec = rng.standard_normal((*lead, ModelParams._size(0, dim, units, 0)))
+    bank = ModelParams(vec, 0, dim, units).banks[EdgeType.UI]
+    rows, sums = rng.normal(size=(*lead, n, dim)), rng.normal(size=(*lead, n, dim))
+    variant = FULL_VARIANT if attention else ModelVariant(memory_attention=False)
+    width = (stack or 1) * units * dim
+    monkeypatch.setattr(model, "BLOCK_FLOATS", rows_per_block * width)
+    assert len(_row_blocks(n, width)) == blocks
+    got, got_pre = _mix(rows, sums, bank, variant)
+    want, want_pre = _mix_one_pass(rows, sums, bank, variant)
+    assert got.tobytes() == want.tobytes()
+    assert (got_pre is None and want_pre is None) or got_pre.tobytes() == want_pre.tobytes()
+
+
+def _degree_runs_adjacency():
+    """Rows 0..11 of degree 6, 6, 5, 5, .., 1, 1 over 13 sources; rows 12 and 13 have none.
+
+    Sorted by degree the rows run backwards, so the sum is unsorted at the
+    end. The runs hold 2, 4, .., 12 edges: they end at edges 2, 6, 12, 20,
+    30 and 42.
+    """
+    pairs = [(r, (r + j) % 13) for r in range(12) for j in range(6 - r // 2)]
+    return Adjacency.from_pairs(pairs, 14), 13
+
+
+@pytest.mark.parametrize("chunks, edges", [(1, 42), (2, 30), (3, 20), (6, 1)])
+@pytest.mark.parametrize("stack", [None, 3])
+def test_chunked_neighbor_sum_is_bitwise_one_gather(chunks, edges, stack, monkeypatch):
+    adj, num_src = _degree_runs_adjacency()
+    assert adj.plan.run_ends == (2, 6, 12, 20, 30, 42) and adj.plan.unsort is not None
+    rng = np.random.default_rng(chunks)
+    lead = () if stack is None else (stack,)
+    x = rng.normal(size=(*lead, num_src, 5))
+    gathers = []
+
+    def chunk_end(*args):  # called once per gathered chunk
+        gathers.append(args)
+        return bisect.bisect_right(*args)
+
+    monkeypatch.setattr(model, "bisect_right", chunk_end)
+    monkeypatch.setattr(model, "BLOCK_FLOATS", edges * 5 * (stack or 1))
+    got = _neighbor_sum(x, adj)
+    assert len(gathers) == chunks
+    # each target's neighbours added in CSR order, one after another
+    want = np.empty((*lead, adj.plan.num_targets, 5))
+    for i, t in enumerate(np.flatnonzero(adj.degrees())):
+        nbrs = adj.indices[adj.indptr[t]:adj.indptr[t + 1]]
+        acc = x[..., nbrs[0], :].copy()
+        for s in nbrs[1:]:
+            acc += x[..., s, :]
+        want[..., i, :] = acc
+    assert got.tobytes() == want.tobytes()
+
+
+def test_forward_at_a_small_budget_is_bitwise_the_default(monkeypatch):
+    g = make_planted_dataset(num_users=30, num_items=160, num_relations=5,
+                             interactions_per_user=12, seed=0).build()
+    one = random_params(g, 4, 2, 2)
+    stack = ModelParams(np.stack([one.vector, 0.5 * one.vector]), g.num_nodes, 4, 2)
+    want = [forward(g, p) for p in (one, stack)]
+    want_q = recalibrated_users(want[0].hstar, g)
+    monkeypatch.setattr(model, "BLOCK_FLOATS", 2 * 2 * 4)  # 2-row mixing blocks, 1-edge chunks
+    for p, w in zip((one, stack), want):
+        got = forward(g, p)
+        for a, b in zip(got.layers + [got.hstar], w.layers + [w.hstar]):
+            assert a.tobytes() == b.tobytes()
+    assert recalibrated_users(want[0].hstar, g).tobytes() == want_q.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the mixing backward
 
 
@@ -665,7 +778,7 @@ def test_mix_backward_skips_dead_rows(case, attention, rows_per_block, monkeypat
         g[12] = 0.0
         g[12, 2] = np.nan  # NaN is non-zero: the row stays live
     if rows_per_block is not None:
-        monkeypatch.setattr(model, "MIX_BLOCK_FLOATS", rows_per_block * units * d)
+        monkeypatch.setattr(model, "BLOCK_FLOATS", rows_per_block * units * d)
 
     gbank = ModelParams.zeros(0, d, units, 0).banks[EdgeType.IU]
     d_rows, d_sums = _mix_backward(g, rows, sums, pre, bank, gbank)
