@@ -255,7 +255,7 @@ class HeteroGraph:
     @cached_property
     def every_member(self):
         """Every node, grouped as a layer works through them (see ``model.RowSet.members``)."""
-        messages = [(et, te, slice(None), te.receivers)
+        messages = [(et, te, slice(None), te.receivers, te.receivers)
                     for et, te in self.typed_edges.items() if te.adj.num_edges]
         selves = [(et, sl, sl) for et, sl in self.type_rows.items() if sl.start != sl.stop]
         return messages, selves
@@ -421,32 +421,32 @@ class Split:
             a.setflags(write=False)
 
 
-def split_leave_one_out(graph: HeteroGraph, seed: int,
-                        num_negatives: int = NUM_EVAL_NEGATIVES) -> Split:
+def split_leave_one_out(graph: HeteroGraph, seed: int) -> Split:
     """Hold out one uniformly chosen interaction per user with >= 2.
 
     Users with a single interaction stay train-only and are counted in
-    ``num_skipped``. Negatives are drawn once per test user from items the
-    user never interacted with (train or test) and are fixed thereafter.
+    ``num_skipped``. NUM_EVAL_NEGATIVES negatives, the count ``evaluate`` and
+    the manifest take, are drawn once per test user from items the user
+    never interacted with (train or test) and are fixed thereafter.
     """
     deg = graph.ui.degrees()
     eligible = np.flatnonzero(deg >= 2)
     num_skipped = int(np.count_nonzero(deg == 1))
     if eligible.size == 0:
         raise SplitError("no user has >= 2 interactions; nothing to hold out")
-    too_many = np.flatnonzero(graph.num_items - deg[eligible] < num_negatives)
+    too_many = np.flatnonzero(graph.num_items - deg[eligible] < NUM_EVAL_NEGATIVES)
     if too_many.size:
         u = eligible[too_many[0]]
         raise SplitError(
             f"user {u} interacted with {deg[u]} of {graph.num_items} items; "
-            f"cannot draw {num_negatives} negatives")
+            f"cannot draw {NUM_EVAL_NEGATIVES} negatives")
 
     hold_rng = rng_for(seed, SPLIT)
     picks = np.floor(hold_rng.random(eligible.size) * deg[eligible]).astype(np.int64)
     held_pos = graph.ui.indptr[eligible] + picks
     held_items = graph.ui.indices[held_pos]
 
-    negatives = _draw_negatives(graph, eligible, num_negatives, rng_for(seed, NEGATIVES))
+    negatives = _draw_negatives(graph, eligible, NUM_EVAL_NEGATIVES, rng_for(seed, NEGATIVES))
     return Split(_without_interactions(graph, held_pos), eligible.astype(np.int64),
                  held_items.astype(np.int64), negatives, num_skipped, int(seed))
 

@@ -33,13 +33,13 @@ once per graph.
 The last layer and H* work row by row, so ``forward`` can compute them
 on a ``RowSet`` only: a training batch reads the H* of every user and of
 its sampled items, and when those are few it passes just them. The
-earlier layers stay whole, since their neighbours feed the last one; the
-rows left out are NaN, and ``backward`` works through the computed rows
-only. A computed row is the full forward's bit for bit wherever BLAS
-rounds each row of a product on its own: at d <= 4, and at d = 16 with
-M = 2, 4 and 8 (the tests pin these). At some other shapes (M = 1, or
-d = 32 and 64) BLAS rounds a row by its place in the block, and the rows
-agree to about 1e-14.
+earlier layers stay whole, as their neighbours feed the last one. The
+last layer's work and dL/dH* hold one row per member; only the last
+layer and H* that ``forward`` returns are full height, NaN where skipped.
+A computed row is the full forward's bit for bit where BLAS rounds each
+row of a product on its own: at d <= 4, and at d = 16 with M = 2, 4 and
+8 (the tests pin these). At other shapes (M = 1, or d = 32 and 64) BLAS
+rounds a row by its place in the block; rows agree to about 1e-14.
 
 The forward also runs on a stack of K parameter sets (a ``ModelParams``
 over a (K, P) buffer), as the gradient check does for its perturbed
@@ -56,15 +56,12 @@ Every temporary that grows with the rows stays within ``BLOCK_FLOATS``
 float64 (2 MB; K times fewer rows for a stack of K). The mixing's
 (rows, M*d) product is made block by block into one buffer, a neighbour
 sum gathers its sources a chunk of whole degree runs at a time, and the
-mixing backward works in row blocks. Made at once on the Ciao-shaped
-graph, the item self loop's product was a fresh 15.4 MB array, which
-made its GEMM 1.6x slower (5.5 ms against 3.5 ms inside a forward), and
-the gathers of the user recalibration and of the candidate scoring were
-24 MB and 9.9 MB. The forward's blocks start at multiples of a power of
-two and none is short (``_row_blocks``), so each row gets the bits that
-one product over all rows gives it: at the default budget for d <= 64
-and M <= 8, and at any budget for d <= 16. A chunked gather adds every
-sum in the same order as one gather.
+mixing backward works in row blocks (what each cost unblocked is
+measured at ``BLOCK_FLOATS``). The forward's blocks start at multiples
+of a power of two and none is short (``_row_blocks``), so each row gets
+the bits that one product over all rows gives it: at the default budget
+for d <= 64 and M <= 8, and at any budget for d <= 16. A chunked gather
+adds every sum in the same order as one gather.
 """
 
 from __future__ import annotations
@@ -293,8 +290,7 @@ class RowSet:
     """
 
     def __init__(self, graph: HeteroGraph | None = None, mask: np.ndarray | None = None):
-        self.mask = None
-        self.index = slice(None)
+        self.mask, self.index = None, slice(None)
         if mask is None:
             return
         N = graph.num_nodes
@@ -304,23 +300,34 @@ class RowSet:
         if index.size < N:
             self.mask, self.index = mask, index
 
+    def position(self, nodes: np.ndarray) -> np.ndarray:
+        """The row of each of ``nodes`` in a compact array; ShapeError for a non-member."""
+        if self.mask is None:
+            return nodes
+        at = np.searchsorted(self.index, nodes)
+        # searchsorted alone would hand a non-member its neighbour's row
+        if (at == self.index.size).any() or (self.index[at] != nodes).any():
+            raise de.ShapeError("a node outside the row set has no compact row")
+        return at
+
     def members(self, graph: HeteroGraph):
         """The members, grouped as a layer of ``graph`` works through them.
 
         Returns (messages, selves): per message type that reaches a member,
-        (type, edges, positions of the members among its receivers, those
-        receivers); per node type with a member, (type, compact slice,
-        full-height rows). Both in EdgeType order. For every row this is
-        the graph's own ``every_member``.
+        (type, edges, positions of the members among its receivers, their
+        compact rows, their full-height rows); per node type with a member,
+        (type, compact slice, full-height rows). Both in EdgeType order.
+        For every row this is the graph's own ``every_member``.
         """
         if self.mask is None:
             return graph.every_member
         every_message, every_self = graph.every_member
         messages = []
-        for et, te, _, receivers in every_message:
+        for et, te, _, _, receivers in every_message:
             keep = self.mask[receivers].nonzero()[0]
             if keep.size:
-                messages.append((et, te, keep, _take(receivers, keep)))
+                receivers = _take(receivers, keep)
+                messages.append((et, te, keep, self.position(receivers), receivers))
         selves = []
         for et, sl, _ in every_self:
             lo, hi = np.searchsorted(self.index, (sl.start, sl.stop)).tolist()
@@ -464,15 +471,14 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
     the result are NaN. A message type mixes only the members it reaches.
     """
     messages, selves = rows.members(graph)
-    agg = np.zeros_like(emb)
+    denom = graph.node_denom[rows.index, None]
+    agg = np.zeros((*emb.shape[:-2], len(denom), emb.shape[-1]))
     att_pre: dict = {}
     sums: dict = {}
-    for et, te, keep, receivers in messages:
+    for et, te, keep, part, receivers in messages:
         sums[et] = _neighbor_sum(emb[..., te.src, :], te.adj)[..., keep, :]
         mixed, att_pre[et] = _mix(emb[..., receivers, :], sums[et], params.banks[et], variant)
-        agg[..., receivers, :] += mixed
-    agg = agg[..., rows.index, :]
-    denom = graph.node_denom[rows.index, None]
+        agg[..., part, :] += mixed
     np.divide(agg, denom, out=agg, where=denom > 0)
 
     if variant.layer_norm:
@@ -501,9 +507,10 @@ class LayerState:
 
     A forward over a row set computes H^(L) and H* on those rows only; their
     other rows are NaN, so a read of one poisons whatever it reaches.
-    ``final_inv_std`` holds the computed rows only. ``step_caches`` holds
-    one ``_StepCache`` per layer for ``backward``, and is empty after a
-    forward over a stack, which cannot be differentiated.
+    ``final_inv_std`` holds the computed rows only, as ``backward``'s
+    dL/dH* does. ``step_caches`` holds one ``_StepCache`` per layer for
+    ``backward``, and is empty after a forward over a stack, which cannot
+    be differentiated.
     """
 
     layers: list[np.ndarray]
@@ -654,11 +661,10 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
     denom = graph.node_denom[rows.index, None]
     d_msum = np.zeros_like(d_agg)
     np.divide(d_agg, denom, out=d_msum, where=denom > 0)
-    d_msum = _place(d_msum, rows.index, emb.shape[0], 0.0)
 
     # Message path per edge type; sources get dL/d sums through the transpose.
-    for et, te, keep, receivers in messages:
-        d_rows, d_sums = _mix_backward(d_msum[receivers], emb[receivers], scache.sums[et],
+    for et, te, keep, part, receivers in messages:
+        d_rows, d_sums = _mix_backward(d_msum[part], emb[receivers], scache.sums[et],
                                        scache.att_pre[et], params.banks[et], grads.banks[et])
         d_emb[receivers] += d_rows
         d_sums = _place(d_sums, _take(te.adj.plan.targets, keep), te.adj.num_rows, 0.0)
@@ -670,30 +676,24 @@ def backward(graph: HeteroGraph, params: ModelParams, state: LayerState,
              d_hstar: np.ndarray, variant: ModelVariant = FULL_VARIANT) -> ModelParams:
     """Gradients of a scalar loss w.r.t. every parameter, given dL/dH*.
 
-    Only the rows of ``d_hstar`` that ``state``'s forward computed are read.
-    ``params`` and ``state`` are of one set; a stack, or the state of a
-    stacked forward (which keeps no step caches), raises ShapeError.
+    ``d_hstar`` holds a row per computed row (``RowSet.position``); another
+    shape, a stack, or the state of a stacked forward (which keeps no step
+    caches) raises ShapeError. ``params`` and ``state`` are of one set.
     """
     params.require_one_set("backward")
     if state.hstar.ndim != 2:
         raise de.ShapeError("backward takes the state of a one-set forward, not of a stack")
     grads = params.zeros_like()
-    num_layers = state.num_layers
     d = params.dim
     rows = state.rows
 
-    # H* is the final normalization's xhat.
-    d_conc = de.layer_normalize_backward(state.hstar[rows.index], state.final_inv_std,
-                                         d_hstar[rows.index])
-    d_layers = [d_conc[:, l * d:(l + 1) * d].copy() for l in range(num_layers + 1)]
-    if num_layers == 0:
-        grads.embeddings[rows.index] += d_layers[0]
-        return grads
-    # The last layer computed the forward's rows only; the earlier ones are whole.
-    d_layers[:-1] = [_place(x, rows.index, graph.num_nodes, 0.0) for x in d_layers[:-1]]
-    for step in reversed(range(num_layers)):
-        d_layers[step] += _step_backward(
-            d_layers[step + 1], state.layers[step], state.step_caches[step],
-            graph, params, step, variant, grads)
-    grads.embeddings += d_layers[0]
+    # H* is the final normalization's xhat. Its gradient and the last layer's
+    # hold the forward's rows; the layers below the last are whole.
+    d_conc = de.layer_normalize_backward(state.hstar[rows.index], state.final_inv_std, d_hstar)
+    d_layer, held = d_conc[:, state.num_layers * d:].copy(), rows.index
+    for step in reversed(range(state.num_layers)):
+        d_layer, held = _step_backward(d_layer, state.layers[step], state.step_caches[step],
+                                       graph, params, step, variant, grads), slice(None)
+        d_layer[rows.index] += d_conc[:, step * d:(step + 1) * d]
+    grads.embeddings[held] += d_layer
     return grads

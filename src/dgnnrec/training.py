@@ -76,20 +76,17 @@ def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, r
     The objective reads H* on every user (recalibration averages social
     neighbours) and on the sampled items. When the users and both item
     lists come to under half of the nodes, the forward computes H* on
-    those rows only. Leaving rows
-    out costs a few dozen numpy calls per forward, which pays only when
-    most of the last layer is skipped: a Ciao-shaped batch reads a third
-    of the nodes and its step gets about a fifth faster, while on a
-    14-node gradient-check instance the calls cost more than the rows
-    they would skip.
+    those rows only. Leaving rows out costs a few dozen numpy calls per
+    forward, which pays only when most of the last layer is skipped: a
+    Ciao-shaped batch reads a third of the nodes and its step gets about
+    a fifth faster, while on a 14-node gradient-check instance the calls
+    cost more than the rows they would skip.
     """
     rows = ALL_ROWS
     if 2 * (graph.num_users + len(pos) + len(neg)) < graph.num_nodes:
         mask = np.zeros(graph.num_nodes, dtype=bool)
         mask[:graph.num_users] = True
-        items = mask[graph.num_users:]
-        items[pos] = True
-        items[neg] = True
+        mask[graph.num_users + np.concatenate([pos, neg])] = True
         rows = RowSet(graph, mask)
     state = forward(graph, params, variant, rows)
     q_users = recalibrated_users(state.hstar, graph, variant)
@@ -128,6 +125,7 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
                    variant: ModelVariant = FULL_VARIANT):
     """(loss, flat gradient) of the batch objective; exact analytical backward.
 
+    A non-finite loss comes with an all-NaN gradient and runs no backward.
     One parameter set only: a stack raises ShapeError.
     """
     params.require_one_set("bpr_batch_grad")
@@ -137,6 +135,8 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
     num_users = graph.num_users
 
     loss, state, margin, qp = _batch_objective(graph, params, users, pos, neg, reg, variant)
+    if not math.isfinite(loss):  # e.g. it read a row the forward skipped: no dL/dH* row
+        return loss, np.full(params.num_params, np.nan)
     hstar = state.hstar
 
     # d(mean softplus(-margin))/d margin = -sigmoid(-margin)/B
@@ -144,10 +144,10 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
     d_q = _scatter_rows(users,
                         g_margin[:, None] * (hstar[num_users + pos] - hstar[num_users + neg]),
                         (num_users, hstar.shape[1]))
-    # pos rows first, then neg rows: each row sums in the order np.add.at would.
-    d_hstar = _scatter_rows(np.concatenate([num_users + pos, num_users + neg]),
+    # At the rows the forward computed, users first; pos then neg: np.add.at's order.
+    d_hstar = _scatter_rows(state.rows.position(np.concatenate([pos, neg]) + num_users),
                             np.concatenate([g_margin[:, None] * qp, -g_margin[:, None] * qp]),
-                            hstar.shape)
+                            (len(state.final_inv_std), hstar.shape[1]))
 
     d_hstar[:num_users] += recalibrated_users_backward(d_q, graph, variant)
 

@@ -31,6 +31,7 @@ def test_the_graph_owns_its_edge_layout():
     (diffengine.finite_diff_check, ["f", "params", "grad", "h", "tol"]),
     (diffengine.AdamState.zeros, ["shape"]),
     (hetgraph.sample_bpr_batch, ["train_graph", "rng", "size"]),
+    (hetgraph.split_leave_one_out, ["graph", "seed"]),
     (training.check_model_gradients, ["dims", "memory_units", "layers", "seed", "h", "tol",
                                       "variant"]),
     (synthetic.make_planted_dataset, ["num_users", "num_items", "num_relations", "seed",

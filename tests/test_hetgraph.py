@@ -171,7 +171,7 @@ def test_random_graph_invariants(seed):
 # split
 
 
-def _chain_graph(num_users=8, num_items=12, per_user=3, seed=0):
+def _chain_graph(num_users=8, num_items=112, per_user=3, seed=0):
     rng = np.random.default_rng(seed)
     edges = set()
     for u in range(num_users):
@@ -182,7 +182,7 @@ def _chain_graph(num_users=8, num_items=12, per_user=3, seed=0):
 
 def test_split_partitions_each_user():
     g = _chain_graph()
-    split = hg.split_leave_one_out(g, seed=5, num_negatives=5)
+    split = hg.split_leave_one_out(g, seed=5)
     for u, held in zip(split.test_users.tolist(), split.test_items.tolist()):
         train_items = set(neighbors(split.train_graph.ui, u).tolist())
         full_items = set(neighbors(g.ui, u).tolist())
@@ -192,26 +192,26 @@ def test_split_partitions_each_user():
 
 def test_split_deterministic_same_seed():
     g = _chain_graph()
-    a = hg.split_leave_one_out(g, seed=9, num_negatives=7)
-    b = hg.split_leave_one_out(g, seed=9, num_negatives=7)
+    a = hg.split_leave_one_out(g, seed=9)
+    b = hg.split_leave_one_out(g, seed=9)
     assert np.array_equal(a.test_users, b.test_users)
     assert np.array_equal(a.test_items, b.test_items)
     assert np.array_equal(a.eval_negatives, b.eval_negatives)
-    c = hg.split_leave_one_out(g, seed=10, num_negatives=7)
+    c = hg.split_leave_one_out(g, seed=10)
     assert not (np.array_equal(a.test_items, c.test_items)
                 and np.array_equal(a.eval_negatives, c.eval_negatives))
 
 
 def test_split_skips_single_interaction_users():
-    g = hg.build_graph([(0, 0), (1, 0), (1, 1), (1, 2)], [], [], 2, 10, 0)
-    split = hg.split_leave_one_out(g, seed=0, num_negatives=4)
+    g = hg.build_graph([(0, 0), (1, 0), (1, 1), (1, 2)], [], [], 2, 110, 0)
+    split = hg.split_leave_one_out(g, seed=0)
     assert 0 not in split.test_users.tolist()
     assert split.num_skipped == 1
 
 
 def test_split_negatives_avoid_all_interactions():
-    g = _chain_graph(num_users=6, num_items=30, per_user=4)
-    split = hg.split_leave_one_out(g, seed=3, num_negatives=20)
+    g = _chain_graph(num_users=6, num_items=130, per_user=4)
+    split = hg.split_leave_one_out(g, seed=3)
     keys = g.interaction_keys()
     for row, u in enumerate(split.test_users):
         negs = split.eval_negatives[row]
@@ -225,17 +225,20 @@ def test_split_errors_when_negatives_unavailable():
         hg.split_leave_one_out(g, seed=0)
 
 
-@pytest.mark.parametrize("num_items, num_negatives", [(130, 100), (300, 100), (400, 150)])
-def test_negatives_match_reference_when_users_need_more_chunks(num_items, num_negatives):
+@pytest.mark.parametrize("num_items, untouched", [(130, 100), (300, 100)])
+def test_negatives_match_reference_when_users_need_more_chunks(num_items, untouched):
+    """Each user leaves at least ``untouched`` items alone, enough for its negatives."""
     rng = np.random.default_rng(num_items)
     num_users = 150  # more users than one block of first chunks
     pairs = sorted({(u, int(j)) for u in range(num_users) for j in rng.choice(
-        num_items, size=int(rng.integers(2, num_items - num_negatives + 1)), replace=False)})
+        num_items, size=int(rng.integers(2, num_items - untouched + 1)), replace=False)})
     g = hg.build_graph(pairs, [], [], num_users, num_items, 0)
-    split = hg.split_leave_one_out(g, seed=4, num_negatives=num_negatives)
-    want, chunks = ingest_reference.draw_negatives(g, split.test_users, num_negatives,
+    split = hg.split_leave_one_out(g, seed=4)
+    want, chunks = ingest_reference.draw_negatives(g, split.test_users, hg.NUM_EVAL_NEGATIVES,
                                                    rng_for(4, NEGATIVES))
     assert chunks.max() >= 2
+    if num_items == 130:  # 128 draws from 130 items hold about 81 distinct ones
+        assert chunks.min() >= 2
     if num_items == 300:
         assert chunks.min() == 1 and np.count_nonzero(chunks >= 2) > 1
     assert np.array_equal(split.eval_negatives, want)

@@ -306,7 +306,8 @@ def test_forward_rejects_mismatched_params(tiny_graph):
 
 
 def test_every_graph_reads_its_own_edge_layout():
-    a, b = (make_random_graph(num_users=12, num_items=20, num_relations=3, num_interactions=40,
+    # 120 items leave every user enough for the split's 100 negatives
+    a, b = (make_random_graph(num_users=12, num_items=120, num_relations=3, num_interactions=40,
                               num_social=15, num_item_relations=20, seed=seed) for seed in (1, 2))
     assert a.num_nodes == b.num_nodes and a.ui.pairs().tolist() != b.ui.pairs().tolist()
     p = random_params(a, 4, 2, 2)
@@ -320,7 +321,7 @@ def test_every_graph_reads_its_own_edge_layout():
         assert getattr(a, name) is getattr(a, name), name
 
     # The train graph of a split counts the held-out interactions out of its denominators.
-    split = split_leave_one_out(a, seed=0, num_negatives=5)
+    split = split_leave_one_out(a, seed=0)
     held = a.node_denom.copy()
     np.subtract.at(held, split.test_users, 1.0)
     np.subtract.at(held, a.num_users + split.test_items, 1.0)
@@ -392,14 +393,49 @@ def test_row_set_must_be_a_mask_over_the_nodes(tiny_graph):
             RowSet(tiny_graph, bad)
 
 
+def test_row_set_position_refuses_a_node_outside_the_set(tiny_graph):
+    N = tiny_graph.num_nodes
+    assert np.array_equal(model.ALL_ROWS.position(np.arange(N)), np.arange(N))
+    mask = np.zeros(N, dtype=bool)
+    mask[[1, 4, 5]] = True
+    rows = RowSet(tiny_graph, mask)
+    assert rows.position(np.array([5, 1, 4, 5])).tolist() == [2, 0, 1, 2]
+    assert rows.position(np.array([], dtype=np.int64)).size == 0
+    # 0 and 3 would sort in front of a member, 8 past the last one
+    for outside in (0, 3, 8, -1):
+        with pytest.raises(de.ShapeError, match="outside the row set"):
+            rows.position(np.array([4, outside]))
+    with pytest.raises(de.ShapeError, match="outside the row set"):
+        RowSet(tiny_graph, np.zeros(N, dtype=bool)).position(np.array([0]))
+
+
+def test_a_row_set_backward_refuses_a_full_height_gradient(tiny_graph):
+    """dL/dH* holds the computed rows only; a full-height one is refused unread."""
+    p = random_params(tiny_graph, 3, 2, 2)
+    mask = np.zeros(tiny_graph.num_nodes, dtype=bool)
+    mask[:tiny_graph.num_users + 2] = True
+    state = forward(tiny_graph, p, rows=RowSet(tiny_graph, mask))
+    full = np.zeros_like(state.hstar)
+    full[mask] = 1.0
+    with pytest.raises(de.ShapeError, match=r"shape \(9, 9\) does not match \(5, 9\)"):
+        model.backward(tiny_graph, p, state, full)
+    # The same gradient in compact rows is the full forward's, to rounding.
+    got = model.backward(tiny_graph, p, state, full[mask]).to_vector()
+    want = model.backward(tiny_graph, p, forward(tiny_graph, p), full).to_vector()
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
 def _members_by_hand(graph, mask):
     """RowSet(graph, mask).members(graph) as plain lists, grouped one row at a time."""
     nodes, index = np.arange(graph.num_nodes), np.flatnonzero(mask)
     messages = []
-    for et, te, _, receivers in graph.every_member[0]:
+    for et, te, _, _, receivers in graph.every_member[0]:
         keep = [k for k, row in enumerate(nodes[receivers]) if mask[row]]
         if keep:
-            messages.append((et, te, keep, nodes[receivers][keep].tolist()))
+            kept = nodes[receivers][keep].tolist()
+            # a member's compact row counts the members before it
+            compact = [int(np.count_nonzero(mask[:row])) for row in kept]
+            messages.append((et, te, keep, compact, kept))
     selves = []
     for et, sl, _ in graph.every_member[1]:
         part = [k for k, row in enumerate(index) if sl.start <= row < sl.stop]
@@ -425,13 +461,14 @@ def test_row_set_groups_its_members_as_the_rows_do(case):
             mask[rng.integers(picked.start, picked.stop)] = True
         else:
             mask[picked] = True
+        members = RowSet(g, mask).members(g)
         if mask.all():  # every row is ALL_ROWS's grouping, the graph's own
-            assert RowSet(g, mask).members(g) is g.every_member
-            continue
-        messages, selves = RowSet(g, mask).members(g)
+            assert members is g.every_member
+        messages, selves = members
         nodes, positions = np.arange(g.num_nodes), np.arange(np.count_nonzero(mask))
-        got = ([(et, te, list(keep), nodes[receivers].tolist())
-                for et, te, keep, receivers in messages],
+        got = ([(et, te, nodes[:te.adj.plan.num_targets][keep].tolist(),
+                 positions[part].tolist(), nodes[receivers].tolist())
+                for et, te, keep, part, receivers in messages],
                [(et, positions[part].tolist(), nodes[rows].tolist())
                 for et, part, rows in selves])
         assert got == _members_by_hand(g, mask), (case, trial)
