@@ -60,21 +60,20 @@ def _graph_with_edges(num_interactions: int, seed: int):
     return g, total
 
 
-def scaling_table(base_edges: int = 30000, dim: int = 16, memory_units: int = 8,
-                  reps: int = 5, seed: int = 0) -> list[BenchRow]:
-    """Two sweeps: |E| doubling at fixed M, then M doubling at fixed |E|."""
+def scaling_table(base_edges: int = 30000, reps: int = 5, seed: int = 0) -> list[BenchRow]:
+    """Two sweeps at d = 16: |E| doubling at M = 8, then M doubling from 4 at fixed |E|."""
     rows: list[BenchRow] = []
     prev = None
     for mult in (1, 2, 4):
         g, total = _graph_with_edges(base_edges * mult, seed)
-        secs = time_layer_step(g, dim, memory_units, reps, seed)
-        rows.append(BenchRow(f"edges x{mult}", total, memory_units, secs,
+        secs = time_layer_step(g, 16, 8, reps, seed)
+        rows.append(BenchRow(f"edges x{mult}", total, 8, secs,
                              secs / prev if prev else float("nan")))
         prev = secs
     g, total = _graph_with_edges(base_edges, seed)
     prev = None
-    for units in (memory_units // 2, memory_units, memory_units * 2):
-        secs = time_layer_step(g, dim, units, reps, seed)
+    for units in (4, 8, 16):
+        secs = time_layer_step(g, 16, units, reps, seed)
         rows.append(BenchRow(f"units {units}", total, units, secs,
                              secs / prev if prev else float("nan")))
         prev = secs

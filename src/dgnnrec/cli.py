@@ -289,21 +289,16 @@ def cmd_bench(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """``--config`` and a flag per RunConfig field but ``eval_every``, typed as its default.
+
+    A flag is its field's name with ``-`` for ``_``, except ``--batch`` and ``--lambda``.
+    """
     p.add_argument("--config", help="key = value config file")
-    p.add_argument("--interactions")
-    p.add_argument("--social")
-    p.add_argument("--item-relations", dest="item_relations")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--memory-units", dest="memory_units", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", dest="batch_size", type=int)
-    p.add_argument("--lambda", dest="reg", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--cutoffs")
-    p.add_argument("--variant")
+    defaults = RunConfig()
+    for f in fields(RunConfig):
+        if f.name != "eval_every":
+            flag = {"batch_size": "batch", "reg": "lambda"}.get(f.name, f.name).replace("_", "-")
+            p.add_argument(f"--{flag}", dest=f.name, type=type(getattr(defaults, f.name)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -103,8 +103,8 @@ def layer_normalize(x: np.ndarray, eps: float):
     zeros; ``inv`` keeps the last axis with size 1. A learned scale and
     shift are the caller's to apply.
     """
-    if eps <= 0.0:
-        raise ShapeError("layer_normalize requires eps > 0")
+    if not eps > 0.0:  # NaN too
+        raise ShapeError(f"layer_normalize requires eps > 0, got {eps!r}")
     x = _as_f64(x)
     xhat = x - _row_mean(x)
     inv = 1.0 / np.sqrt(_row_mean(xhat, xhat) + eps)

@@ -87,13 +87,6 @@ def _metrics_at(ranks: np.ndarray, cutoffs) -> tuple[dict, dict]:
     return hr, ndcg
 
 
-def _all_ranks(hstar: np.ndarray, split: Split, graph: HeteroGraph,
-               variant: ModelVariant) -> np.ndarray:
-    q = recalibrated_users(hstar, graph, variant)
-    return _candidate_ranks(q, hstar, graph.num_users, split.test_users,
-                            split.test_items, split.eval_negatives)
-
-
 def evaluate(hstar: np.ndarray, split: Split, graph: HeteroGraph,
              cutoffs=DEFAULT_CUTOFFS, variant: ModelVariant = FULL_VARIANT) -> EvalReport:
     """HR@N and NDCG@N averaged over every test user, overall and per sparsity group.
@@ -106,7 +99,8 @@ def evaluate(hstar: np.ndarray, split: Split, graph: HeteroGraph,
     if split.eval_negatives.shape != (split.test_users.size, NUM_EVAL_NEGATIVES):
         raise EvaluationError(f"expected {NUM_EVAL_NEGATIVES} negatives per test user, "
                               f"got shape {split.eval_negatives.shape}")
-    ranks = _all_ranks(hstar, split, graph, variant)
+    ranks = _candidate_ranks(recalibrated_users(hstar, graph, variant), hstar, graph.num_users,
+                             split.test_users, split.test_items, split.eval_negatives)
     hr, ndcg = _metrics_at(ranks, cutoffs)
     groups = (_group_metrics(ranks, split, cutoffs)
               if split.test_users.size >= 4 else [])
@@ -145,9 +139,7 @@ class AblationVariant(Enum):
     @classmethod
     def parse(cls, token: str) -> "AblationVariant":
         norm = token.strip().lstrip("-").lower()
-        table = {"full": cls.FULL, "m": cls.NO_MEMORY, "tau": cls.NO_RECALIBRATION,
-                 "ln": cls.NO_LAYER_NORM, "t": cls.NO_ITEM_RELATIONS,
-                 "s": cls.NO_SOCIAL, "st": cls.NO_SOCIAL_NO_RELATIONS}
+        table = {v.value.lstrip("-").lower(): v for v in cls}
         if norm not in table:
             raise ValueError(f"unknown ablation variant {token!r}; "
                              f"expected one of {[v.value for v in cls]}")
@@ -201,12 +193,16 @@ def export_memory_attention(state: LayerState, graph: HeteroGraph, banks,
 
     Rows are `user_id<TAB>bank<TAB>eta_1,...,eta_M` with bank in {uu, ui}:
     the weights the last propagation layer applied, conditioned on that
-    layer's input H^(L-1). Raw numbers only.
+    layer's input H^(L-1). Raw numbers only. A non-finite weight raises
+    EvaluationError, naming the first such user, before anything is written.
     """
     if state.num_layers == 0:
         raise EvaluationError("the model has no propagation layer, so no attention to export")
     targets = state.layers[-2][:graph.num_users]
     att = [_batch_attention(targets, banks[et], variant)[0] for et in (EdgeType.UU, EdgeType.UI)]
+    bad = ~np.isfinite(np.hstack(att)).all(axis=1)
+    if bad.any():
+        raise EvaluationError(f"non-finite attention for user {int(np.argmax(bad))}")
     lines = [f"{u}\tuu\t{uu}\n{u}\tui\t{ui}"
              for u, (uu, ui) in enumerate(zip(*(_comma_rows(eta) for eta in att)))]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -546,7 +546,9 @@ def load_split_manifest(path, graph: HeteroGraph) -> Split:
 
     Raises SplitError when the manifest does not fit the graph: an id out
     of range, a user listed twice, a held-out pair that is not an
-    interaction, or a negative the user interacted with.
+    interaction, a negative the user interacted with, a listed user with
+    under 2 interactions or an unlisted one with more, or a ``skipped``
+    count other than the users with one interaction.
     """
     text = Path(path).read_text(encoding="utf-8").splitlines()
     body = [(no, ln) for no, ln in enumerate(text, start=1) if ln and not ln.startswith("#")]
@@ -582,6 +584,19 @@ def load_split_manifest(path, graph: HeteroGraph) -> Split:
         row, col = np.argwhere(clash)[0]
         raise SplitError(f"{path}: negative {negs_a[row, col]} of user {users_a[row]} "
                          f"is one of that user's interactions")
+    # split_leave_one_out lists every user with >= 2 interactions and skips those with 1.
+    deg = graph.ui.degrees()
+    listed = np.zeros(graph.num_users, dtype=bool)
+    listed[users_a] = True
+    wrong = np.flatnonzero(listed != (deg >= 2))
+    if wrong.size:
+        u = int(wrong[0])
+        raise SplitError(f"{path}: user {u} has {deg[u]} interaction(s) but is "
+                         f"{'' if listed[u] else 'not '}listed")
+    singles = int(np.count_nonzero(deg == 1))
+    if meta["skipped"] != singles:
+        raise SplitError(f"{path}: skipped is {meta['skipped']}, but {singles} users "
+                         f"have one interaction")
     return Split(_without_interactions(graph, np.searchsorted(keys, held_keys)),
                  users_a, items_a, negs_a, meta["skipped"], meta["seed"])
 

@@ -658,13 +658,13 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
     else:
         d_agg = d_y
 
+    # dL/d(message sum), in place: a row with no message is in no group below.
     denom = graph.node_denom[rows.index, None]
-    d_msum = np.zeros_like(d_agg)
-    np.divide(d_agg, denom, out=d_msum, where=denom > 0)
+    np.divide(d_agg, denom, out=d_agg, where=denom > 0)
 
     # Message path per edge type; sources get dL/d sums through the transpose.
     for et, te, keep, part, receivers in messages:
-        d_rows, d_sums = _mix_backward(d_msum[part], emb[receivers], scache.sums[et],
+        d_rows, d_sums = _mix_backward(d_agg[part], emb[receivers], scache.sums[et],
                                        scache.att_pre[et], params.banks[et], grads.banks[et])
         d_emb[receivers] += d_rows
         d_sums = _place(d_sums, _take(te.adj.plan.targets, keep), te.adj.num_rows, 0.0)

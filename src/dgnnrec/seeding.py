@@ -17,7 +17,6 @@ NEGATIVES = 2
 PARAM_INIT = 3
 TRIPLETS = 4
 DATASET = 5
-BENCH = 6
 
 
 def rng_for(seed: int, purpose: int, *extra: int) -> np.random.Generator:

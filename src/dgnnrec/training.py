@@ -58,14 +58,6 @@ def bpr_loss(score_pos, score_neg):
     return float(core) if np.ndim(core) == 0 else core
 
 
-def _triplet_scores(hstar: np.ndarray, q_users: np.ndarray, num_users: int,
-                    users: np.ndarray, pos: np.ndarray, neg: np.ndarray):
-    qp = q_users[..., users, :]
-    s_pos = np.einsum("...nd,...nd->...n", qp, hstar[..., num_users + pos, :])
-    s_neg = np.einsum("...nd,...nd->...n", qp, hstar[..., num_users + neg, :])
-    return s_pos, s_neg, qp
-
-
 def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, reg: float,
                      variant: ModelVariant):
     """(objective value, forward state, pos - neg scores, scoring vectors of ``users``).
@@ -89,8 +81,10 @@ def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, r
         mask[graph.num_users + np.concatenate([pos, neg])] = True
         rows = RowSet(graph, mask)
     state = forward(graph, params, variant, rows)
-    q_users = recalibrated_users(state.hstar, graph, variant)
-    s_pos, s_neg, qp = _triplet_scores(state.hstar, q_users, graph.num_users, users, pos, neg)
+    hstar, num_users = state.hstar, graph.num_users
+    qp = recalibrated_users(hstar, graph, variant)[..., users, :]
+    s_pos = np.einsum("...nd,...nd->...n", qp, hstar[..., num_users + pos, :])
+    s_neg = np.einsum("...nd,...nd->...n", qp, hstar[..., num_users + neg, :])
     vec = params.to_vector()
     # A (1, P) @ (P, 1) product is a dot per set, bitwise ``vec @ vec``; an
     # einsum over the stack rounds the decay differently.
@@ -292,6 +286,8 @@ def load_checkpoint(path) -> Checkpoint:
     num_nodes = n_users + n_items + n_rel
     if dim < 1 or units < 1 or num_nodes < 1:
         raise CheckpointError(f"{path}: header has d={dim}, M={units} and {num_nodes} nodes")
+    if not (math.isfinite(ln_eps) and ln_eps > 0.0):
+        raise CheckpointError(f"{path}: header has ln_eps={ln_eps!r}, not a finite value > 0")
     count = ModelParams._size(num_nodes, dim, units, layers)
     adam = bool(flags & _FLAG_ADAM)
     expected = _HEADER.size + 8 * count + adam * (_ADAM_HEADER.size + 16 * count)

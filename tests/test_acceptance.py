@@ -165,6 +165,7 @@ def test_ablation_ordering(planted, trained_full):
     full_hr = {seed: rep.hr[10] for seed, (rep, _) in trained_full.items()}
     failures = []
     detail = [f"full={[full_hr[s] for s in (0, 1, 2)]}"]
+    reports = {}
     for variant in (AblationVariant.NO_MEMORY, AblationVariant.NO_RECALIBRATION,
                     AblationVariant.NO_LAYER_NORM, AblationVariant.NO_SOCIAL,
                     AblationVariant.NO_ITEM_RELATIONS,
@@ -172,17 +173,17 @@ def test_ablation_ordering(planted, trained_full):
         wins = 0
         vals = []
         for seed in (0, 1, 2):
-            rep = run_ablation(variant, split, TrainingConfig(seed=seed),
-                               cutoffs=(10,))
+            rep = run_ablation(variant, split, TrainingConfig(seed=seed))
             vals.append(rep.hr[10])
             wins += full_hr[seed] >= rep.hr[10]
+            reports[variant, seed] = rep
         detail.append(f"{variant.value}={vals} wins={wins}/3")
         if wins < 2:
             failures.append(variant.value)
 
     # -ST must be bitwise-identical to Full trained on the stripped graph
     cfg = TrainingConfig(seed=0)
-    rep_st = run_ablation(AblationVariant.NO_SOCIAL_NO_RELATIONS, split, cfg)
+    rep_st = reports[AblationVariant.NO_SOCIAL_NO_RELATIONS, 0]
     stripped = build_graph(graph.interaction_pairs(), [], [],
                            graph.num_users, graph.num_items, graph.num_relations)
     split_st = split_leave_one_out(stripped, seed=0)

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import dgnnrec
-from dgnnrec import diffengine, hetgraph, model, synthetic, training
+from dgnnrec import bench, diffengine, hetgraph, model, synthetic, training
 
 REMOVED = ("predict", "recalibrate", "sample_bpr_triplet", "sparsity_report")
 
@@ -29,6 +29,7 @@ def test_the_graph_owns_its_edge_layout():
     (diffengine.leaky_relu, ["x"]),
     (diffengine.leaky_relu_backward, ["x", "grad"]),
     (diffengine.finite_diff_check, ["f", "params", "grad", "h", "tol"]),
+    (bench.scaling_table, ["base_edges", "reps", "seed"]),
     (diffengine.AdamState.zeros, ["shape"]),
     (hetgraph.sample_bpr_batch, ["train_graph", "rng", "size"]),
     (hetgraph.split_leave_one_out, ["graph", "seed"]),

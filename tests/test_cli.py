@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dgnnrec import cli, training
+from dgnnrec.model import EdgeType
 from dgnnrec.synthetic import make_planted_dataset
 from dgnnrec.training import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION, _HEADER, TrainingConfig,
                               load_checkpoint, save_checkpoint)
@@ -287,6 +288,37 @@ def test_export_attn(dataset_dir, tmp_path):
     assert cli.main(["export-attn", *_base_args(dataset_dir, out)]) == 0
     lines = (out / "attention.tsv").read_text().splitlines()
     assert len(lines) == 30 * 2
+
+
+def _set_ln_eps(path, value):
+    data = bytearray(path.read_bytes())
+    _HEADER.pack_into(data, 0, *_HEADER.unpack_from(data, 0)[:-1], value)
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("ln_eps", [float("inf"), float("nan"), 0.0, -1.0])
+def test_checkpoint_ln_eps_no_forward_can_use_exit_code(dataset_dir, tmp_path, capsys, ln_eps):
+    # With only the header's ln_eps patched, inf gave eval metrics and NaN an export of nan rows.
+    out = tmp_path / "run"
+    assert cli.main(["train", *_base_args(dataset_dir, out)]) == 0
+    _set_ln_eps(out / "model.ckpt", ln_eps)
+    for command, written in (("eval", "metrics.tsv"), ("export-attn", "attention.tsv")):
+        assert cli.main([command, *_base_args(dataset_dir, out)]) == cli.EXIT_IO, command
+        assert f"ln_eps={ln_eps!r}, not a finite value > 0" in capsys.readouterr().err
+        assert not (out / written).exists()
+
+
+def test_export_attn_non_finite_attention_exit_code(dataset_dir, tmp_path, capsys):
+    # A NaN in one ui key made export-attn write a row of nan for every user and exit 0.
+    out = tmp_path / "run"
+    assert cli.main(["train", *_base_args(dataset_dir, out)]) == 0
+    ckpt = load_checkpoint(out / "model.ckpt")
+    ckpt.params.banks[EdgeType.UI].keys[0, 0] = np.nan
+    save_checkpoint(out / "model.ckpt", ckpt.params, ckpt.num_users, ckpt.num_items,
+                    ckpt.num_relations)
+    assert cli.main(["export-attn", *_base_args(dataset_dir, out)]) == cli.EXIT_EVAL
+    assert "non-finite attention for user 0" in capsys.readouterr().err
+    assert not (out / "attention.tsv").exists()
 
 
 def test_train_then_eval_under_each_variant_matches_ablate(dataset_dir, tmp_path):

@@ -108,8 +108,9 @@ def test_layer_normalize_matches_the_mean_form(width, rng):
 
 
 def test_layer_normalize_requires_positive_eps():
-    with pytest.raises(de.ShapeError):
-        de.layer_normalize(np.ones(3), eps=0.0)
+    for eps in (0.0, float("nan")):  # NaN got through an `eps <= 0` test
+        with pytest.raises(de.ShapeError, match=f"eps > 0, got {eps!r}"):
+            de.layer_normalize(np.ones(3), eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,34 @@ def test_manifest_rejects_a_user_listed_twice(tmp_path, another_item):
         hg.load_split_manifest(path, g)
 
 
+def test_manifest_cut_short_names_the_first_missing_user(tmp_path):
+    # Cut after its 150th row, the planted manifest (200 test users) loaded 50 users short.
+    g = make_planted_dataset(seed=0).build()
+    split = hg.split_leave_one_out(g, seed=0)
+    path = tmp_path / "split.txt"
+    hg.save_split_manifest(split, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 3 + 200
+    path.write_text("\n".join(lines[:3 + 150]) + "\n")
+    missing = split.test_users[150]
+    with pytest.raises(hg.SplitError, match=rf"split\.txt: user {missing} has \d+ "
+                                            rf"interaction\(s\) but is not listed$"):
+        hg.load_split_manifest(path, g)
+
+
+def test_manifest_rejects_a_skipped_count_the_graph_does_not_give(tmp_path):
+    g = _chain_graph(num_users=10, num_items=150, per_user=4)
+    path = tmp_path / "split.txt"
+    split = hg.split_leave_one_out(g, seed=17)
+    hg.save_split_manifest(split, path)
+    text = path.read_text()
+    line = f"skipped\t{split.num_skipped}\n"
+    path.write_text(text.replace(line, f"skipped\t{split.num_skipped + 1}\n", 1))
+    with pytest.raises(hg.SplitError, match=rf"skipped is {split.num_skipped + 1}, but "
+                                            rf"{split.num_skipped} users have one interaction"):
+        hg.load_split_manifest(path, g)
+
+
 @pytest.mark.parametrize("row", ["0\t1", "0\tx\t" + ",".join(["2"] * 100),
                                  "0,1\t2\t" + ",".join(["3"] * 99)],
                          ids=["no_negatives", "non_integer_item", "comma_before_a_tab"])
