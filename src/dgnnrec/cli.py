@@ -4,8 +4,9 @@ grad-check / bench.
 Runs are reproducible: a config file (plain ``key = value`` lines) plus a
 root seed fully determine every output except wall-clock fields, bitwise
 for a fixed BLAS build and BLAS thread count. CLI flags override
-config-file values. A split manifest already in the output
-directory is reused only when its seed is the configured one.
+config-file values. Every command that reads data draws the split from
+it and the seed; a split manifest already in the output directory must
+hold exactly that split's bytes, except for ``build``, which rewrites it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .evaluation import (AblationVariant, EvaluationError, evaluate,
                          export_memory_attention, report_lines, report_table,
                          run_ablation)
 from .hetgraph import (EdgeFileError, GraphBuildError, SamplingError, SplitError,
-                       build_graph, load_edge_file, load_split_manifest,
+                       build_graph, check_split_manifest, load_edge_file,
                        save_split_manifest, split_leave_one_out)
 from .model import forward
 from .training import (CheckpointError, TrainingConfig, check_model_gradients,
@@ -123,7 +124,8 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _load_graph(cfg: RunConfig, users=None, items=None, relations=None):
+def _load_split(cfg: RunConfig):
+    """The data's graph and its split under ``cfg.seed``; creates the output directory."""
     if not cfg.interactions:
         raise GraphBuildError("no interactions file configured")
     no_edges = np.empty((0, 2), dtype=np.int64)
@@ -132,11 +134,11 @@ def _load_graph(cfg: RunConfig, users=None, items=None, relations=None):
     ir = load_edge_file(cfg.item_relations, "item_relation") if cfg.item_relations else no_edges
     if not ui.size:
         raise GraphBuildError("no interactions")
-    num_users = users if users is not None else 1 + int(max(ui[:, 0].max(), uu.max(initial=-1)))
-    num_items = items if items is not None else 1 + int(max(ui[:, 1].max(),
-                                                            ir[:, 0].max(initial=-1)))
-    num_relations = relations if relations is not None else 1 + int(ir[:, 1].max(initial=-1))
-    return build_graph(ui, uu, ir, num_users, num_items, num_relations)
+    graph = build_graph(ui, uu, ir, 1 + int(max(ui[:, 0].max(), uu.max(initial=-1))),
+                        1 + int(max(ui[:, 1].max(), ir[:, 0].max(initial=-1))),
+                        1 + int(ir[:, 1].max(initial=-1)))
+    Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    return graph, split_leave_one_out(graph, cfg.seed)
 
 
 def _manifest_path(cfg: RunConfig) -> Path:
@@ -144,21 +146,19 @@ def _manifest_path(cfg: RunConfig) -> Path:
 
 
 def _prepare(args):
-    """(run config, its output directory, created, and the split of its data)."""
+    """(run config, its output directory, created, and the split of its data).
+
+    The split is written to ``split.txt`` when that is absent, and must be
+    exactly what the file holds otherwise (SplitError).
+    """
     cfg = _resolve_config(args)
-    graph = _load_graph(cfg)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    _, split = _load_split(cfg)
     path = _manifest_path(cfg)
-    if not path.exists():
-        split = split_leave_one_out(graph, cfg.seed)
+    if path.exists():
+        check_split_manifest(split, path)
+    else:
         save_split_manifest(split, path)
-        return cfg, out, split
-    split = load_split_manifest(path, graph)
-    if split.seed != cfg.seed:
-        raise SplitError(f"{path} holds the split of seed {split.seed}, not {cfg.seed}; "
-                         f"rebuild it or use --seed {split.seed}")
-    return cfg, out, split
+    return cfg, Path(cfg.out), split
 
 
 def _forward_checkpoint(args):
@@ -180,10 +180,7 @@ def _forward_checkpoint(args):
 
 def cmd_build(args) -> int:
     cfg = _resolve_config(args)
-    graph = _load_graph(cfg, args.users, args.items, args.rel_nodes)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    split = split_leave_one_out(graph, cfg.seed)
+    graph, split = _load_split(cfg)
     save_split_manifest(split, _manifest_path(cfg))
 
     y_density = graph.num_interactions / (graph.num_users * graph.num_items)
@@ -307,10 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="ingest edge files, report stats, write the split")
     _add_common(p)
-    p.add_argument("--users", type=int, help="override inferred user count")
-    p.add_argument("--items", type=int, help="override inferred item count")
-    p.add_argument("--rel-nodes", dest="rel_nodes", type=int,
-                   help="override inferred relation-node count")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("train", help="train and write a checkpoint")

@@ -9,7 +9,6 @@ shared freely across threads.
 
 from __future__ import annotations
 
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import IntEnum
 from functools import cached_property
@@ -298,12 +297,19 @@ def load_edge_file(path, kind: str) -> np.ndarray:
     stripped is skipped. Every other line holds two ids separated by one
     tab; each id is what Python's ``int`` reads (surrounding spaces, a sign,
     ``_`` between digits) and must be non-negative and fit int64. The first
-    line breaking a rule raises EdgeFileError with its line number.
+    line breaking a rule, or holding a byte that is not UTF-8, raises
+    EdgeFileError with its line number.
     """
     if kind not in EDGE_KINDS:
         raise ValueError(f"unknown edge kind {kind!r}, expected one of {EDGE_KINDS}")
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().encode("utf-8")
+        try:
+            raw = fh.read().encode("utf-8")
+        except UnicodeDecodeError as exc:  # exc.object holds the whole file's bytes
+            head = exc.object[:exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise EdgeFileError(f"byte {exc.object[exc.start]:#04x} in {kind} file "
+                                f"is not UTF-8", line) from None
     if raw and not raw.endswith(b"\n"):
         raw += b"\n"
     text = np.frombuffer(raw, dtype=np.uint8)
@@ -447,17 +453,13 @@ def split_leave_one_out(graph: HeteroGraph, seed: int) -> Split:
     held_items = graph.ui.indices[held_pos]
 
     negatives = _draw_negatives(graph, eligible, NUM_EVAL_NEGATIVES, rng_for(seed, NEGATIVES))
-    return Split(_without_interactions(graph, held_pos), eligible.astype(np.int64),
-                 held_items.astype(np.int64), negatives, num_skipped, int(seed))
-
-
-def _without_interactions(graph: HeteroGraph, held: np.ndarray) -> HeteroGraph:
-    """``graph`` without the interactions at positions ``held`` of ``interaction_pairs()``."""
     keep = np.ones(graph.num_interactions, dtype=bool)
-    keep[held] = False
+    keep[held_pos] = False
     pairs = graph.interaction_pairs()[keep]
-    return replace(graph, ui=Adjacency.from_pairs(pairs, graph.num_users),
-                   iu=Adjacency.from_pairs(_reverse_pairs(pairs), graph.num_items))
+    train = replace(graph, ui=Adjacency.from_pairs(pairs, graph.num_users),
+                    iu=Adjacency.from_pairs(_reverse_pairs(pairs), graph.num_items))
+    return Split(train, eligible.astype(np.int64), held_items.astype(np.int64), negatives,
+                 num_skipped, int(seed))
 
 
 # Candidates drawn per chunk; a user's negatives are the first fresh
@@ -532,103 +534,40 @@ def _first_fresh(chunks: np.ndarray, fresh: np.ndarray, count: int) -> np.ndarra
 _MANIFEST_HEADER = "# dgnnrec split manifest v1"
 
 
+def _manifest(split: Split) -> bytes:
+    """The bytes of ``split``'s manifest; the one source of the format, written and checked."""
+    row = "%d\t%d\t" + ",".join(["%d"] * split.eval_negatives.shape[1])
+    ids = np.column_stack([split.test_users, split.test_items, split.eval_negatives])
+    lines = [_MANIFEST_HEADER, f"seed\t{split.seed}", f"skipped\t{split.num_skipped}"]
+    return ("\n".join(lines + [row % tuple(r) for r in ids.tolist()]) + "\n").encode()
+
+
 def save_split_manifest(split: Split, path) -> None:
-    lines = [_MANIFEST_HEADER,
-             f"seed\t{split.seed}",
-             f"skipped\t{split.num_skipped}"]
-    for u, item, negs in zip(split.test_users, split.test_items, split.eval_negatives):
-        lines.append(f"{u}\t{item}\t{','.join(str(n) for n in negs)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_bytes(_manifest(split))
 
 
-def load_split_manifest(path, graph: HeteroGraph) -> Split:
-    """Rebuild a Split against ``graph`` (the full, unsplit graph).
+def check_split_manifest(split: Split, path) -> None:
+    """Raise SplitError unless the file at ``path`` holds exactly ``split``'s manifest.
 
-    Raises SplitError when the manifest does not fit the graph: an id out
-    of range, a user listed twice, a held-out pair that is not an
-    interaction, a negative the user interacted with, a listed user with
-    under 2 interactions or an unlisted one with more, or a ``skipped``
-    count other than the users with one interaction.
+    The error names the first line that differs, what the file holds there
+    and what the split has there; a differing seed line names the seed the
+    file was written with when it is readable.
     """
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    body = [(no, ln) for no, ln in enumerate(text, start=1) if ln and not ln.startswith("#")]
-    try:
-        meta = {key: int(value) for key, value in (ln.split("\t", 1) for _, ln in body[:2])}
-    except ValueError:
-        raise SplitError(f"{path}: malformed header") from None
-    if "seed" not in meta or "skipped" not in meta:
-        raise SplitError(f"{path}: missing seed/skipped header lines")
-    ids = _manifest_ids(path, body[2:])
-    users_a, items_a, negs_a = ids[:, 0].copy(), ids[:, 1].copy(), ids[:, 2:].copy()
-    J = graph.num_items
-    # Range first: the u*J+item keys below are only unique for in-range ids.
-    if users_a.size and (users_a.min() < 0 or users_a.max() >= graph.num_users
-                         or min(items_a.min(), negs_a.min()) < 0
-                         or max(items_a.max(), negs_a.max()) >= J):
-        raise SplitError(f"{path}: user or item id out of range for this graph")
-    order = np.argsort(users_a, kind="stable")
-    twice = np.flatnonzero(users_a[order[1:]] == users_a[order[:-1]])
-    if twice.size:
-        first, second = order[twice[0]], order[twice[0] + 1]
-        raise SplitError(f"{path}: user {users_a[first]} is listed twice, on lines "
-                         f"{body[2 + first][0]} and {body[2 + second][0]}")
-    keys = graph.interaction_keys()
-    held_keys = users_a * J + items_a
-    missing = ~_in_sorted(keys, held_keys)
-    if missing.any():
-        row = int(np.flatnonzero(missing)[0])
-        raise SplitError(f"{path}: held-out pair ({users_a[row]}, {items_a[row]}) "
-                         f"is not an interaction of the graph")
-    clash = _in_sorted(keys, users_a[:, None] * J + negs_a)
-    if clash.any():
-        row, col = np.argwhere(clash)[0]
-        raise SplitError(f"{path}: negative {negs_a[row, col]} of user {users_a[row]} "
-                         f"is one of that user's interactions")
-    # split_leave_one_out lists every user with >= 2 interactions and skips those with 1.
-    deg = graph.ui.degrees()
-    listed = np.zeros(graph.num_users, dtype=bool)
-    listed[users_a] = True
-    wrong = np.flatnonzero(listed != (deg >= 2))
-    if wrong.size:
-        u = int(wrong[0])
-        raise SplitError(f"{path}: user {u} has {deg[u]} interaction(s) but is "
-                         f"{'' if listed[u] else 'not '}listed")
-    singles = int(np.count_nonzero(deg == 1))
-    if meta["skipped"] != singles:
-        raise SplitError(f"{path}: skipped is {meta['skipped']}, but {singles} users "
-                         f"have one interaction")
-    return Split(_without_interactions(graph, np.searchsorted(keys, held_keys)),
-                 users_a, items_a, negs_a, meta["skipped"], meta["seed"])
-
-
-def _manifest_ids(path, rows) -> np.ndarray:
-    """(rows, 2 + NUM_EVAL_NEGATIVES) int64 ids of the (line number, text) test rows.
-
-    numpy reads the rows at once when each has the shape ``id<TAB>id<TAB>id,...,id``
-    with 100 negatives. Otherwise, or when numpy cannot read an id that ``int``
-    can (``7_0``), the rows are read one by one and the first bad row is named.
-    """
-    width = 2 + NUM_EVAL_NEGATIVES
-    if all(ln.count("\t") == 2 and ln.count(",") == width - 3 and ln.rfind("\t") < ln.find(",")
-           for _, ln in rows):
-        with suppress(ValueError):  # numpy 2.4 raises on text it cannot read
-            ids = np.fromstring(",".join(ln for _, ln in rows).replace("\t", ","),
-                                dtype=np.int64, sep=",")
-            if ids.size == len(rows) * width:
-                return ids.reshape(-1, width)
-    out = []
-    for lineno, ln in rows:
-        try:
-            u, item, neg_csv = ln.split("\t")
-            out.append(np.array([int(u), int(item)] + [int(x) for x in neg_csv.split(",")],
-                                dtype=np.int64))
-        except (ValueError, OverflowError):
-            raise SplitError(f"{path}: line {lineno}: expected 'user<TAB>item<TAB>negatives' "
-                             f"with int64 ids, got {ln!r}") from None
-        if len(out[-1]) != width:
-            raise SplitError(f"{path}: line {lineno}: user {out[-1][0]} has {len(out[-1]) - 2} "
-                             f"negatives, expected {NUM_EVAL_NEGATIVES}")
-    return np.array(out, dtype=np.int64).reshape(-1, width)
+    got, want = Path(path).read_bytes(), _manifest(split)
+    if got == want:
+        return
+    n = min(len(got), len(want))
+    diff = np.flatnonzero(np.frombuffer(got, np.uint8, n) != np.frombuffer(want, np.uint8, n))
+    at = int(diff[0]) if diff.size else n
+    lineno = got.count(b"\n", 0, at) + 1
+    start = got.rfind(b"\n", 0, at) + 1
+    held, has = (text[start:text.find(b"\n", start) + 1 or None] for text in (got, want))
+    shown = [repr(line)[1:] if line else "nothing" for line in (held, has)]  # no b prefix
+    hint = ""
+    if lineno == 2 and held.startswith(b"seed\t") and held[5:].rstrip(b"\n").isdigit():
+        hint = f"; rebuild it or use --seed {int(held[5:])}"
+    raise SplitError(f"{path}: line {lineno}: holds {shown[0]}, but the split of seed "
+                     f"{split.seed} has {shown[1]} there{hint}")
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,41 @@ def test_build_rerun_identical_manifest(dataset_dir, tmp_path):
     assert (out_a / "split.txt").read_bytes() == (out_b / "split.txt").read_bytes()
 
 
+def test_build_then_train_on_the_same_flags(dataset_dir, tmp_path):
+    out = tmp_path / "run"
+    assert cli.main(["build", *_base_args(dataset_dir, out)]) == 0
+    assert cli.main(["train", *_base_args(dataset_dir, out)]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--users", "--items", "--rel-nodes"])
+def test_build_takes_no_node_count_override(dataset_dir, tmp_path, flag):
+    # build --items 400 wrote a split that every later command refused.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", *_base_args(dataset_dir, tmp_path / "run"), flag, "400"])
+    assert exc.value.code == cli.EXIT_USAGE
+
+
+def test_edge_file_byte_that_is_not_utf8_exit_code(dataset_dir, tmp_path, capsys):
+    edges = dataset_dir / "interactions.tsv"
+    lines = edges.read_bytes().count(b"\n")
+    edges.write_bytes(edges.read_bytes() + b"5\t\xff7\n")
+    assert cli.main(["build", *_base_args(dataset_dir, tmp_path / "run")]) == cli.EXIT_DATA
+    assert f"line {lines + 1}: byte 0xff in interaction file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [2, 4], ids=["seed_line", "first_row"])
+def test_split_byte_that_is_not_utf8_exit_code(dataset_dir, tmp_path, capsys, line):
+    out = tmp_path / "run"
+    assert cli.main(["build", *_base_args(dataset_dir, out)]) == 0
+    manifest = out / "split.txt"
+    lines = manifest.read_bytes().split(b"\n")
+    lines[line - 1] += b"\xff"
+    manifest.write_bytes(b"\n".join(lines))
+    assert cli.main(["train", *_base_args(dataset_dir, out)]) == cli.EXIT_DATA
+    assert f"split.txt: line {line}: " in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+
+
 def test_build_empty_interactions_fails(tmp_path, capsys):
     empty = tmp_path / "empty.tsv"
     empty.write_text("", encoding="utf-8")
@@ -278,7 +313,7 @@ def test_eval_split_listing_a_user_twice_exit_code(dataset_dir, tmp_path, capsys
     lines = manifest.read_text().splitlines()
     manifest.write_text("\n".join(lines + [lines[3]]) + "\n")
     assert cli.main(["eval", *_base_args(dataset_dir, out)]) == cli.EXIT_DATA
-    assert f"listed twice, on lines 4 and {len(lines) + 1}" in capsys.readouterr().err
+    assert f"split.txt: line {len(lines) + 1}: holds " in capsys.readouterr().err
     assert not (out / "metrics.tsv").exists()
 
 

@@ -38,6 +38,19 @@ def test_load_edge_file_rejects_bad_delimiter(tmp_path):
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("bad_line", [1, 4])
+def test_load_edge_file_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, end, bad_line):
+    lines = [b"0\t1", "# café".encode("utf-8"), b"", b"2\t3", b"4\t5"]
+    lines[bad_line - 1] = b"5\t\xff7"
+    path = tmp_path / "edges.tsv"
+    path.write_bytes(end.join(lines) + end)
+    with pytest.raises(hg.EdgeFileError, match=rf"^line {bad_line}: byte 0xff in social "
+                                               rf"file is not UTF-8$") as exc:
+        hg.load_edge_file(path, "social")
+    assert exc.value.line == bad_line
+
+
 def test_load_edge_file_rejects_negative_id(tmp_path):
     path = tmp_path / "edges.tsv"
     path.write_text("0\t1\n-2\t4\n", encoding="utf-8")
@@ -268,14 +281,18 @@ def test_manifest_round_trip(tmp_path):
     split = hg.split_leave_one_out(g, seed=17)
     path = tmp_path / "split.txt"
     hg.save_split_manifest(split, path)
-    loaded = hg.load_split_manifest(path, g)
-    assert loaded.seed == split.seed
-    assert loaded.num_skipped == split.num_skipped
-    assert np.array_equal(loaded.test_users, split.test_users)
-    assert np.array_equal(loaded.test_items, split.test_items)
-    assert np.array_equal(loaded.eval_negatives, split.eval_negatives)
-    assert np.array_equal(loaded.train_graph.ui.indices, split.train_graph.ui.indices)
-    assert np.array_equal(loaded.train_graph.ui.indptr, split.train_graph.ui.indptr)
+    hg.check_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    with pytest.raises(hg.SplitError, match=r"split\.txt: line 2: holds 'seed\\t17\\n', but "
+                                            r"the split of seed 18 has 'seed\\t18\\n' there; "
+                                            r"rebuild it or use --seed 17$"):
+        hg.check_split_manifest(hg.split_leave_one_out(g, seed=18), path)
+
+
+def _saved_split(path, seed=17):
+    """The split of the 10-user chain graph under ``seed``, its manifest saved at ``path``."""
+    split = hg.split_leave_one_out(_chain_graph(num_users=10, num_items=150, per_user=4), seed)
+    hg.save_split_manifest(split, path)
+    return split
 
 
 def _rewrite_first_test_row(path, edit):
@@ -286,56 +303,65 @@ def _rewrite_first_test_row(path, edit):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_manifest_ids_that_only_int_reads_load_the_same_split(tmp_path):
-    g = _chain_graph(num_users=10, num_items=150, per_user=4)
+def test_manifest_ids_that_only_int_reads_are_refused(tmp_path):
+    # int() reads these ids as the split's own, but they are not its bytes.
     path = tmp_path / "split.txt"
-    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
-    want = hg.load_split_manifest(path, g)
+    split = _saved_split(path)
     _rewrite_first_test_row(path, lambda u, item, negs: (
         f"+{u}", f" {item}", ",".join([f"{n[0]}_{n[1:]}" if len(n) > 1 else n for n in negs])))
-    got = hg.load_split_manifest(path, g)
-    for a, b in ((got.test_users, want.test_users), (got.test_items, want.test_items),
-                 (got.eval_negatives, want.eval_negatives),
-                 (got.train_graph.ui.indices, want.train_graph.ui.indices),
-                 (got.train_graph.iu.indices, want.train_graph.iu.indices)):
-        assert np.array_equal(a, b)
+    with pytest.raises(hg.SplitError, match=r"split\.txt: line 4: holds '\+"):
+        hg.check_split_manifest(split, path)
 
 
 def test_manifest_rejects_held_pair_not_in_graph(tmp_path):
-    g = _chain_graph(num_users=10, num_items=150, per_user=4)
     path = tmp_path / "split.txt"
-    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    split = _saved_split(path)
 
     def hold_a_negative(u, item, negs):
         # a negative is by construction not an interaction of u
         return str(u), negs[0], ",".join(negs[1:] + [str(item)])
 
     _rewrite_first_test_row(path, hold_a_negative)
-    with pytest.raises(hg.SplitError, match="not an interaction"):
-        hg.load_split_manifest(path, g)
+    with pytest.raises(hg.SplitError, match=r"split\.txt: line 4: "):
+        hg.check_split_manifest(split, path)
 
 
 def test_manifest_rejects_negative_the_user_interacted_with(tmp_path):
-    g = _chain_graph(num_users=10, num_items=150, per_user=4)
     path = tmp_path / "split.txt"
-    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    split = _saved_split(path)
+
     def swap_in_train_item(u, item, negs):
-        other = next(j for j in neighbors(g.ui, u).tolist() if j != item)
+        other = int(neighbors(split.train_graph.ui, u)[0])
         return str(u), str(item), ",".join([str(other)] + negs[1:])
 
     _rewrite_first_test_row(path, swap_in_train_item)
-    with pytest.raises(hg.SplitError, match="one of that user's interactions"):
-        hg.load_split_manifest(path, g)
+    with pytest.raises(hg.SplitError, match=r"split\.txt: line 4: "):
+        hg.check_split_manifest(split, path)
 
 
 def test_manifest_rejects_out_of_range_ids(tmp_path):
-    g = _chain_graph(num_users=10, num_items=150, per_user=4)
     path = tmp_path / "split.txt"
-    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    split = _saved_split(path)
     _rewrite_first_test_row(path, lambda u, item, negs: (
         str(u), str(item), ",".join(negs[:-1] + ["150"])))
-    with pytest.raises(hg.SplitError, match="out of range"):
-        hg.load_split_manifest(path, g)
+    with pytest.raises(hg.SplitError, match=r"split\.txt: line 4: "):
+        hg.check_split_manifest(split, path)
+
+
+def test_manifest_with_a_consistent_edit_is_refused(tmp_path):
+    # User 0's held-out 228 swapped for 3, another of its interactions: the
+    # old loader took this file, and the run trained on 228 and tested on 3.
+    g = make_planted_dataset(num_users=40, num_items=300).build()
+    split = hg.split_leave_one_out(g, seed=7)
+    path = tmp_path / "split.txt"
+    hg.save_split_manifest(split, path)
+    assert 3 in neighbors(g.ui, 0).tolist()
+    text = path.read_text()
+    assert "\n0\t228\t" in text
+    path.write_text(text.replace("\n0\t228\t", "\n0\t3\t", 1))
+    with pytest.raises(hg.SplitError, match=r"split\.txt: line 4: holds '0\\t3\\t.*', "
+                                            r"but the split of seed 7 has '0\\t228\\t"):
+        hg.check_split_manifest(split, path)
 
 
 def _duplicate_first_user(path, graph, another_item):
@@ -353,12 +379,13 @@ def test_manifest_rejects_a_user_listed_twice(tmp_path, another_item):
     # Loaded, the copy counted the user twice in the metrics, and a second
     # held-out item took one more interaction out of the train graph.
     g = make_planted_dataset(num_users=40, num_items=300).build()
+    split = hg.split_leave_one_out(g, seed=7)
     path = tmp_path / "split.txt"
-    hg.save_split_manifest(hg.split_leave_one_out(g, seed=7), path)
+    hg.save_split_manifest(split, path)
     user, last_line = _duplicate_first_user(path, g, another_item)
-    with pytest.raises(hg.SplitError,
-                       match=rf"split\.txt: user {user} is listed twice, on lines 4 and {last_line}$"):
-        hg.load_split_manifest(path, g)
+    with pytest.raises(hg.SplitError, match=rf"split\.txt: line {last_line}: holds '{user}\\t"
+                                            rf".*', but the split of seed 7 has nothing there$"):
+        hg.check_split_manifest(split, path)
 
 
 def test_manifest_cut_short_names_the_first_missing_user(tmp_path):
@@ -371,49 +398,97 @@ def test_manifest_cut_short_names_the_first_missing_user(tmp_path):
     assert len(lines) == 3 + 200
     path.write_text("\n".join(lines[:3 + 150]) + "\n")
     missing = split.test_users[150]
-    with pytest.raises(hg.SplitError, match=rf"split\.txt: user {missing} has \d+ "
-                                            rf"interaction\(s\) but is not listed$"):
-        hg.load_split_manifest(path, g)
+    with pytest.raises(hg.SplitError, match=rf"split\.txt: line 154: holds nothing, but the "
+                                            rf"split of seed 0 has '{missing}\\t"):
+        hg.check_split_manifest(split, path)
 
 
 def test_manifest_rejects_a_skipped_count_the_graph_does_not_give(tmp_path):
-    g = _chain_graph(num_users=10, num_items=150, per_user=4)
     path = tmp_path / "split.txt"
-    split = hg.split_leave_one_out(g, seed=17)
-    hg.save_split_manifest(split, path)
+    split = _saved_split(path)
     text = path.read_text()
     line = f"skipped\t{split.num_skipped}\n"
     path.write_text(text.replace(line, f"skipped\t{split.num_skipped + 1}\n", 1))
-    with pytest.raises(hg.SplitError, match=rf"skipped is {split.num_skipped + 1}, but "
-                                            rf"{split.num_skipped} users have one interaction"):
-        hg.load_split_manifest(path, g)
+    with pytest.raises(hg.SplitError, match=rf"split\.txt: line 3: holds 'skipped\\t"
+                                            rf"{split.num_skipped + 1}\\n', but the split of "
+                                            rf"seed 17 has 'skipped\\t{split.num_skipped}\\n'"):
+        hg.check_split_manifest(split, path)
 
 
 @pytest.mark.parametrize("row", ["0\t1", "0\tx\t" + ",".join(["2"] * 100),
                                  "0,1\t2\t" + ",".join(["3"] * 99)],
                          ids=["no_negatives", "non_integer_item", "comma_before_a_tab"])
 def test_manifest_malformed_row_names_file_and_line(tmp_path, row):
-    g = _chain_graph(num_users=10, num_items=150, per_user=4)
     path = tmp_path / "split.txt"
-    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    split = _saved_split(path)
     lines = path.read_text().splitlines()
     lines[4] = row  # the second test user's row
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(hg.SplitError, match=r"split\.txt: line 5: "):
-        hg.load_split_manifest(path, g)
+        hg.check_split_manifest(split, path)
 
 
 def test_manifest_negative_moved_to_another_row_names_the_row(tmp_path):
     # The body still holds rows x 102 ids, but the second row has 101 negatives.
-    g = _chain_graph(num_users=10, num_items=150, per_user=4)
     path = tmp_path / "split.txt"
-    hg.save_split_manifest(hg.split_leave_one_out(g, seed=17), path)
+    split = _saved_split(path)
     lines = path.read_text().splitlines()
     last = lines[5].rsplit(",", 1)
     lines[4], lines[5] = lines[4] + "," + last[1], last[0]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(hg.SplitError, match=r"split\.txt: line 5: user \d+ has 101 negatives"):
-        hg.load_split_manifest(path, g)
+    with pytest.raises(hg.SplitError, match=r"split\.txt: line 5: "):
+        hg.check_split_manifest(split, path)
+
+
+def _manifest_bytes(split) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        hg.save_split_manifest(split, Path(tmp) / "split.txt")
+        return (Path(tmp) / "split.txt").read_bytes()
+
+
+# A small split for the property tests: 4 test users, a 1.6 KB manifest.
+_SMALL_SPLIT = hg.split_leave_one_out(_chain_graph(num_users=4, num_items=110, per_user=3), 5)
+_SMALL_MANIFEST = _manifest_bytes(_SMALL_SPLIT)
+
+
+def _refused_line(data: bytes) -> str:
+    """The line number in the SplitError ``check_split_manifest`` raises for ``data``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "split.txt"
+        path.write_bytes(data)
+        with pytest.raises(hg.SplitError) as exc:
+            hg.check_split_manifest(_SMALL_SPLIT, path)
+    return re.match(r".*split\.txt: line (\d+): ", str(exc.value)).group(1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(2, 6), st.integers(2, 5))
+def test_saved_manifest_passes_its_check(seed, num_users, per_user):
+    split = hg.split_leave_one_out(_chain_graph(num_users, 110, per_user, seed), seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        hg.save_split_manifest(split, Path(tmp) / "split.txt")
+        hg.check_split_manifest(split, Path(tmp) / "split.txt")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, len(_SMALL_MANIFEST) - 1), st.integers(1, 255))
+def test_manifest_byte_substitution_names_its_line(offset, flip):
+    data = bytearray(_SMALL_MANIFEST)
+    data[offset] ^= flip
+    assert _refused_line(bytes(data)) == str(_SMALL_MANIFEST.count(b"\n", 0, offset) + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(_SMALL_MANIFEST) - 1))
+def test_manifest_truncation_names_the_line_cut_or_first_missing(size):
+    assert _refused_line(_SMALL_MANIFEST[:size]) == str(
+        _SMALL_MANIFEST.count(b"\n", 0, size) + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(min_size=1, max_size=64))
+def test_manifest_appended_bytes_name_the_first_extra_line(extra):
+    assert _refused_line(_SMALL_MANIFEST + extra) == str(_SMALL_MANIFEST.count(b"\n") + 1)
 
 
 def test_manifest_same_seed_identical_bytes(tmp_path):
