@@ -48,9 +48,15 @@ carries the stack's axis in front, node rows are indexed as
 ``x[..., rows, :]`` and products broadcast over the leading axis. numpy
 runs a stacked product as one BLAS call per set, and every other step
 works row by row, so each set of a stack is computed bit for bit as it
-would be alone. ``backward`` takes one set only, so a stacked forward
-keeps no step caches, which would be about half of a stacked row's
-memory.
+would be alone.
+
+A forward keeps what ``backward`` reads (each layer's LN input and
+output, attention pre-activations and neighbour sums) only when its
+caller asks, with ``for_backward=True``: the training step and the
+gradient check's kink screen. Every read path (scoring, the attention
+export, the gradient check's stacked objective) frees a layer's caches
+as soon as the layer is done. ``backward`` takes one set only, so a
+stack cannot ask for them.
 
 Every temporary that grows with the rows stays within ``BLOCK_FLOATS``
 float64 (2 MB; K times fewer rows for a stack of K). The mixing's
@@ -509,8 +515,8 @@ class LayerState:
     other rows are NaN, so a read of one poisons whatever it reaches.
     ``final_inv_std`` holds the computed rows only, as ``backward``'s
     dL/dH* does. ``step_caches`` holds one ``_StepCache`` per layer for
-    ``backward``, and is empty after a forward over a stack, which cannot
-    be differentiated.
+    ``backward`` after ``forward(..., for_backward=True)``, and is empty
+    after any other forward.
     """
 
     layers: list[np.ndarray]
@@ -538,27 +544,32 @@ def final_embeddings(layers, eps: float = DEFAULT_LN_EPS, rows: RowSet = ALL_ROW
 
 def forward(graph: HeteroGraph, params: ModelParams,
             variant: ModelVariant = FULL_VARIANT,
-            rows: RowSet = ALL_ROWS, edge_cache=None) -> LayerState:
+            rows: RowSet = ALL_ROWS, edge_cache=None, *,
+            for_backward: bool = False) -> LayerState:
     """Run all propagation layers from the initial embeddings, then H*.
 
     ``rows`` are the rows of H* to compute. Since the last layer and H*
     work row by row, only the last layer is cut to them; the earlier
     layers stay whole, as their neighbours feed it. For a stack of K
-    parameter sets every array of the state gains a leading K axis, and
-    no step cache is kept, since ``backward`` takes one set only.
+    parameter sets every array of the state gains a leading K axis.
+    ``for_backward=True`` keeps a step cache per layer for ``backward``;
+    otherwise each layer's caches are freed as soon as it is done, and a
+    stack, which ``backward`` refuses, raises ShapeError when it asks.
     ``edge_cache`` is unused and is kept only for the benchmark harness.
     """
     if params.num_nodes != graph.num_nodes:
         raise de.ShapeError(
             f"params cover {params.num_nodes} nodes but graph has {graph.num_nodes}")
-    records: list = []
-    record = records if params.vector.ndim == 1 else None
+    records = None
+    if for_backward:
+        params.require_one_set("forward(for_backward=True)")
+        records = []
     layers = [params.embeddings]
     for step in range(params.num_layers):
         last = rows if step == params.num_layers - 1 else ALL_ROWS
-        layers.append(layer_step(layers[-1], graph, params, step, variant, record, last))
+        layers.append(layer_step(layers[-1], graph, params, step, variant, records, last))
     hstar, inv = final_embeddings(layers, params.ln_eps, rows)
-    return LayerState(layers, hstar, inv, records, rows)
+    return LayerState(layers, hstar, inv, records or [], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -677,12 +688,16 @@ def backward(graph: HeteroGraph, params: ModelParams, state: LayerState,
     """Gradients of a scalar loss w.r.t. every parameter, given dL/dH*.
 
     ``d_hstar`` holds a row per computed row (``RowSet.position``); another
-    shape, a stack, or the state of a stacked forward (which keeps no step
-    caches) raises ShapeError. ``params`` and ``state`` are of one set.
+    shape, a stack, the state of a stacked forward, or a state without step
+    caches (a forward not asked ``for_backward``) raises ShapeError.
+    ``params`` and ``state`` are of one set.
     """
     params.require_one_set("backward")
     if state.hstar.ndim != 2:
         raise de.ShapeError("backward takes the state of a one-set forward, not of a stack")
+    if len(state.step_caches) != state.num_layers:
+        raise de.ShapeError("backward needs the step caches of forward(..., for_backward=True); "
+                            "this state keeps none")
     grads = params.zeros_like()
     d = params.dim
     rows = state.rows

@@ -386,9 +386,11 @@ def test_export_is_the_attention_the_last_layer_applied(tmp_path, tiny_graph, nu
     params = ModelParams.init(tiny_graph.num_nodes, 3, 2, num_layers, rng_for(2, PARAM_INIT))
     for bank in params.banks:
         bank.keys *= 20.0  # move attention away from the neutral init
-    state = forward(tiny_graph, params)
-    ev.export_memory_attention(state, tiny_graph, params.banks, tmp_path / "attn.tsv")
-    applied = state.step_caches[-1].att_pre
+    # The export reads a plain forward; the attention the last layer applied
+    # is in the step caches of a forward kept for backward.
+    ev.export_memory_attention(forward(tiny_graph, params), tiny_graph, params.banks,
+                               tmp_path / "attn.tsv")
+    applied = forward(tiny_graph, params, for_backward=True).step_caches[-1].att_pre
     rows = [line.split("\t") for line in (tmp_path / "attn.tsv").read_text().splitlines()]
     for user, label, vec in rows:
         expected = de.leaky_relu(applied[EdgeType[label.upper()]][int(user)])

@@ -33,14 +33,30 @@ def test_gradients_cover_ablation_variants(variant):
     assert result.passed, f"{variant}: max rel err {result.max_rel_err}"
 
 
-@pytest.mark.parametrize("num_layers", [0, 1])
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
 def test_gradients_without_layer_norm_at_d8(num_layers):
-    # The -LN kink screen passes at d = 8 for L <= 1; L = 2 is the hole that
-    # test_a_screen_that_never_passes_names_the_shape_variant_and_best_margin pins.
+    # At L = 2, M = 1 no draw passes the -LN kink screen as drawn; the second
+    # screen, with the layer-0 embeddings x 3, does.
     result = check_model_gradients(dims=(8,), memory_units=(1, 2), layers=(num_layers,),
                                    variant=ModelVariant(layer_norm=False))
     assert len(result.cases) == 2
     assert result.passed, f"max rel err {result.max_rel_err}"
+
+
+def test_the_rescaled_screen_runs_only_when_no_draw_passes_as_drawn(monkeypatch):
+    scales = []
+
+    def recording_instance(*args):
+        scales.append(args[4])
+        return _random_instance(*args)
+
+    monkeypatch.setattr(training, "_random_instance", recording_instance)
+    variant = ModelVariant(layer_norm=False)
+    check_model_gradients(dims=(8,), memory_units=(1,), layers=(2,), variant=variant)
+    assert scales[:101] == [1.0] * 101 and set(scales[101:]) == {training.GRAD_CHECK_RESCALE}
+    scales.clear()
+    check_model_gradients(dims=(2,), memory_units=(1, 2), layers=(1, 2))
+    assert set(scales) == {1.0}
 
 
 def test_every_parameter_group_receives_gradient():
@@ -182,18 +198,20 @@ def test_objective_views_the_stack_with_one_parameter_set_per_call(monkeypatch):
         assert np.shares_memory(view.banks[-1].biases, stack)
 
 
-def test_a_screen_that_never_passes_names_the_shape_variant_and_best_margin():
-    # Without LN the layer-2 activations of d = 8, M = 1 peak at ~0.08, and no
-    # draw keeps its pre-activations 1e-4 away from the kink.
+def test_a_screen_that_never_passes_names_the_shape_variant_and_best_margin(monkeypatch):
+    # Without LN the layer-2 activations of d = 8, M = 1 peak at ~0.08; a
+    # margin of 1 is out of reach as drawn and with the embeddings x 3.
+    monkeypatch.setattr(training, "GRAD_CHECK_KINK_MARGIN", 1.0)
     variant = ModelVariant(layer_norm=False)
-    best = max(_kink_margin(*_random_instance(8, 1, 2, 1000 * attempt)[:2], variant)
-               for attempt in range(101))
-    assert best < training.GRAD_CHECK_KINK_MARGIN
+    best = max(_kink_margin(*_random_instance(8, 1, 2, 1000 * attempt, scale)[:2], variant)
+               for scale in (1.0, 3.0) for attempt in range(101))
+    assert best < 1.0
     with pytest.raises(RuntimeError) as raised:
         check_model_gradients(dims=(8,), memory_units=(1,), layers=(2,), variant=variant)
     assert str(raised.value) == (
         f"could not draw a kink-free instance at d=8, M=1, L=2 for {variant}: "
-        f"the best of 101 draws has margin {best:.3g} < 0.0001")
+        f"the best of 202 draws (half of them with the embeddings x 3) "
+        f"has margin {best:.3g} < 1")
 
 
 @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -1e-5])

@@ -414,14 +414,15 @@ def test_a_row_set_backward_refuses_a_full_height_gradient(tiny_graph):
     p = random_params(tiny_graph, 3, 2, 2)
     mask = np.zeros(tiny_graph.num_nodes, dtype=bool)
     mask[:tiny_graph.num_users + 2] = True
-    state = forward(tiny_graph, p, rows=RowSet(tiny_graph, mask))
+    state = forward(tiny_graph, p, rows=RowSet(tiny_graph, mask), for_backward=True)
     full = np.zeros_like(state.hstar)
     full[mask] = 1.0
     with pytest.raises(de.ShapeError, match=r"shape \(9, 9\) does not match \(5, 9\)"):
         model.backward(tiny_graph, p, state, full)
     # The same gradient in compact rows is the full forward's, to rounding.
     got = model.backward(tiny_graph, p, state, full[mask]).to_vector()
-    want = model.backward(tiny_graph, p, forward(tiny_graph, p), full).to_vector()
+    want = model.backward(tiny_graph, p, forward(tiny_graph, p, for_backward=True),
+                          full).to_vector()
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 

@@ -161,8 +161,9 @@ def _live_and_full(graph, params, triplets, reg, variant):
     for every_row in (False, True):
         seen = []
 
-        def recording(g, p, v, rows):
-            seen.append((rows, forward(g, p, v, ALL_ROWS if every_row else rows)))
+        def recording(g, p, v, rows, **kwargs):
+            assert kwargs == {"for_backward": True}
+            seen.append((rows, forward(g, p, v, ALL_ROWS if every_row else rows, **kwargs)))
             return seen[-1][1]
 
         with pytest.MonkeyPatch.context() as mp:
@@ -260,10 +261,10 @@ def test_an_item_missing_from_the_row_set_poisons_the_loss(monkeypatch):
     cfg = TrainingConfig(dim=4, layers=2, memory_units=2, batch_size=4, epochs=1, seed=0)
     params = ModelParams.init(g.num_nodes, 4, 2, 2, rng_for(0, PARAM_INIT))
 
-    def dropping_an_item(graph, p, variant, rows):
+    def dropping_an_item(graph, p, variant, rows, **kwargs):
         mask = rows.mask.copy()
         mask[graph.num_users + np.flatnonzero(mask[graph.num_users:])[0]] = False
-        return forward(graph, p, variant, RowSet(graph, mask))
+        return forward(graph, p, variant, RowSet(graph, mask), **kwargs)
 
     monkeypatch.setattr(training, "forward", dropping_an_item)
     with np.errstate(invalid="ignore"):
@@ -349,15 +350,22 @@ def test_stacked_rows_equal_single_evaluations_on_a_row_set_batch(name):
 
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
 def test_a_stacked_forward_keeps_no_step_caches(num_layers):
-    """One set records a step cache per layer for backward; a stack, which
-    backward refuses, records none."""
+    """A forward records a step cache per layer only when asked for backward;
+    a stack, which backward refuses, cannot ask."""
     graph, params, _ = _random_instance(3, 2, num_layers, 0)
-    one = forward(graph, params)
+    plain = forward(graph, params)
+    assert plain.step_caches == [] and len(plain.layers) == num_layers + 1
+    one = forward(graph, params, for_backward=True)
     assert len(one.step_caches) == num_layers
     assert all(cache.normed.shape == (graph.num_nodes, 3) for cache in one.step_caches)
-    state = forward(graph, _stacked(params, np.stack([params.vector, params.vector])))
+    assert plain.hstar.tobytes() == one.hstar.tobytes()
+    stacked = _stacked(params, np.stack([params.vector, params.vector]))
+    state = forward(graph, stacked)
     assert state.step_caches == [] and len(state.layers) == num_layers + 1
     assert _bitwise_equal(state.hstar[1], one.hstar)
+    with pytest.raises(de.ShapeError, match=r"forward\(for_backward=True\) takes one "
+                                            r"parameter set, not a stack of 2"):
+        forward(graph, stacked, for_backward=True)
 
 
 def test_what_trains_or_saves_refuses_a_stack(tmp_path):
@@ -371,6 +379,11 @@ def test_what_trains_or_saves_refuses_a_stack(tmp_path):
         training.backward(graph, stacked, state, np.zeros_like(state.hstar))
     with pytest.raises(de.ShapeError, match="not of a stack"):
         training.backward(graph, params, state, np.zeros_like(state.hstar))
+    plain = forward(graph, params)
+    with pytest.raises(de.ShapeError, match=r"backward needs the step caches of "
+                                            r"forward\(\.\.\., for_backward=True\); "
+                                            r"this state keeps none"):
+        training.backward(graph, params, plain, np.zeros_like(plain.hstar))
     with pytest.raises(de.ShapeError, match="save_checkpoint takes one parameter set"):
         save_checkpoint(tmp_path / "model.ckpt", stacked, graph.num_users, graph.num_items,
                         graph.num_relations)
