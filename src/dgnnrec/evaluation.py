@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hetgraph import NUM_EVAL_NEGATIVES, HeteroGraph, Split, build_graph
+from .hetgraph import NUM_EVAL_NEGATIVES, Adjacency, HeteroGraph, Split
 from .model import (EdgeType, FULL_VARIANT, LayerState, ModelVariant,
                     _batch_attention, _row_blocks, forward, recalibrated_users)
 from .training import TrainingConfig, train_model
@@ -159,15 +159,14 @@ class AblationVariant(Enum):
 
 
 def strip_graph(graph: HeteroGraph, drop_social: bool, drop_relations: bool) -> HeteroGraph:
-    """Rebuild with S and/or T removed; node counts are preserved."""
-    if not drop_social and not drop_relations:
-        return graph
+    """The graph with S and/or T removed; node counts are preserved."""
     empty = np.empty((0, 2), dtype=np.int64)
-    return build_graph(
-        graph.interaction_pairs(),
-        empty if drop_social else graph.social_pairs(),
-        empty if drop_relations else graph.item_relation_pairs(),
-        graph.num_users, graph.num_items, graph.num_relations)
+    if drop_social:
+        graph = replace(graph, uu=Adjacency.from_pairs(empty, graph.num_users))
+    if drop_relations:
+        graph = replace(graph, ir=Adjacency.from_pairs(empty, graph.num_items),
+                        ri=Adjacency.from_pairs(empty, graph.num_relations))
+    return graph
 
 
 def run_ablation(variant: AblationVariant, split: Split, config: TrainingConfig,

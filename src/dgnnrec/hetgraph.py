@@ -290,7 +290,7 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def load_edge_file(path, kind: str) -> np.ndarray:
-    """Parse a `src<TAB>dst` edge file into sorted, deduplicated (N, 2) int64 pairs.
+    """Parse a `src<TAB>dst` edge file into (N, 2) int64 pairs, one per edge line.
 
     Lines end as in any text file read as UTF-8 (``\\n``, ``\\r\\n`` or ``\\r``).
     A line that is blank or starts with '#' once surrounding whitespace is
@@ -298,7 +298,9 @@ def load_edge_file(path, kind: str) -> np.ndarray:
     tab; each id is what Python's ``int`` reads (surrounding spaces, a sign,
     ``_`` between digits) and must be non-negative and fit int64. The first
     line breaking a rule, or holding a byte that is not UTF-8, raises
-    EdgeFileError with its line number.
+    EdgeFileError with its line number. The pairs are neither sorted nor
+    deduplicated (``build_graph`` does both): the plain ``digits<TAB>digits``
+    lines come in file order, then the other edge lines in file order.
     """
     if kind not in EDGE_KINDS:
         raise ValueError(f"unknown edge kind {kind!r}, expected one of {EDGE_KINDS}")
@@ -323,7 +325,7 @@ def load_edge_file(path, kind: str) -> np.ndarray:
     rest = [_parse_line(raw[starts[i]:ends[i]].decode("utf-8"), i + 1, kind)
             for i in np.flatnonzero(~plain).tolist()]
     rest = np.array([pair for pair in rest if pair is not None], dtype=np.int64)
-    return _sorted_unique(np.concatenate([ids, rest.reshape(-1, 2)]))
+    return np.concatenate([ids, rest.reshape(-1, 2)])
 
 
 def _plain_lines(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -359,14 +361,6 @@ def _parse_line(line: str, lineno: int, kind: str) -> tuple[int, int] | None:
     return src, dst
 
 
-def _sorted_unique(pairs: np.ndarray) -> np.ndarray:
-    """Rows in ascending (src, dst) order, each once."""
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    keep = np.ones(pairs.shape[0], dtype=bool)
-    keep[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
-    return pairs[keep]
-
-
 def _check_range(pairs: np.ndarray, n_src: int, n_dst: int, label: str) -> None:
     if not pairs.size:
         return
@@ -383,9 +377,17 @@ def _as_pairs(edges) -> np.ndarray:
 
 def build_graph(interactions, social, item_relations,
                 num_users: int, num_items: int, num_relations: int) -> HeteroGraph:
-    """Assemble the immutable graph; social ties are symmetrized here."""
-    if min(num_users, num_items, num_relations) < 0:
-        raise GraphBuildError("node counts must be non-negative")
+    """Assemble the immutable graph from edge pairs in any order, duplicates allowed.
+
+    Social ties are symmetrized here; ``Adjacency.from_pairs`` sorts and
+    deduplicates each adjacency's pairs. Each node count must be below
+    2**31, so that its int64 keys (row * width + col) stay below 2**63.
+    """
+    for kind, count in (("users", num_users), ("items", num_items),
+                        ("relation nodes", num_relations)):
+        if not 0 <= count < 2 ** 31:
+            raise GraphBuildError(f"{count} {kind}: node counts must be non-negative "
+                                  f"and below 2**31")
     ui_pairs = _as_pairs(interactions)
     uu_pairs = _as_pairs(social)
     ir_pairs = _as_pairs(item_relations)

@@ -455,13 +455,10 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
     lead, n = sums.shape[:-2], sums.shape[-2]
     flat_t = bank.transforms.reshape(*lead, M * d, d).swapaxes(-1, -2)
     blocks = _row_blocks(n, math.prod(lead) * M * d)
-    # One block is within the budget as it is; more share one buffer.
-    buf = None if len(blocks) == 1 else np.empty(
-        (*lead, max(b.stop - b.start for b in blocks), M * d))
+    buf = np.empty((*lead, max(b.stop - b.start for b in blocks), M * d))
     mixed = np.empty(sums.shape)
     for b in blocks:
-        trans = np.matmul(sums[..., b, :], flat_t,
-                          out=None if buf is None else buf[..., :b.stop - b.start, :])
+        trans = np.matmul(sums[..., b, :], flat_t, out=buf[..., :b.stop - b.start, :])
         np.einsum("...nm,...nmd->...nd", att[..., b, :], trans.reshape(*trans.shape[:-1], M, d),
                   out=mixed[..., b, :])
     return mixed, pre

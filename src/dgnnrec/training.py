@@ -375,8 +375,7 @@ def _random_instance(dim: int, num_units: int, num_layers: int, seed: int,
     item_rel = {(j, j % n_rel) for j in range(n_items)}
     for j in range(n_items):
         item_rel.add((j, int(rng.integers(n_rel))))
-    graph = build_graph(sorted(interactions), sorted(social), sorted(item_rel),
-                        n_users, n_items, n_rel)
+    graph = build_graph(interactions, social, item_rel, n_users, n_items, n_rel)
     params = ModelParams.init(graph.num_nodes, dim, num_units, num_layers, rng)
     # Test at fan-scale keys (init keeps them small) so the attention path
     # is exercised away from zero, and with a soft normalization floor so

@@ -7,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # dense_reference import
 
-from dgnnrec.hetgraph import HeteroGraph, build_graph
+from dgnnrec.hetgraph import EDGE_KINDS, HeteroGraph, build_graph
 from dgnnrec.model import FULL_VARIANT, ModelParams, recalibrated_users
 from dgnnrec.seeding import PARAM_INIT, rng_for
 
@@ -27,6 +27,27 @@ def random_small_graph(rng, max_users=6, max_items=8, max_relations=4):
     ir = {(int(rng.integers(J)), int(rng.integers(R)))
           for _ in range(int(rng.integers(0, J + 2)))}
     return build_graph(sorted(ui), sorted(uu), sorted(ir), I, J, R)
+
+
+def write_edge_files(root, dataset, rng=None) -> dict:
+    """Write ``dataset``'s three edge files under ``root``; edge kind -> path.
+
+    With ``rng`` the files are messy copies: each line appears one to three
+    times, the lines are shuffled, and every seventh line is padded with
+    spaces, so the per-line rules read it rather than the plain-line path.
+    """
+    root.mkdir(parents=True, exist_ok=True)
+    files = {}
+    for kind, pairs in zip(EDGE_KINDS, (dataset.interactions, dataset.social,
+                                        dataset.item_relations)):
+        if rng is not None:
+            pairs = rng.permutation(np.repeat(pairs, rng.integers(1, 4, len(pairs)), axis=0))
+        lines = [f"{a}\t{b}" for a, b in pairs.tolist()]
+        if rng is not None:
+            lines[::7] = [f" {line} " for line in lines[::7]]
+        files[kind] = root / f"{kind}.tsv"
+        files[kind].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return files
 
 
 # The cached properties that make up a graph's edge layout.

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import write_edge_files
 from dgnnrec import cli, training
 from dgnnrec.model import EdgeType
 from dgnnrec.synthetic import make_planted_dataset
@@ -116,6 +117,40 @@ def test_build_id_beyond_int64_exit_code(tmp_path, capsys):
     assert cli.main(["build", "--interactions", str(bad),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_DATA
     assert "line 2: id beyond int64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("in_relations, line, named", [
+    (False, "100000000000\t3", "100000000001 users"),
+    (False, "9223372036854775806\t3", "9223372036854775807 users"),
+    (True, "9223372036854775806\t0", "9223372036854775807 items"),
+], ids=["1e11_user", "int64_user", "int64_item"])
+def test_build_ids_that_imply_an_impossible_graph_exit_code(tmp_path, capsys, in_relations,
+                                                            line, named):
+    ui, ir = tmp_path / "ui.tsv", tmp_path / "ir.tsv"
+    ui.write_text("0\t0\n0\t1\n1\t1\n1\t2\n", encoding="utf-8")
+    ir.write_text("0\t0\n", encoding="utf-8")
+    with open(ir if in_relations else ui, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    out = tmp_path / "o"
+    assert cli.main(["build", "--interactions", str(ui), "--item-relations", str(ir),
+                     "--out", str(out)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {named}: node counts must be non-negative and below 2**31\n")
+    assert not out.exists()
+
+
+def test_build_on_messy_edge_files_writes_the_same_split(tmp_path):
+    ds = make_planted_dataset(seed=0)
+    manifests = []
+    for name, rng in (("clean", None), ("messy", np.random.default_rng(7))):
+        files = write_edge_files(tmp_path / name, ds, rng)
+        out = tmp_path / name / "run"
+        assert cli.main(["build", "--interactions", str(files["interaction"]),
+                         "--social", str(files["social"]),
+                         "--item-relations", str(files["item_relation"]),
+                         "--out", str(out)]) == 0
+        manifests.append((out / "split.txt").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def test_train_eval_cycle(dataset_dir, tmp_path, capsys):

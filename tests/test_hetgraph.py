@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference
+from conftest import write_edge_files
 from graph_checks import neighbors, validate
 from dgnnrec import hetgraph as hg
 from dgnnrec import synthetic
@@ -22,12 +23,12 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 # edge files
 
 
-def test_load_edge_file_parses_and_dedups(tmp_path):
+def test_load_edge_file_parses_and_keeps_duplicates(tmp_path):
     path = tmp_path / "edges.tsv"
     path.write_text("0\t3\n1\t2\n# comment\n\n0\t3\n", encoding="utf-8")
     pairs = hg.load_edge_file(path, "interaction")
-    assert pairs.dtype == np.int64 and pairs.shape == (2, 2)
-    assert pairs.tolist() == [[0, 3], [1, 2]]
+    assert pairs.dtype == np.int64 and pairs.shape == (3, 2)
+    assert pairs.tolist() == [[0, 3], [1, 2], [0, 3]]
 
 
 def test_load_edge_file_rejects_bad_delimiter(tmp_path):
@@ -80,17 +81,17 @@ def test_load_edge_file_rejects_id_beyond_int64(tmp_path, dst, ok):
 
 
 def _reference_outcome(path, kind):
-    """Sorted pairs, or (message, line) of the first line that the reference rejects
-    or that holds an id beyond int64."""
-    pairs = set()
+    """Every line's pair, sorted, or (message, line) of the first line that the
+    reference rejects or that holds an id beyond int64."""
+    pairs = []
     try:
         for lineno, src, dst in ingest_reference.edge_lines(path, kind):
             if max(src, dst) > INT64_MAX:
                 return "int64", lineno
-            pairs.add((src, dst))
+            pairs.append([src, dst])
     except hg.EdgeFileError as err:
         return str(err), err.line
-    return [list(pair) for pair in sorted(pairs)]
+    return sorted(pairs)
 
 
 _PLAIN_LINE = st.builds("{}\t{}".format, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
@@ -120,7 +121,7 @@ def test_load_edge_file_matches_line_reference(lines, final_newline):
             assert message in str(err)
         else:
             assert got.dtype == np.int64 and got.shape == (len(want), 2)
-            assert got.tolist() == want, text
+            assert sorted(got.tolist()) == want, text
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +161,34 @@ def test_build_graph_rejects_out_of_range():
 def test_build_graph_rejects_social_self_loop():
     with pytest.raises(hg.GraphBuildError, match="self-loop"):
         hg.build_graph([(0, 0)], [(1, 1)], [], 2, 1, 0)
+
+
+def test_build_graph_sorts_and_dedups_messy_edge_files(tmp_path):
+    ds = make_planted_dataset(seed=0)
+    graphs = []
+    for name, rng in (("clean", None), ("messy", np.random.default_rng(7))):
+        files = write_edge_files(tmp_path / name, ds, rng)
+        edges = [hg.load_edge_file(files[kind], kind) for kind in hg.EDGE_KINDS]
+        graphs.append(hg.build_graph(*edges, ds.num_users, ds.num_items, ds.num_relations))
+    assert len(edges[0]) > len(ds.interactions)
+    clean, messy = graphs
+    for name in ("ui", "iu", "uu", "ir", "ri"):
+        assert np.array_equal(getattr(clean, name).indptr, getattr(messy, name).indptr)
+        assert np.array_equal(getattr(clean, name).indices, getattr(messy, name).indices)
+
+
+@pytest.mark.parametrize("pairs, counts, named", [
+    (([(0, 0)], [], []), (2 ** 31, 1, 0), "2147483648 users"),
+    (([(0, 0)], [], []), (1, 2 ** 31, 0), "2147483648 items"),
+    (([(0, 0)], [], [(0, 0)]), (1, 1, 2 ** 31), "2147483648 relation nodes"),
+    (([(10 ** 11, 3)], [], []), (10 ** 11 + 1, 4, 0), "100000000001 users"),
+    (([(INT64_MAX - 1, 3)], [], []), (INT64_MAX, 4, 0), f"{INT64_MAX} users"),
+    (([(0, 3)], [], [(INT64_MAX - 1, 0)]), (1, INT64_MAX, 1), f"{INT64_MAX} items"),
+], ids=["users", "items", "relations", "1e11_user", "int64_user", "int64_item"])
+def test_build_graph_refuses_node_counts_from_2_to_the_31(pairs, counts, named):
+    # from_pairs keys a pair as row * width + col in int64.
+    with pytest.raises(hg.GraphBuildError, match=rf"^{named}: .*below 2\*\*31$"):
+        hg.build_graph(*pairs, *counts)
 
 
 def test_round_trip_rebuild_is_identical(tiny_graph):
