@@ -24,8 +24,8 @@ from . import diffengine as de
 from .evaluation import (AblationVariant, EvaluationError, evaluate,
                          export_memory_attention, report_lines, report_table,
                          run_ablation)
-from .hetgraph import (EdgeFileError, GraphBuildError, SamplingError, SplitError,
-                       build_graph, check_split_manifest, load_edge_file,
+from .hetgraph import (NUM_EVAL_NEGATIVES, EdgeFileError, GraphBuildError, SamplingError,
+                       SplitError, build_graph, check_split_manifest, load_edge_file,
                        save_split_manifest, split_leave_one_out)
 from .model import forward
 from .training import (CheckpointError, TrainingConfig, check_model_gradients,
@@ -63,17 +63,21 @@ class RunConfig(TrainingConfig):
             AblationVariant.parse(self.variant)
 
     def cutoff_list(self) -> tuple[int, ...]:
-        """The comma-separated ``cutoffs``; ValueError unless they are distinct positive ints."""
+        """The comma-separated ``cutoffs``; ValueError unless they are distinct positive ints
+        of at most NUM_EVAL_NEGATIVES (a held-out item ranks among that many + 1)."""
         out = tuple(int(x) if x.strip().isdigit() else 0
                     for x in self.cutoffs.split(",") if x.strip())
         if not out or min(out) < 1 or len(set(out)) < len(out):
             raise ValueError(f"cutoffs {self.cutoffs!r}: expected distinct positive integers")
+        if max(out) > NUM_EVAL_NEGATIVES:
+            raise ValueError(f"cutoffs {self.cutoffs!r}: a cutoff above {NUM_EVAL_NEGATIVES}, "
+                             f"the number of sampled negatives, counts every test user a hit")
         return out
 
 
 def _config_values(path) -> dict:
     """The settings a config file gives, each cast to its field's type; the rest are absent."""
-    values = {}
+    values, set_on = {}, {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -81,7 +85,10 @@ def _config_values(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key] = value
+        if key in set_on:
+            raise ValueError(f"{path}:{lineno}: config key {key!r} is set again "
+                             f"(line {set_on[key]} set it first)")
+        values[key], set_on[key] = value, lineno
     defaults = RunConfig()
     names = {f.name for f in fields(RunConfig)}
     for key, value in values.items():
@@ -214,11 +221,14 @@ def cmd_train(args) -> int:
         print(f"epoch {epoch:>4d}  loss {mean_loss:.6f}  {seconds:.2f}s"
               + (f"  hr@10 {hr10} ndcg@10 {ndcg10}" if hr10 else ""))
 
-    params, adam, losses = train_model(graph, tc, model_variant, on_epoch=on_epoch)
+    params, _, losses = train_model(graph, tc, model_variant, on_epoch=on_epoch)
+    if not np.isfinite(params.vector).all():
+        raise de.NonFiniteError(f"{np.count_nonzero(~np.isfinite(params.vector))} trained "
+                                f"parameters are not finite; no checkpoint written")
     last_loss = losses[-1] if losses else float("nan")
     ckpt_path = out / "model.ckpt"
     save_checkpoint(ckpt_path, params, graph.num_users, graph.num_items,
-                    graph.num_relations, adam, epoch=tc.epochs, loss=last_loss)
+                    graph.num_relations, epoch=tc.epochs, loss=last_loss)
     log_path.write_text("\n".join(log_rows) + "\n", encoding="utf-8")
     print(f"wrote {ckpt_path}")
     return EXIT_OK

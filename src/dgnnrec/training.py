@@ -6,8 +6,7 @@ when those are under half of the nodes, scores its sampled triplets, and
 takes a single Adam step on the mean pairwise loss plus weight decay
 over the whole parameter vector. Every batch reads the train graph's
 edge layout, which its first forward builds. Per-epoch RNG streams are
-derived from (seed, epoch), so resuming from a checkpoint mid-run
-reproduces the loss trajectory of an uninterrupted run exactly.
+derived from (seed, epoch).
 """
 
 from __future__ import annotations
@@ -43,8 +42,9 @@ class TrainingConfig:
             raise ValueError("dim and memory_units must be >= 1, layers >= 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
-        if self.lr < 0 or self.reg < 0:
-            raise ValueError("lr and reg must be non-negative")
+        if not (0 <= self.lr < math.inf and 0 <= self.reg < math.inf):
+            raise ValueError(f"lr and reg must be finite and >= 0, "
+                             f"not {self.lr!r} and {self.reg!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,9 @@ def _batch_objective(graph: HeteroGraph, params: ModelParams, users, pos, neg, r
     # A (1, P) @ (P, 1) product is a dot per set, bitwise ``vec @ vec``; an
     # einsum over the stack rounds the decay differently.
     decay = (vec[..., None, :] @ vec[..., :, None])[..., 0, 0]
-    loss = bpr_loss(s_pos, s_neg).mean(axis=-1) + reg * decay
+    # A stack's (K, B) losses are not C-contiguous, and numpy's pairwise sum
+    # groups a strided row differently from one set's 1-D mean from B = 8 on.
+    loss = np.ascontiguousarray(bpr_loss(s_pos, s_neg)).mean(axis=-1) + reg * decay
     return (float(loss) if loss.ndim == 0 else loss), state, s_pos - s_neg, qp
 
 
@@ -185,22 +187,21 @@ def train_epoch(graph: HeteroGraph, params: ModelParams, config: TrainingConfig,
 def train_model(train_graph: HeteroGraph, config: TrainingConfig,
                 variant: ModelVariant = FULL_VARIANT,
                 initial: ModelParams | None = None,
-                initial_adam: de.AdamState | None = None,
-                start_epoch: int = 0,
                 on_epoch=None):
-    """Full training run; per-epoch RNG derives from (seed, epoch number).
+    """Full training run from ``initial`` (default ``ModelParams.init`` of the
+    config's seed) and a zero Adam state; per-epoch RNG derives from (seed, epoch).
 
     ``on_epoch(epoch, params, mean_loss, seconds)`` fires after each epoch.
-    Returns (params, adam_state, list of mean epoch losses).
+    Returns (params, final adam_state, list of mean epoch losses).
     """
     if initial is not None:
         params = initial
     else:
         params = ModelParams.init(train_graph.num_nodes, config.dim, config.memory_units,
                                   config.layers, rng_for(config.seed, PARAM_INIT))
-    adam_state = initial_adam  # None: the first epoch starts from zeros
+    adam_state = None  # the first epoch starts from zeros
     losses = []
-    for epoch in range(start_epoch + 1, config.epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         rng = rng_for(config.seed, TRIPLETS, epoch)
         started = time.perf_counter()
         try:
@@ -221,9 +222,10 @@ def train_model(train_graph: HeteroGraph, config: TrainingConfig,
 
 CHECKPOINT_MAGIC = b"DGNNCKPT"
 CHECKPOINT_VERSION = 1
-_FLAG_ADAM = 1
 _HEADER = struct.Struct("<8s9Idd")  # magic, version, I, J, R, d, L, M, flags, epoch, loss, ln_eps
-_ADAM_HEADER = struct.Struct("<Iddd")  # step, beta1, beta2, eps
+# Flags bit 0 marks an older file that carries an optimizer section after the
+# parameters, a 28-byte header and two moment vectors; the loader skips it.
+_FLAG_OPTIMIZER = 1
 
 
 class CheckpointError(ValueError):
@@ -245,7 +247,6 @@ class CheckpointTruncatedError(CheckpointError):
 @dataclass
 class Checkpoint:
     params: ModelParams
-    adam_state: de.AdamState | None
     num_users: int
     num_items: int
     num_relations: int
@@ -254,30 +255,25 @@ class Checkpoint:
 
 
 def save_checkpoint(path, params: ModelParams, num_users: int, num_items: int,
-                    num_relations: int, adam_state: de.AdamState | None = None,
-                    epoch: int = 0, loss: float = float("nan")) -> None:
-    """Binary little-endian dump; see README for the exact layout. A stack raises ShapeError."""
+                    num_relations: int, *, epoch: int = 0, loss: float = float("nan")) -> None:
+    """Header and parameters, little-endian; see README for the exact layout.
+
+    The file holds the model only, no optimizer state (flags 0). A stack raises ShapeError.
+    """
     params.require_one_set("save_checkpoint")
     if params.num_nodes != num_users + num_items + num_relations:
         raise CheckpointError("params do not cover num_users + num_items + num_relations nodes")
-    flags = _FLAG_ADAM if adam_state is not None else 0
-    chunks = [_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                           num_users, num_items, num_relations,
-                           params.dim, params.num_layers, params.num_units,
-                           flags, epoch, loss, params.ln_eps)]
-    chunks.append(params.vector.astype("<f8", copy=False).tobytes())
-    if adam_state is not None:
-        if adam_state.m.shape != (params.num_params,):
-            raise CheckpointError("adam state does not match the flat parameter vector")
-        chunks.append(_ADAM_HEADER.pack(adam_state.step, adam_state.beta1,
-                                        adam_state.beta2, adam_state.eps))
-        chunks.append(np.ascontiguousarray(adam_state.m, dtype="<f8").tobytes())
-        chunks.append(np.ascontiguousarray(adam_state.v, dtype="<f8").tobytes())
+    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                          num_users, num_items, num_relations,
+                          params.dim, params.num_layers, params.num_units,
+                          0, epoch, loss, params.ln_eps)
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(header + params.vector.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at ``path``; a file that carries the old optimizer section
+    (flags bit 0) loads its parameters, and the section is skipped."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < _HEADER.size:
@@ -288,6 +284,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointMagicError(f"{path}: bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(f"{path}: unsupported version {version}")
+    if flags & ~_FLAG_OPTIMIZER:
+        raise CheckpointError(f"{path}: unknown flags {flags:#x}; only bit 0 is defined")
 
     # Check the header against the file size in Python ints before any array exists.
     num_nodes = n_users + n_items + n_rel
@@ -296,21 +294,14 @@ def load_checkpoint(path) -> Checkpoint:
     if not (math.isfinite(ln_eps) and ln_eps > 0.0):
         raise CheckpointError(f"{path}: header has ln_eps={ln_eps!r}, not a finite value > 0")
     count = ModelParams._size(num_nodes, dim, units, layers)
-    adam = bool(flags & _FLAG_ADAM)
-    expected = _HEADER.size + 8 * count + adam * (_ADAM_HEADER.size + 16 * count)
+    expected = _HEADER.size + 8 * count + (flags & _FLAG_OPTIMIZER) * (28 + 16 * count)
     if len(data) < expected:
         raise CheckpointTruncatedError(f"{path}: {len(data)} bytes, the header needs {expected}")
     if len(data) > expected:
         raise CheckpointError(f"{path}: {len(data) - expected} trailing bytes")
     params = ModelParams(np.frombuffer(data, "<f8", count, _HEADER.size).copy(),
                          num_nodes, dim, units, ln_eps)
-    adam_state = None
-    if adam:
-        offset = _HEADER.size + 8 * count
-        step, beta1, beta2, eps = _ADAM_HEADER.unpack_from(data, offset)
-        m, v = np.frombuffer(data, "<f8", 2 * count, offset + _ADAM_HEADER.size).reshape(2, -1)
-        adam_state = de.AdamState(m.copy(), v.copy(), step, beta1, beta2, eps)
-    return Checkpoint(params, adam_state, n_users, n_items, n_rel, epoch, loss)
+    return Checkpoint(params, n_users, n_items, n_rel, epoch, loss)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ def test_the_graph_owns_its_edge_layout():
     (hetgraph.split_leave_one_out, ["graph", "seed"]),
     (training.check_model_gradients, ["dims", "memory_units", "layers", "seed", "h", "tol",
                                       "variant"]),
+    (training.train_model, ["train_graph", "config", "variant", "initial", "on_epoch"]),
+    (training.save_checkpoint, ["path", "params", "num_users", "num_items", "num_relations",
+                                "epoch", "loss"]),
     (synthetic.make_planted_dataset, ["num_users", "num_items", "num_relations", "seed",
                                       "interactions_per_user"]),
 ], ids=lambda x: x.__qualname__ if callable(x) else "")

@@ -341,6 +341,56 @@ def test_bad_setting_exits_before_anything_is_written(dataset_dir, tmp_path, cap
     assert not (out / "split.txt").exists()
 
 
+@pytest.mark.parametrize("flag", ["--lr=nan", "--lr=inf", "--lambda=nan", "--lambda=inf"])
+def test_non_finite_lr_or_reg_is_a_usage_error(dataset_dir, tmp_path, capsys, flag):
+    # train --lr nan exited 0 with a checkpoint whose every parameter was NaN.
+    out = tmp_path / "run"
+    assert cli.main(["train", *_base_args(dataset_dir, out, [flag])]) == cli.EXIT_USAGE
+    assert "lr and reg must be finite and >= 0" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+
+
+def test_train_refuses_non_finite_parameters_before_writing(dataset_dir, tmp_path, capsys,
+                                                            monkeypatch):
+    real = cli.train_model
+
+    def one_nan(*args, **kwargs):
+        params, adam, losses = real(*args, **kwargs)
+        params.vector[7] = np.nan
+        return params, adam, losses
+
+    monkeypatch.setattr(cli, "train_model", one_nan)
+    out = tmp_path / "run"
+    assert cli.main(["train", *_base_args(dataset_dir, out)]) == cli.EXIT_NUMERIC
+    assert "1 trained parameters are not finite" in capsys.readouterr().err
+    assert not (out / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("cutoffs", ["101", "10,500"])
+def test_a_cutoff_above_the_negatives_is_a_usage_error(dataset_dir, tmp_path, capsys, cutoffs):
+    # HR@101 ranks one held-out item among 101 candidates: 1 by construction.
+    out = tmp_path / "run"
+    assert cli.main(["train", *_base_args(dataset_dir, out, ["--epochs", "0"])]) == 0
+    argv = ["eval", *_base_args(dataset_dir, out), f"--cutoffs={cutoffs}"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"cutoffs {cutoffs!r}: a cutoff above 100" in capsys.readouterr().err
+    assert not (out / "metrics.tsv").exists()
+    assert cli.main(["eval", *_base_args(dataset_dir, out), "--cutoffs=10,100"]) == 0
+    assert "\t100\tall\t" in (out / "metrics.tsv").read_text()
+
+
+def test_a_config_key_set_twice_is_a_usage_error(dataset_dir, tmp_path, capsys):
+    # dim = 4 then dim = 8 trained at d = 8 without a word.
+    out = tmp_path / "run"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"interactions = {dataset_dir / 'interactions.tsv'}\n"
+                    "dim = 4\n# a comment\nepochs = 1\ndim = 8\n", encoding="utf-8")
+    assert cli.main(["train", "--config", str(path), "--out", str(out)]) == cli.EXIT_USAGE
+    assert f"{path}:5: config key 'dim' is set again (line 2 set it first)" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_eval_split_listing_a_user_twice_exit_code(dataset_dir, tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["train", *_base_args(dataset_dir, out, ["--epochs", "0"])]) == 0
