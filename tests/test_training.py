@@ -442,9 +442,20 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     # byte-for-byte stable on re-save
     save_checkpoint(tmp_path / "again.ckpt", ckpt.params, 12, 30, 3, epoch=2, loss=losses[-1])
     assert (tmp_path / "again.ckpt").read_bytes() == data
-    # epoch 0 and a NaN loss when neither is given
+
+
+def test_checkpoint_without_adam(tmp_path):
+    # A bare save holds the model only: flags 0, no optimizer section, no such field on
+    # load, and epoch 0 with a NaN loss when neither is given.
+    params, _ = _trained()
+    path = tmp_path / "bare.ckpt"
     save_checkpoint(path, params, 12, 30, 3)
+    data = path.read_bytes()
+    assert len(data) == _HEADER.size + 8 * params.num_params
+    assert _HEADER.unpack_from(data)[8] == 0
     ckpt = load_checkpoint(path)
+    assert not hasattr(ckpt, "adam_state")
+    assert ckpt.params.to_vector().tobytes() == params.to_vector().tobytes()
     assert ckpt.epoch == 0 and math.isnan(ckpt.loss)
 
 
