@@ -29,25 +29,33 @@ class BenchRow:
     ratio: float  # vs previous row of the same sweep; nan for the first
 
 
-def time_layer_step(graph, dim: int = 16, memory_units: int = 8,
-                    reps: int = 5, seed: int = 0) -> float:
-    """Median process CPU seconds (all threads) of one propagation layer.
+def time_layer_steps(settings, reps: int = 5, seed: int = 0) -> list[float]:
+    """Median process CPU seconds (all threads) of one propagation layer per setting.
 
+    ``settings`` are (graph, dim, memory_units). The settings are timed in
+    alternation, one rep of each in turn, so a burst of load on the host
+    lands on every side of a ratio alike rather than on one setting's reps.
     CPU time leaves out the time the process waits while another one holds
     the core. On a shared 2-core host, 40 draws of the two doubling ratios
     when quiet and 40 beside two busy processes peaked at x2.05 for the
     CPU-time median, against x2.47 for the wall-clock minimum and x2.79 for
-    the wall-clock median.
+    the wall-clock median. Beside one busy process, 20 runs of the
+    acceptance test's two ratios peaked at x2.83 with each side timed after
+    the other and at x1.79 with the two sides in alternation.
     """
-    params = ModelParams.init(graph.num_nodes, dim, memory_units, 1,
-                              rng_for(seed, PARAM_INIT))
-    layer_step(params.embeddings, graph, params, 0, FULL_VARIANT)  # warmup, builds the layout
-    samples = []
+    steps = []
+    for graph, dim, memory_units in settings:
+        params = ModelParams.init(graph.num_nodes, dim, memory_units, 1,
+                                  rng_for(seed, PARAM_INIT))
+        layer_step(params.embeddings, graph, params, 0, FULL_VARIANT)  # warmup, builds the layout
+        steps.append((graph, params))
+    samples = [[] for _ in steps]
     for _ in range(reps):
-        started = time.process_time()
-        layer_step(params.embeddings, graph, params, 0, FULL_VARIANT)
-        samples.append(time.process_time() - started)
-    return float(np.median(samples))
+        for (graph, params), times in zip(steps, samples):
+            started = time.process_time()
+            layer_step(params.embeddings, graph, params, 0, FULL_VARIANT)
+            times.append(time.process_time() - started)
+    return [float(np.median(times)) for times in samples]
 
 
 def _graph_with_edges(num_interactions: int, seed: int):
@@ -61,22 +69,21 @@ def _graph_with_edges(num_interactions: int, seed: int):
 
 
 def scaling_table(base_edges: int = 30000, reps: int = 5, seed: int = 0) -> list[BenchRow]:
-    """Two sweeps at d = 16: |E| doubling at M = 8, then M doubling from 4 at fixed |E|."""
+    """Two sweeps at d = 16: |E| doubling at M = 8, then M doubling from 4 at fixed |E|.
+
+    The rows of one sweep are timed in alternation (``time_layer_steps``).
+    """
+    graphs = [_graph_with_edges(base_edges * mult, seed) for mult in (1, 2, 4)]
+    sweeps = ([(f"edges x{mult}", g, total, 8) for mult, (g, total) in zip((1, 2, 4), graphs)],
+              [(f"units {units}", *graphs[0], units) for units in (4, 8, 16)])
     rows: list[BenchRow] = []
-    prev = None
-    for mult in (1, 2, 4):
-        g, total = _graph_with_edges(base_edges * mult, seed)
-        secs = time_layer_step(g, 16, 8, reps, seed)
-        rows.append(BenchRow(f"edges x{mult}", total, 8, secs,
-                             secs / prev if prev else float("nan")))
-        prev = secs
-    g, total = _graph_with_edges(base_edges, seed)
-    prev = None
-    for units in (4, 8, 16):
-        secs = time_layer_step(g, 16, units, reps, seed)
-        rows.append(BenchRow(f"units {units}", total, units, secs,
-                             secs / prev if prev else float("nan")))
-        prev = secs
+    for sweep in sweeps:
+        times = time_layer_steps([(graph, 16, units) for _, graph, _, units in sweep], reps, seed)
+        prev = None
+        for (label, _, edges, units), secs in zip(sweep, times):
+            rows.append(BenchRow(label, edges, units, secs,
+                                 secs / prev if prev else float("nan")))
+            prev = secs
     return rows
 
 

@@ -56,7 +56,11 @@ caller asks, with ``for_backward=True``: the training step and the
 gradient check's kink screen. Every read path (scoring, the attention
 export, the gradient check's stacked objective) frees a layer's caches
 as soon as the layer is done. ``backward`` takes one set only, so a
-stack cannot ask for them.
+stack cannot ask for them. ``backward`` consumes the state it is given:
+it drops H* once dL/d(concat) is known and the top layer, which it
+never reads, before its first step, and it pops each layer's caches and
+input as it reaches them, so they die when that layer's backward step
+returns.
 
 Every temporary that grows with the rows stays within ``BLOCK_FLOATS``
 float64 (2 MB; K times fewer rows for a stack of K). The mixing's
@@ -514,6 +518,11 @@ class LayerState:
     dL/dH* does. ``step_caches`` holds one ``_StepCache`` per layer for
     ``backward`` after ``forward(..., for_backward=True)``, and is empty
     after any other forward.
+
+    ``backward`` consumes the state: it frees each part once its walk down
+    is past it, and leaves ``hstar`` and ``final_inv_std`` None, no step
+    caches and ``layers`` holding H^(0) alone. Read what you need of it
+    before the backward; a second backward on it raises ShapeError.
     """
 
     layers: list[np.ndarray]
@@ -688,8 +697,18 @@ def backward(graph: HeteroGraph, params: ModelParams, state: LayerState,
     shape, a stack, the state of a stacked forward, or a state without step
     caches (a forward not asked ``for_backward``) raises ShapeError.
     ``params`` and ``state`` are of one set.
+
+    The state is consumed: H* goes once dL/d(concat) is known, the top
+    layer before the first step, and each layer's step cache and input
+    (above H^(0)) with that layer's step, so each dies as the walk down
+    passes it unless the caller holds it. A refused call consumes
+    nothing; a consumed state keeps H^(0) only, and a second backward on
+    it raises ShapeError.
     """
     params.require_one_set("backward")
+    if state.hstar is None:
+        raise de.ShapeError("this state was consumed by an earlier backward; "
+                            "run forward(..., for_backward=True) again")
     if state.hstar.ndim != 2:
         raise de.ShapeError("backward takes the state of a one-set forward, not of a stack")
     if len(state.step_caches) != state.num_layers:
@@ -697,15 +716,20 @@ def backward(graph: HeteroGraph, params: ModelParams, state: LayerState,
                             "this state keeps none")
     grads = params.zeros_like()
     d = params.dim
-    rows = state.rows
+    rows, num_layers = state.rows, state.num_layers
 
     # H* is the final normalization's xhat. Its gradient and the last layer's
-    # hold the forward's rows; the layers below the last are whole.
+    # hold the forward's rows; the layers below the last are whole. The
+    # shape check of d_hstar comes first, before anything is consumed.
     d_conc = de.layer_normalize_backward(state.hstar[rows.index], state.final_inv_std, d_hstar)
-    d_layer, held = d_conc[:, state.num_layers * d:].copy(), rows.index
-    for step in reversed(range(state.num_layers)):
-        d_layer, held = _step_backward(d_layer, state.layers[step], state.step_caches[step],
-                                       graph, params, step, variant, grads), slice(None)
+    state.hstar = state.final_inv_std = None
+    del state.layers[max(1, num_layers):]  # the top layer: nothing below reads it
+    d_layer, held = d_conc[:, num_layers * d:].copy(), rows.index
+    for step in reversed(range(num_layers)):
+        # popped, so the layer's input and cache die when its step returns
+        d_layer, held = _step_backward(d_layer, state.layers.pop() if step else state.layers[0],
+                                       state.step_caches.pop(), graph, params, step, variant,
+                                       grads), slice(None)
         d_layer[rows.index] += d_conc[:, step * d:(step + 1) * d]
     grads.embeddings[held] += d_layer
     return grads

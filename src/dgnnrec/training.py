@@ -149,6 +149,8 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
 
     d_hstar[:num_users] += recalibrated_users_backward(d_q, graph, variant)
 
+    # backward consumes the state; with these gone, H* dies inside it
+    del hstar, qp, d_q
     grads = backward(graph, params, state, d_hstar, variant)
     return loss, grads.to_vector() + (2.0 * reg) * params.vector
 

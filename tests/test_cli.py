@@ -1,8 +1,13 @@
 from dataclasses import asdict, fields
+import math
+from pathlib import Path
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import write_edge_files
 from dgnnrec import cli, training
@@ -531,3 +536,126 @@ def test_bench_command_emits_table(capsys):
     out = capsys.readouterr().out
     assert "ratio" in out
     assert "edges x2" in out and "units" in out
+
+
+# ---------------------------------------------------------------------------
+# property test over the run settings
+
+
+# Each setting's edge values: at and around its bound, non-finite, malformed.
+_EDGE_FLOAT = (st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-300, 1e300])
+               | st.floats())
+_EDGE = {
+    "dim": st.sampled_from([-1, 0, 1]), "layers": st.sampled_from([-1, 0, 1]),
+    "memory_units": st.sampled_from([-1, 0, 1]), "batch_size": st.sampled_from([-1, 0, 1, 2]),
+    "epochs": st.sampled_from([-1, 0]), "seed": st.sampled_from([-1, 0, 2 ** 64]),
+    "eval_every": st.sampled_from([-1, 0, 1]), "lr": _EDGE_FLOAT, "reg": _EDGE_FLOAT,
+    "cutoffs": (st.lists(st.sampled_from(["1", "99", "100", "101", "500"]), min_size=1,
+                         max_size=3, unique=True)
+                | st.lists(st.sampled_from(["-1", "0", "1", "x", " "]), max_size=3)).map(",".join),
+    "variant": st.sampled_from(["full", "-M", "-ST", "all", "none"]),
+}
+# Typical values; d, L and the epochs stay tiny, and one batch covers the tiny set.
+_TYPICAL = {
+    "dim": st.sampled_from([2, 4]), "layers": st.sampled_from([1, 2]),
+    "memory_units": st.sampled_from([1, 2]), "batch_size": st.sampled_from([64, 2048]),
+    "epochs": st.just(1), "seed": st.sampled_from([0, 3]), "eval_every": st.just(0),
+    "lr": st.floats(0.0, 1.0), "reg": st.floats(0.0, 1.0),
+    "cutoffs": st.sampled_from(["5,10,20", "100"]), "variant": st.sampled_from(["full", "-M"]),
+}
+_DEFAULTS = {"dim": 2, "layers": 1, "memory_units": 2, "batch_size": 2048, "epochs": 1}
+_CLI_EXIT_CODES = {cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC, cli.EXIT_IO,
+                   cli.EXIT_EVAL}
+
+
+def _flag(name):
+    """The flag of a RunConfig field (``_add_common``)."""
+    return {"batch_size": "--batch", "reg": "--lambda"}.get(name, "--" + name.replace("_", "-"))
+
+
+def _flags(**settings):
+    """(flags, no config lines) for ``settings`` over ``_DEFAULTS``: an explicit example."""
+    return {_flag(name): value for name, value in {**_DEFAULTS, **settings}.items()}, []
+
+
+@pytest.fixture(scope="module")
+def tiny_data(tmp_path_factory):
+    ds = make_planted_dataset(num_users=30, num_items=160, num_relations=4,
+                              interactions_per_user=8, seed=9)
+    return write_edge_files(tmp_path_factory.mktemp("data"), ds)
+
+
+@st.composite
+def _run_settings(draw):
+    """(flags, config-file lines): one or two settings at an edge value and a few typical
+    ones over ``_DEFAULTS``, each given by a flag or in the file; the file may repeat a key."""
+    names = sorted(_EDGE)
+    edge = draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    typical = draw(st.lists(st.sampled_from(names), max_size=3, unique=True))
+    values = {**_DEFAULTS, **{name: draw(_TYPICAL[name]) for name in typical},
+              **{name: draw(_EDGE[name]) for name in edge}}
+    flags, lines = {}, []
+    for name, value in values.items():
+        # --eval-every is a train flag only, so it goes in the file
+        if name == "eval_every" or draw(st.booleans()):
+            lines.append(f"{name} = {value}")
+        else:
+            flags[_flag(name)] = value
+    if lines and draw(st.booleans()):
+        name = draw(st.sampled_from(lines)).split(" = ")[0]
+        lines.append(f"{name} = {draw(_EDGE[name] | _TYPICAL[name])}")
+    return flags, lines
+
+
+def _exit_code(argv) -> int:
+    """``cli.main``'s exit code; argparse's usage errors exit through SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _numbers_in(path):
+    """Every number a written file holds: the parameters of a checkpoint, each token of text."""
+    if path.suffix == ".ckpt":
+        return load_checkpoint(path).params.vector.tolist()
+    out = []
+    for token in re.split(r"[\s:=,()]+", path.read_text(encoding="utf-8")):
+        try:
+            out.append(float(token))
+        except ValueError:
+            pass
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_run_settings())
+# each refusal that a run once passed through to a quietly wrong output
+@example(_flags(lr=math.nan))
+@example(_flags(lr=math.inf))
+@example(_flags(reg=math.nan))
+@example(_flags(cutoffs="100,101"))
+@example((_flags()[0], ["dim = 4", "dim = 2"]))
+def test_any_run_settings_exit_documented_and_write_finite_numbers(tiny_data, drawn):
+    """train, eval and export-attn under drawn settings: a documented exit code, never a
+    traceback; what a run that exits 0 writes is finite, and no cutoff is above 100."""
+    flags, lines = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        argv = [f"--interactions={tiny_data['interaction']}", f"--social={tiny_data['social']}",
+                f"--item-relations={tiny_data['item_relation']}", f"--out={out}"]
+        argv += [f"{flag}={value}" for flag, value in flags.items()]
+        if lines:
+            (Path(tmp) / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+            argv.append(f"--config={Path(tmp) / 'run.cfg'}")
+        for command in ("train", "eval", "export-attn"):
+            code = _exit_code([command, *argv])
+            assert code in _CLI_EXIT_CODES, (command, code)
+            if code != cli.EXIT_OK:
+                break
+            for path in out.iterdir():
+                assert np.isfinite(_numbers_in(path)).all(), path.name
+            if command == "eval":
+                cutoffs = [int(line.split("\t")[1]) for line in
+                           (out / "metrics.tsv").read_text(encoding="utf-8").splitlines()]
+                assert 1 <= min(cutoffs) and max(cutoffs) <= 100

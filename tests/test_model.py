@@ -426,6 +426,26 @@ def test_a_row_set_backward_refuses_a_full_height_gradient(tiny_graph):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("row_set", [False, True], ids=["every_row", "row_set"])
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
+def test_a_second_backward_on_a_consumed_state_is_refused(tiny_graph, num_layers, row_set):
+    """backward consumes its state; its gradient is bitwise a fresh forward's backward's."""
+    p = random_params(tiny_graph, 3, 2, num_layers)
+    mask = np.zeros(tiny_graph.num_nodes, dtype=bool)
+    mask[:tiny_graph.num_users + 2] = True
+    rows = RowSet(tiny_graph, mask) if row_set else model.ALL_ROWS
+    d_hstar = np.random.default_rng(num_layers).standard_normal(
+        (mask.sum() if row_set else mask.size, 3 * (num_layers + 1)))
+    state = forward(tiny_graph, p, rows=rows, for_backward=True)
+    got = model.backward(tiny_graph, p, state, d_hstar).to_vector()
+    assert state.hstar is None and state.final_inv_std is None
+    assert state.step_caches == [] and len(state.layers) == 1
+    with pytest.raises(de.ShapeError, match="state was consumed by an earlier backward"):
+        model.backward(tiny_graph, p, state, d_hstar)
+    fresh = forward(tiny_graph, p, rows=rows, for_backward=True)
+    assert got.tobytes() == model.backward(tiny_graph, p, fresh, d_hstar).to_vector().tobytes()
+
+
 def _members_by_hand(graph, mask):
     """RowSet(graph, mask).members(graph) as plain lists, grouped one row at a time."""
     nodes, index = np.arange(graph.num_nodes), np.flatnonzero(mask)

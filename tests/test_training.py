@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import dgnnrec
 from conftest import LAYOUT, count_layout_builds, score
 from dgnnrec import diffengine as de
-from dgnnrec import training
+from dgnnrec import model, training
 from dgnnrec.hetgraph import build_graph, sample_bpr_batch, split_leave_one_out
 from dgnnrec.model import (ALL_ROWS, FULL_VARIANT, ModelParams, ModelVariant, RowSet,
                            forward)
@@ -175,14 +176,15 @@ def _live_and_full(graph, params, triplets, reg, variant):
 
         def recording(g, p, v, rows, **kwargs):
             assert kwargs == {"for_backward": True}
-            seen.append((rows, forward(g, p, v, ALL_ROWS if every_row else rows, **kwargs)))
-            return seen[-1][1]
+            state = forward(g, p, v, ALL_ROWS if every_row else rows, **kwargs)
+            seen.append((rows, state.hstar.copy()))  # backward consumes the state
+            return state
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(training, "forward", recording)
             loss, grad = bpr_batch_grad(graph, params, *triplets, reg, variant)
-        (rows, state), = seen
-        runs.append((loss, grad, state.hstar, rows))
+        (rows, hstar), = seen
+        runs.append((loss, grad, hstar, rows))
     return runs
 
 
@@ -215,6 +217,42 @@ def test_row_set_objective_is_exact_on_a_ciao_shaped_batch(name):
     triplets = sample_bpr_batch(graph, rng_for(21, 4), 2048)
     rows = _assert_row_set_is_exact(graph, params, triplets, 1e-4, variant)
     assert rows.index.size < graph.num_nodes / 3
+
+
+def test_a_training_backward_frees_what_its_walk_down_has_passed(monkeypatch):
+    """When layer 0's backward starts, H*, the top layer and layer 1's input and caches are dead.
+
+    The wrappers hold weak references only, so nothing they do keeps an array alive.
+    """
+    graph = split_leave_one_out(make_random_graph(seed=21, **CIAO_SHAPE), 21).train_graph
+    params = ModelParams.init(graph.num_nodes, 16, 8, 2, rng_for(21, PARAM_INIT))
+    triplets = sample_bpr_batch(graph, rng_for(21, 4), 2048)
+    refs, alive_at_step_0 = {}, []
+
+    def recording_forward(*args, real=training.forward, **kwargs):
+        state = real(*args, **kwargs)
+        assert state.rows is not ALL_ROWS  # the batch's row set
+        cache = state.step_caches[1]
+        arrays = {"hstar": state.hstar, "layers[2]": state.layers[2],
+                  "layers[1]": state.layers[1], "xhat": cache.xhat, "inv": cache.inv,
+                  "normed": cache.normed}
+        for part in ("att_pre", "self_pre", "sums"):
+            arrays.update((f"{part}[{et.name}]", arr) for et, arr in getattr(cache, part).items())
+        refs.update((name, weakref.ref(arr)) for name, arr in arrays.items())
+        return state
+
+    def recording_step(d_out, emb, scache, graph, params, step, *args,
+                       real=model._step_backward):
+        if step == 0:
+            alive_at_step_0.append([name for name, ref in refs.items() if ref() is not None])
+        return real(d_out, emb, scache, graph, params, step, *args)
+
+    monkeypatch.setattr(training, "forward", recording_forward)
+    monkeypatch.setattr(model, "_step_backward", recording_step)
+    loss, _ = bpr_batch_grad(graph, params, *triplets, 1e-4)
+    assert math.isfinite(loss)
+    assert len(refs) > 10  # every sum and pre-activation of layer 1
+    assert alive_at_step_0 == [[]]
 
 
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
