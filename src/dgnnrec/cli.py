@@ -58,6 +58,8 @@ class RunConfig(TrainingConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, not {self.eval_every!r}")
         self.cutoff_list()
         if self.variant != "all":
             AblationVariant.parse(self.variant)

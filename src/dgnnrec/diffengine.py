@@ -126,6 +126,10 @@ def layer_normalize_backward(xhat: np.ndarray, inv: np.ndarray,
 # Adam
 
 
+# Adam's moment decay rates and denominator guard, the defaults of Kingma and Ba.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam accumulators; shapes mirror the parameters."""
@@ -133,9 +137,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def zeros(cls, shape) -> "AdamState":
@@ -158,12 +159,12 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
         bad = int(np.flatnonzero(~np.isfinite(grads.ravel()))[0])
         raise NonFiniteError(f"non-finite gradient at flat coordinate {bad}")
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    mhat = m / (1.0 - state.beta1 ** t)
-    vhat = v / (1.0 - state.beta2 ** t)
-    new_params = params - lr * mhat / (np.sqrt(vhat) + state.eps)
-    return new_params, AdamState(m, v, t, state.beta1, state.beta2, state.eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    mhat = m / (1.0 - ADAM_BETA1 ** t)
+    vhat = v / (1.0 - ADAM_BETA2 ** t)
+    new_params = params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    return new_params, AdamState(m, v, t)
 
 
 # ---------------------------------------------------------------------------

@@ -286,21 +286,21 @@ class HeteroGraph:
 _NEWLINE, _TAB, _ZERO = ord("\n"), ord("\t"), ord("0")
 # Up to 18 digits always fit int64 (10**18 - 1 < 2**63 - 1).
 _PLAIN_DIGITS = 18
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def load_edge_file(path, kind: str) -> np.ndarray:
-    """Parse a `src<TAB>dst` edge file into (N, 2) int64 pairs, one per edge line.
+    """Parse a `src<TAB>dst` edge file into (N, 2) int64 pairs, one per edge line, in file order.
 
     Lines end as in any text file read as UTF-8 (``\\n``, ``\\r\\n`` or ``\\r``).
     A line that is blank or starts with '#' once surrounding whitespace is
-    stripped is skipped. Every other line holds two ids separated by one
-    tab; each id is what Python's ``int`` reads (surrounding spaces, a sign,
-    ``_`` between digits) and must be non-negative and fit int64. The first
-    line breaking a rule, or holding a byte that is not UTF-8, raises
+    stripped is skipped. Every other line is an edge line: exactly two ids of
+    1 to 18 ASCII digits joined by one tab, nothing around them. Spaces or
+    tabs around an id, a sign, ``_`` between digits, non-ASCII digits and
+    ids of 19 or more digits are refused (an id of 11 or more digits is at
+    least 2**31, which ``build_graph`` refuses anyway). The first line
+    breaking a rule, or holding a byte that is not UTF-8, raises
     EdgeFileError with its line number. The pairs are neither sorted nor
-    deduplicated (``build_graph`` does both): the plain ``digits<TAB>digits``
-    lines come in file order, then the other edge lines in file order.
+    deduplicated; ``build_graph`` does both.
     """
     if kind not in EDGE_KINDS:
         raise ValueError(f"unknown edge kind {kind!r}, expected one of {EDGE_KINDS}")
@@ -319,13 +319,15 @@ def load_edge_file(path, kind: str) -> np.ndarray:
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1] + 1
     plain = _plain_lines(text, starts, ends)
-    # numpy reads the plain lines; only the others go through the line rules.
+    # numpy reads the plain lines; every other line must be a skipped one.
+    for i in np.flatnonzero(~plain).tolist():
+        line = raw[starts[i]:ends[i]].decode("utf-8")
+        if line.strip()[:1] not in ("", "#"):
+            raise EdgeFileError(f"expected 'src<TAB>dst' in {kind} file, two non-negative ids "
+                                f"of 1 to {_PLAIN_DIGITS} ASCII digits joined by one tab, "
+                                f"got {line!r}", i + 1)
     plain_text = raw if plain.all() else text[np.repeat(plain, ends - starts + 1)].tobytes()
-    ids = np.fromstring(plain_text, dtype=np.int64, sep=" ").reshape(-1, 2)
-    rest = [_parse_line(raw[starts[i]:ends[i]].decode("utf-8"), i + 1, kind)
-            for i in np.flatnonzero(~plain).tolist()]
-    rest = np.array([pair for pair in rest if pair is not None], dtype=np.int64)
-    return np.concatenate([ids, rest.reshape(-1, 2)])
+    return np.fromstring(plain_text, dtype=np.int64, sep=" ").reshape(-1, 2)
 
 
 def _plain_lines(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -340,25 +342,6 @@ def _plain_lines(text: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.n
     other = ((text - np.uint8(_ZERO)) > 9) & (text != _TAB) & (text != _NEWLINE)
     plain[np.searchsorted(ends, np.flatnonzero(other))] = False
     return plain
-
-
-def _parse_line(line: str, lineno: int, kind: str) -> tuple[int, int] | None:
-    """One line by the edge-file rules: a pair, None for a skipped line, or EdgeFileError."""
-    line = line.strip()
-    if not line or line.startswith("#"):
-        return None
-    parts = line.split("\t")
-    if len(parts) != 2:
-        raise EdgeFileError(f"expected 'src<TAB>dst' in {kind} file, got {line!r}", lineno)
-    try:
-        src, dst = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise EdgeFileError(f"non-integer id in {line!r}", lineno) from None
-    if src < 0 or dst < 0:
-        raise EdgeFileError(f"negative id in {line!r}", lineno)
-    if max(src, dst) > _INT64_MAX:
-        raise EdgeFileError(f"id beyond int64 in {line!r}", lineno)
-    return src, dst
 
 
 def _check_range(pairs: np.ndarray, n_src: int, n_dst: int, label: str) -> None:

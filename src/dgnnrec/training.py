@@ -45,6 +45,8 @@ class TrainingConfig:
         if not (0 <= self.lr < math.inf and 0 <= self.reg < math.inf):
             raise ValueError(f"lr and reg must be finite and >= 0, "
                              f"not {self.lr!r} and {self.reg!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------

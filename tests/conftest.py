@@ -33,8 +33,9 @@ def write_edge_files(root, dataset, rng=None) -> dict:
     """Write ``dataset``'s three edge files under ``root``; edge kind -> path.
 
     With ``rng`` the files are messy copies: each line appears one to three
-    times, the lines are shuffled, and every seventh line is padded with
-    spaces, so the per-line rules read it rather than the plain-line path.
+    times, the lines are shuffled, every seventh line is followed by an
+    indented ``#`` comment line and a blank line, and every line ends in
+    ``\\r\\n``. Without it each line ends in ``\\n``.
     """
     root.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -44,9 +45,10 @@ def write_edge_files(root, dataset, rng=None) -> dict:
             pairs = rng.permutation(np.repeat(pairs, rng.integers(1, 4, len(pairs)), axis=0))
         lines = [f"{a}\t{b}" for a, b in pairs.tolist()]
         if rng is not None:
-            lines[::7] = [f" {line} " for line in lines[::7]]
+            lines[::7] = [line + "\n  # a comment\n" for line in lines[::7]]
         files[kind] = root / f"{kind}.tsv"
-        files[kind].write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        files[kind].write_text("".join(line + "\n" for line in lines), encoding="utf-8",
+                               newline="\n" if rng is None else "\r\n")
     return files
 
 

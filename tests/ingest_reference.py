@@ -1,10 +1,12 @@
 """Independent line-by-line reference for edge-file parsing and eval negatives.
 
 Deliberately naive: reads an edge file one line at a time with Python's
-own string and integer rules, and draws each user's negatives one
-candidate at a time into a ``set``. Shares no code path with the numpy
+own string rules and a regular expression, and draws each user's negatives
+one candidate at a time into a ``set``. Shares no code path with the numpy
 implementation in ``dgnnrec.hetgraph`` that it is used to check.
 """
+
+import re
 
 import numpy as np
 
@@ -15,25 +17,18 @@ CHUNK = 128
 
 
 def edge_lines(path, kind):
-    """Yield (line number, src, dst) for each edge line in file order; raises EdgeFileError.
-
-    Ids are Python ints and may exceed int64; the caller decides about them.
-    """
+    """Yield (line number, src, dst) for each edge line in file order; raises EdgeFileError."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.rstrip("\n")
+            if not line.strip() or line.strip().startswith("#"):
                 continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise EdgeFileError(f"expected 'src<TAB>dst' in {kind} file, got {line!r}", lineno)
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeFileError(f"non-integer id in {line!r}", lineno) from None
-            if src < 0 or dst < 0:
-                raise EdgeFileError(f"negative id in {line!r}", lineno)
-            yield lineno, src, dst
+            if not re.fullmatch(r"[0-9]{1,18}\t[0-9]{1,18}", line):
+                raise EdgeFileError(f"expected 'src<TAB>dst' in {kind} file, two non-negative ids "
+                                    f"of 1 to 18 ASCII digits joined by one tab, got {line!r}",
+                                    lineno)
+            src, dst = line.split("\t")
+            yield lineno, int(src), int(dst)
 
 
 def draw_negatives(graph, users, num_negatives, rng):

@@ -31,6 +31,7 @@ def test_the_graph_owns_its_edge_layout():
     (diffengine.finite_diff_check, ["f", "params", "grad", "h", "tol"]),
     (bench.scaling_table, ["base_edges", "reps", "seed"]),
     (diffengine.AdamState.zeros, ["shape"]),
+    (diffengine.AdamState, ["m", "v", "step"]),
     (hetgraph.sample_bpr_batch, ["train_graph", "rng", "size"]),
     (hetgraph.split_leave_one_out, ["graph", "seed"]),
     (training.check_model_gradients, ["dims", "memory_units", "layers", "seed", "h", "tol",

@@ -121,13 +121,15 @@ def test_build_id_beyond_int64_exit_code(tmp_path, capsys):
     bad.write_text("0\t1\n1\t99999999999999999999\n", encoding="utf-8")
     assert cli.main(["build", "--interactions", str(bad),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_DATA
-    assert "line 2: id beyond int64" in capsys.readouterr().err
+    assert ("line 2: expected 'src<TAB>dst' in interaction file, two non-negative ids of 1 to 18 "
+            "ASCII digits joined by one tab, got '1\\t99999999999999999999'"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("in_relations, line, named", [
     (False, "100000000000\t3", "100000000001 users"),
-    (False, "9223372036854775806\t3", "9223372036854775807 users"),
-    (True, "9223372036854775806\t0", "9223372036854775807 items"),
+    (False, "999999999999999999\t3", "1000000000000000000 users"),
+    (True, "999999999999999999\t0", "1000000000000000000 items"),
 ], ids=["1e11_user", "int64_user", "int64_item"])
 def test_build_ids_that_imply_an_impossible_graph_exit_code(tmp_path, capsys, in_relations,
                                                             line, named):
@@ -353,6 +355,25 @@ def test_non_finite_lr_or_reg_is_a_usage_error(dataset_dir, tmp_path, capsys, fl
     assert cli.main(["train", *_base_args(dataset_dir, out, [flag])]) == cli.EXIT_USAGE
     assert "lr and reg must be finite and >= 0" in capsys.readouterr().err
     assert not (out / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("given_by", ["flag", "config"])
+@pytest.mark.parametrize("name", ["seed", "eval_every"])
+def test_a_negative_seed_or_eval_every_is_a_usage_error(dataset_dir, tmp_path, capsys, name,
+                                                        given_by):
+    # train --eval-every=-1 evaluated on every epoch and exited 0; train --seed=-1 exited 2
+    # with numpy's "expected non-negative integer" after reading the edge files.
+    out = tmp_path / "run"
+    argv = ["train", *_base_args(dataset_dir, out)]
+    if given_by == "flag":
+        argv.append(f"--{name.replace('_', '-')}=-1")
+    else:
+        del argv[argv.index("--seed"):argv.index("--seed") + 2]
+        (tmp_path / "run.cfg").write_text(f"{name} = -1\n", encoding="utf-8")
+        argv.append(f"--config={tmp_path / 'run.cfg'}")
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert f"error: {name} must be >= 0, not -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_refuses_non_finite_parameters_before_writing(dataset_dir, tmp_path, capsys,

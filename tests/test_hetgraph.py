@@ -66,32 +66,28 @@ def test_load_edge_file_unknown_kind(tmp_path):
         hg.load_edge_file(path, "bogus")
 
 
-@pytest.mark.parametrize("dst, ok", [(INT64_MAX, True), (INT64_MAX + 1, False),
-                                     (10 ** 20 - 1, False)])
-def test_load_edge_file_rejects_id_beyond_int64(tmp_path, dst, ok):
+@pytest.mark.parametrize("dst, ok", [(10 ** 18 - 1, True), (10 ** 18, False), (INT64_MAX, False),
+                                     (INT64_MAX + 1, False), (10 ** 20 - 1, False)])
+def test_load_edge_file_takes_ids_of_at_most_18_digits(tmp_path, dst, ok):
     path = tmp_path / "edges.tsv"
     line = f"1\t{dst}"
     path.write_text(f"0\t1\n{line}\n", encoding="utf-8")
     if ok:
         assert hg.load_edge_file(path, "interaction").tolist() == [[0, 1], [1, dst]]
         return
-    with pytest.raises(hg.EdgeFileError, match=re.escape(f"int64 in {line!r}")) as exc:
+    with pytest.raises(hg.EdgeFileError, match=re.escape(f"18 ASCII digits joined by one tab, "
+                                                         f"got {line!r}")) as exc:
         hg.load_edge_file(path, "interaction")
     assert exc.value.line == 2
 
 
 def _reference_outcome(path, kind):
-    """Every line's pair, sorted, or (message, line) of the first line that the
-    reference rejects or that holds an id beyond int64."""
-    pairs = []
+    """Every line's pair in file order, or (message, line) of the first line that the
+    reference rejects."""
     try:
-        for lineno, src, dst in ingest_reference.edge_lines(path, kind):
-            if max(src, dst) > INT64_MAX:
-                return "int64", lineno
-            pairs.append([src, dst])
+        return [[src, dst] for _, src, dst in ingest_reference.edge_lines(path, kind)]
     except hg.EdgeFileError as err:
         return str(err), err.line
-    return sorted(pairs)
 
 
 _PLAIN_LINE = st.builds("{}\t{}".format, st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
@@ -121,7 +117,33 @@ def test_load_edge_file_matches_line_reference(lines, final_newline):
             assert message in str(err)
         else:
             assert got.dtype == np.int64 and got.shape == (len(want), 2)
-            assert sorted(got.tolist()) == want, text
+            assert got.tolist() == want, text
+
+
+_SKIPPED_LINE = st.sampled_from(["", "  ", "\t", "# comment", "  # indented", "\t#\tx",
+                                 "# café ✓", " #  ümlaut"])
+
+
+@settings(max_examples=75, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 18 - 1), st.integers(0, 10 ** 18 - 1)),
+                max_size=200),
+       st.data())
+def test_edge_file_round_trips_pairs_in_file_order(pairs, data):
+    lines = []
+    for pair in pairs:
+        lines += data.draw(st.lists(_SKIPPED_LINE, max_size=2)) + ["%d\t%d" % pair]
+    lines += data.draw(st.lists(_SKIPPED_LINE, max_size=2))
+    ends = data.draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                              min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not data.draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        got = hg.load_edge_file(path, "interaction")
+    assert got.dtype == np.int64 and got.shape == (len(pairs), 2)
+    assert got.tolist() == [list(pair) for pair in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,38 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert (tmp_path / "again.ckpt").read_bytes() == data
 
 
+# -0.0, the least subnormal of each sign, +-inf, a quiet NaN and NaNs with payloads.
+_SPECIAL_BITS = [0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+                 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                 0x7FF0000000000001, 0xFFF8000000000BAD]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_checkpoint_round_trips_bitwise(data):
+    counts = data.draw(st.tuples(*[st.integers(0, 3)] * 3).filter(lambda c: sum(c) >= 1))
+    dim, units, layers = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2)),
+                          data.draw(st.integers(0, 2)))
+    size = ModelParams._size(sum(counts), dim, units, layers)
+    bits = np.frombuffer(data.draw(st.binary(min_size=8 * size, max_size=8 * size)), "<u8").copy()
+    for at, special in data.draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                                    st.sampled_from(_SPECIAL_BITS)))):
+        bits[at] = special
+    epoch, loss = data.draw(st.integers(0, 2 ** 32 - 1)), data.draw(st.floats())
+    ln_eps = data.draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    params = ModelParams(bits.view(np.float64), sum(counts), dim, units, ln_eps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.ckpt"
+        save_checkpoint(path, params, *counts, epoch=epoch, loss=loss)
+        ckpt = load_checkpoint(path)
+    assert np.array_equal(ckpt.params.vector.view(np.uint64), bits)
+    assert (ckpt.num_users, ckpt.num_items, ckpt.num_relations) == counts
+    assert (ckpt.params.dim, ckpt.params.num_units, ckpt.params.num_layers) == (dim, units,
+                                                                                 layers)
+    assert (ckpt.epoch, ckpt.params.ln_eps) == (epoch, ln_eps)
+    assert struct.pack("<d", ckpt.loss) == struct.pack("<d", loss)
+
+
 def test_checkpoint_without_adam(tmp_path):
     # A bare save holds the model only: flags 0, no optimizer section, no such field on
     # load, and epoch 0 with a NaN loss when neither is given.
