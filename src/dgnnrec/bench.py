@@ -68,7 +68,7 @@ def _graph_with_edges(num_interactions: int, seed: int):
     return g, total
 
 
-def scaling_table(base_edges: int = 30000, reps: int = 5, seed: int = 0) -> list[BenchRow]:
+def scaling_table(base_edges: int, reps: int, seed: int) -> list[BenchRow]:
     """Two sweeps at d = 16: |E| doubling at M = 8, then M doubling from 4 at fixed |E|.
 
     The rows of one sweep are timed in alternation (``time_layer_steps``).

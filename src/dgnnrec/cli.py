@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from . import diffengine as de
-from .evaluation import (AblationVariant, EvaluationError, evaluate,
+from .evaluation import (DEFAULT_CUTOFFS, AblationVariant, EvaluationError, evaluate,
                          export_memory_attention, report_lines, report_table,
                          run_ablation)
 from .hetgraph import (NUM_EVAL_NEGATIVES, EdgeFileError, GraphBuildError, SamplingError,
@@ -52,7 +52,7 @@ class RunConfig(TrainingConfig):
     social: str = ""
     item_relations: str = ""
     out: str = "runs/out"
-    cutoffs: str = "5,10,20"
+    cutoffs: str = ",".join(map(str, DEFAULT_CUTOFFS))
     variant: str = "full"
     eval_every: int = 0
 
@@ -98,15 +98,6 @@ def _config_values(path) -> dict:
             raise ValueError(f"{path}: unknown config key {key!r}")
         values[key] = type(getattr(defaults, key))(value)
     return values
-
-
-def load_config(path) -> RunConfig:
-    return RunConfig(**_config_values(path))
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +163,26 @@ def _prepare(args):
 
 def _forward_checkpoint(args):
     """(config, output directory, split on the variant's graph, model variant,
-    parameters, layer state) of the checkpoint trained on this data, run forward."""
+    parameters, layer state) of the checkpoint trained on this data, run forward.
+
+    CheckpointError, before the forward, when the checkpoint's node counts
+    differ from the data's or its (dim, layers, memory_units) from the
+    variant's config, which is how ``-M`` (one unit) is told apart.
+    """
     cfg, out, split = _prepare(args)
-    split, model_variant, _ = AblationVariant.parse(cfg.variant).apply(split, cfg)
+    split, model_variant, tc = AblationVariant.parse(cfg.variant).apply(split, cfg)
     graph = split.train_graph
     ckpt = load_checkpoint(args.checkpoint or out / "model.ckpt")
     if (ckpt.num_users, ckpt.num_items, ckpt.num_relations) != (
             graph.num_users, graph.num_items, graph.num_relations):
         raise CheckpointError("checkpoint dimensions do not match the data")
-    return cfg, out, split, model_variant, ckpt.params, forward(graph, ckpt.params, model_variant)
+    params = ckpt.params
+    want = (tc.dim, tc.layers, tc.memory_units)
+    have = (params.dim, params.num_layers, params.num_units)
+    if want != have:
+        raise CheckpointError(f"checkpoint has (dim, layers, memory_units) = {have}, but "
+                              f"the config under variant {cfg.variant!r} gives {want}")
+    return cfg, out, split, model_variant, params, forward(graph, params, model_variant)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +256,7 @@ def cmd_ablate(args) -> int:
     n = cutoffs[min(1, len(cutoffs) - 1)]
     for variant in wanted:
         report = run_ablation(variant, split, cfg, cutoffs)
-        tag = variant.value.lstrip("-") or "full"
+        tag = variant.value.lstrip("-")
         (out / f"metrics_{tag}.tsv").write_text(report_lines(report), encoding="utf-8")
         print(f"{variant.value:<5s} HR@{n} {report.hr[n]:.4f}  NDCG@{n} {report.ndcg[n]:.4f}")
     return EXIT_OK
@@ -270,7 +272,7 @@ def cmd_export_attn(args) -> int:
 
 def cmd_grad_check(args) -> int:
     started = time.perf_counter()
-    result = check_model_gradients(seed=args.seed or 0, tol=args.tol)
+    result = check_model_gradients(seed=args.seed, tol=args.tol)
     seconds = time.perf_counter() - started
     for name, err in sorted(result.worst_by_group().items()):
         print(f"{name:<28s} max rel err {err:.3e}")
@@ -287,8 +289,7 @@ def cmd_grad_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    rows = bench_mod.scaling_table(base_edges=args.base_edges, reps=args.reps,
-                                   seed=args.seed or 0)
+    rows = bench_mod.scaling_table(base_edges=args.base_edges, reps=args.reps, seed=args.seed)
     print(bench_mod.format_bench_table(rows), end="")
     return EXIT_OK
 
@@ -338,12 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export_attn)
 
     p = sub.add_parser("grad-check", help="finite-difference check of all gradients")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=cmd_grad_check)
 
     p = sub.add_parser("bench", help="layer-step CPU-time scaling table vs |E| and M")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--base-edges", dest="base_edges", type=int, default=30000)
     p.add_argument("--reps", type=int, default=5)
     p.set_defaults(func=cmd_bench)

@@ -64,14 +64,15 @@ returns.
 
 Every temporary that grows with the rows stays within ``BLOCK_FLOATS``
 float64 (2 MB; K times fewer rows for a stack of K). The mixing's
-(rows, M*d) product is made block by block into one buffer, a neighbour
-sum gathers its sources a chunk of whole degree runs at a time, and the
-mixing backward works in row blocks (what each cost unblocked is
-measured at ``BLOCK_FLOATS``). The forward's blocks start at multiples
-of a power of two and none is short (``_row_blocks``), so each row gets
-the bits that one product over all rows gives it: at the default budget
-for d <= 64 and M <= 8, and at any budget for d <= 16. A chunked gather
-adds every sum in the same order as one gather.
+(rows, M*d) products, forward and backward, are made block by block into
+one buffer each, and a neighbour sum gathers its sources a chunk of whole
+degree runs at a time (what each cost unblocked is measured at
+``BLOCK_FLOATS``). Forward and backward cut their rows with the same
+``_row_blocks``: the blocks start at multiples of a power of two and none
+is short, so each forward row gets the bits that one product over all
+rows gives it: at the default budget for d <= 64 and M <= 8, and at any
+budget for d <= 16. A chunked gather adds every sum in the same order as
+one gather.
 """
 
 from __future__ import annotations
@@ -214,10 +215,10 @@ class ModelParams:
 
     @classmethod
     def init(cls, num_nodes: int, dim: int, num_units: int, num_layers: int,
-             rng: np.random.Generator, ln_eps: float = DEFAULT_LN_EPS) -> "ModelParams":
+             rng: np.random.Generator) -> "ModelParams":
         # Draw order is part of the reproducibility contract:
         # embeddings, then banks in EdgeType order, then nothing (LN is 1/0).
-        out = cls.zeros(num_nodes, dim, num_units, num_layers, ln_eps)
+        out = cls.zeros(num_nodes, dim, num_units, num_layers)
         a_e = np.sqrt(6.0 / (dim + dim))
         out.embeddings[...] = rng.uniform(-a_e, a_e, size=(num_nodes, dim))
         for bank in out.banks:
@@ -422,8 +423,7 @@ class _StepCache:
     xhat: np.ndarray | None             # normalized aggregation; None without LN
     inv: np.ndarray | None              # its (n, 1) 1/sqrt(var + eps); None without LN
     normed: np.ndarray                  # activation input: LN output, or the aggregation without LN
-    att_pre: dict                       # EdgeType -> (n_receivers, M) pre-activations
-    self_pre: dict                      # EdgeType -> (n_type, M)
+    pre: dict                           # EdgeType -> (n_receivers or n_type, M) pre-activations
     sums: dict                          # EdgeType -> (n_receivers, d) neighbour sums
 
 
@@ -480,11 +480,11 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
     messages, selves = rows.members(graph)
     denom = graph.node_denom[rows.index, None]
     agg = np.zeros((*emb.shape[:-2], len(denom), emb.shape[-1]))
-    att_pre: dict = {}
+    pre: dict = {}
     sums: dict = {}
     for et, te, keep, part, receivers in messages:
         sums[et] = _neighbor_sum(emb[..., te.src, :], te.adj)[..., keep, :]
-        mixed, att_pre[et] = _mix(emb[..., receivers, :], sums[et], params.banks[et], variant)
+        mixed, pre[et] = _mix(emb[..., receivers, :], sums[et], params.banks[et], variant)
         agg[..., part, :] += mixed
     np.divide(agg, denom, out=agg, where=denom > 0)
 
@@ -498,13 +498,12 @@ def layer_step(emb: np.ndarray, graph: HeteroGraph, params: ModelParams, step: i
         y = agg
     out = de.leaky_relu(y)
 
-    self_pre: dict = {}
     for et, part, type_rows in selves:
         x = emb[..., type_rows, :]
-        mixed, self_pre[et] = _mix(x, x, params.banks[et], variant)
+        mixed, pre[et] = _mix(x, x, params.banks[et], variant)
         out[..., part, :] += mixed
     if _record is not None:
-        _record.append(_StepCache(rows, xhat, inv, y, att_pre, self_pre, sums))
+        _record.append(_StepCache(rows, xhat, inv, y, pre, sums))
     return _place(out, rows.index, emb.shape[-2], np.nan)
 
 
@@ -614,23 +613,21 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
     """Backward of ``_mix`` given dL/d(mixed) ``g``; adds into ``gbank``.
 
     Returns (dL/d rows through the attention, dL/d sums). The rows are
-    worked through in blocks of about BLOCK_FLOATS / (M*d), one pass when
+    worked through in the forward's blocks (``_row_blocks``), one pass when
     they fit, with one buffer for each (rows, M*d) temporary. The blocks
-    are plain ``range`` steps, not ``_row_blocks``: they fix how the dW
-    sums group, and with it the bits of a trained checkpoint. The caller
-    passes only the rows it needs: in the last layer those of the
-    forward's row set.
+    fix how the dW sums group, and with it the bits of a trained
+    checkpoint. The caller passes only the rows it needs: in the last
+    layer those of the forward's row set.
     """
     M, d = bank.num_units, bank.dim
     flat = bank.transforms.reshape(M * d, d)
     d_rows = np.zeros_like(rows)
     d_sums = np.empty_like(sums)
-    block = max(1, BLOCK_FLOATS // (M * d))
-    most = min(block, g.shape[0])
+    blocks = _row_blocks(g.shape[0], M * d)
+    most = max(b.stop - b.start for b in blocks)
     d_trans_buf = np.empty((most, M, d))
     trans_buf = None if pre is None else np.empty((most, M * d))
-    for lo in range(0, g.shape[0], block):
-        b = slice(lo, lo + block)
+    for b in blocks:
         gb, sb = g[b], sums[b]
         n = gb.shape[0]
         att = de.leaky_relu(pre[b]) if pre is not None else np.ones((n, M))
@@ -662,7 +659,7 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
     # Self-loop path: the row is both the attention target and the "sum".
     for et, part, type_rows in selves:
         x = emb[type_rows]
-        d_rows, d_sums = _mix_backward(d_out[part], x, x, scache.self_pre[et],
+        d_rows, d_sums = _mix_backward(d_out[part], x, x, scache.pre[et],
                                        params.banks[et], grads.banks[et])
         d_emb[type_rows] += d_rows + d_sums
 
@@ -682,7 +679,7 @@ def _step_backward(d_out: np.ndarray, emb: np.ndarray, scache: _StepCache,
     # Message path per edge type; sources get dL/d sums through the transpose.
     for et, te, keep, part, receivers in messages:
         d_rows, d_sums = _mix_backward(d_agg[part], emb[receivers], scache.sums[et],
-                                       scache.att_pre[et], params.banks[et], grads.banks[et])
+                                       scache.pre[et], params.banks[et], grads.banks[et])
         d_emb[receivers] += d_rows
         d_sums = _place(d_sums, _take(te.adj.plan.targets, keep), te.adj.num_rows, 0.0)
         d_emb[te.senders] += _neighbor_sum(d_sums, te.rev)

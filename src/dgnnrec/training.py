@@ -393,7 +393,7 @@ def _kink_margin(graph, params, variant) -> float:
     state = forward(graph, params, variant, for_backward=True)
     margin = np.inf
     for cache in state.step_caches:
-        for pre in list(cache.att_pre.values()) + list(cache.self_pre.values()):
+        for pre in cache.pre.values():
             if pre is not None and pre.size:
                 margin = min(margin, float(np.min(np.abs(pre))))
         margin = min(margin, float(np.min(np.abs(cache.normed))))

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 import dgnnrec
-from dgnnrec import bench, diffengine, hetgraph, model, synthetic, training
+from dgnnrec import bench, cli, diffengine, hetgraph, model, synthetic, training
 
 REMOVED = ("predict", "recalibrate", "sample_bpr_triplet", "sparsity_report")
 
@@ -16,6 +16,11 @@ def test_public_names_resolve_once_and_removed_names_are_gone():
     assert missing == []
     assert [name for name in REMOVED
             if name in dgnnrec.__all__ or hasattr(dgnnrec, name)] == []
+
+
+def test_the_cli_has_one_config_reader():
+    """Every command reads a config file through ``_config_values``; nothing writes one."""
+    assert [name for name in ("save_config", "load_config") if hasattr(cli, name)] == []
 
 
 def test_the_graph_owns_its_edge_layout():
@@ -32,6 +37,7 @@ def test_the_graph_owns_its_edge_layout():
     (bench.scaling_table, ["base_edges", "reps", "seed"]),
     (diffengine.AdamState.zeros, ["shape"]),
     (diffengine.AdamState, ["m", "v", "step"]),
+    (model.ModelParams.init, ["num_nodes", "dim", "num_units", "num_layers", "rng"]),
     (hetgraph.sample_bpr_batch, ["train_graph", "rng", "size"]),
     (hetgraph.split_leave_one_out, ["graph", "seed"]),
     (training.check_model_gradients, ["dims", "memory_units", "layers", "seed", "h", "tol",

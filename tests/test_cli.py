@@ -221,6 +221,30 @@ def test_eval_checkpoint_dimension_mismatch(dataset_dir, tmp_path):
         assert code == cli.EXIT_IO, command
 
 
+@pytest.mark.parametrize("command, output", [("eval", "metrics.tsv"),
+                                             ("export-attn", "attention.tsv")])
+@pytest.mark.parametrize("trained, read, have, want", [
+    ((), ("--dim", "3"), (4, 1, 2), (3, 1, 2)),
+    ((), ("--layers", "2"), (4, 1, 2), (4, 2, 2)),
+    ((), ("--memory-units", "3"), (4, 1, 2), (4, 1, 3)),
+    (("--variant=-M",), (), (4, 1, 1), (4, 1, 2)),  # -M trains one unit
+], ids=["dim", "layers", "memory-units", "-M-read-as-full"])
+def test_checkpoint_shape_other_than_the_config_exit_code(dataset_dir, tmp_path, capsys,
+                                                          command, output, trained, read,
+                                                          have, want):
+    out = tmp_path / "run"
+    assert cli.main(["train", *_base_args(dataset_dir, out, trained)]) == 0
+    capsys.readouterr()
+    assert cli.main([command, *_base_args(dataset_dir, out, read)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert f"checkpoint has (dim, layers, memory_units) = {have}" in err
+    assert f"gives {want}" in err
+    assert not (out / output).exists()
+    # the settings it was trained with read it
+    assert cli.main([command, *_base_args(dataset_dir, out, trained)]) == 0
+    assert (out / output).exists()
+
+
 def test_eval_non_finite_checkpoint_exit_code(dataset_dir, tmp_path, capsys):
     out = tmp_path / "run"
     cli.main(["train", *_base_args(dataset_dir, out)])
@@ -482,14 +506,6 @@ def test_train_then_eval_under_each_variant_matches_ablate(dataset_dir, tmp_path
             assert all(len(row.split("\t")[2].split(",")) == 1 for row in rows)
 
 
-def test_config_file_round_trip(tmp_path):
-    cfg = cli.RunConfig(interactions="x.tsv", dim=8, lr=0.05, epochs=7,
-                        cutoffs="5,10", variant="-M", seed=42)
-    path = tmp_path / "run.cfg"
-    cli.save_config(cfg, path)
-    assert cli.load_config(path) == cfg
-
-
 def test_config_file_overridden_by_flags(dataset_dir, tmp_path):
     cfg = cli.RunConfig(interactions=str(dataset_dir / "interactions.tsv"),
                         social=str(dataset_dir / "social.tsv"),
@@ -497,7 +513,8 @@ def test_config_file_overridden_by_flags(dataset_dir, tmp_path):
                         out=str(tmp_path / "cfg_out"), dim=4, layers=1,
                         memory_units=2, batch_size=64, epochs=1, seed=3)
     path = tmp_path / "run.cfg"
-    cli.save_config(cfg, path)
+    path.write_text("".join(f"{f.name} = {getattr(cfg, f.name)}\n" for f in fields(cli.RunConfig)),
+                    encoding="utf-8")
     out2 = tmp_path / "flag_out"
     assert cli.main(["train", "--config", str(path), "--out", str(out2)]) == 0
     assert (out2 / "model.ckpt").exists()
@@ -526,7 +543,7 @@ def test_config_unknown_key_rejected(tmp_path):
     for line in ("bogus_key = 1", "threads = 2"):  # threads: a removed key
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="unknown config key"):
-            cli.load_config(path)
+            cli._config_values(path)
 
 
 def test_grad_check_command(capsys):

@@ -390,7 +390,7 @@ def test_export_is_the_attention_the_last_layer_applied(tmp_path, tiny_graph, nu
     # is in the step caches of a forward kept for backward.
     ev.export_memory_attention(forward(tiny_graph, params), tiny_graph, params.banks,
                                tmp_path / "attn.tsv")
-    applied = forward(tiny_graph, params, for_backward=True).step_caches[-1].att_pre
+    applied = forward(tiny_graph, params, for_backward=True).step_caches[-1].pre
     rows = [line.split("\t") for line in (tmp_path / "attn.tsv").read_text().splitlines()]
     for user, label, vec in rows:
         expected = de.leaky_relu(applied[EdgeType[label.upper()]][int(user)])

@@ -236,7 +236,7 @@ def test_a_training_backward_frees_what_its_walk_down_has_passed(monkeypatch):
         arrays = {"hstar": state.hstar, "layers[2]": state.layers[2],
                   "layers[1]": state.layers[1], "xhat": cache.xhat, "inv": cache.inv,
                   "normed": cache.normed}
-        for part in ("att_pre", "self_pre", "sums"):
+        for part in ("pre", "sums"):
             arrays.update((f"{part}[{et.name}]", arr) for et, arr in getattr(cache, part).items())
         refs.update((name, weakref.ref(arr)) for name, arr in arrays.items())
         return state
