@@ -29,8 +29,12 @@ class BenchRow:
     ratio: float  # vs previous row of the same sweep; nan for the first
 
 
-def time_layer_steps(settings, reps: int = 5, seed: int = 0) -> list[float]:
+def time_layer_steps(settings, reps: int, seed: int = 0) -> list[float]:
     """Median process CPU seconds (all threads) of one propagation layer per setting.
+
+    The helper thread counts too: a layer's multi-block kernel calls run
+    on the caller and the helper (``model._run_blocks``), and the time is
+    the CPU of both.
 
     ``settings`` are (graph, dim, memory_units). The settings are timed in
     alternation, one rep of each in turn, so a burst of load on the host

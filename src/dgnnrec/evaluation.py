@@ -17,7 +17,8 @@ import numpy as np
 
 from .hetgraph import NUM_EVAL_NEGATIVES, Adjacency, HeteroGraph, Split
 from .model import (EdgeType, FULL_VARIANT, LayerState, ModelVariant,
-                    _batch_attention, _row_blocks, forward, recalibrated_users)
+                    _batch_attention, _row_blocks, _run_blocks, forward,
+                    recalibrated_users)
 from .training import TrainingConfig, train_model
 
 DEFAULT_CUTOFFS = (5, 10, 20)
@@ -54,9 +55,10 @@ def _candidate_ranks(q_users: np.ndarray, hstar: np.ndarray, num_users: int,
                      negatives: np.ndarray) -> np.ndarray:
     """1-based rank of each user's positive among positive + negatives.
 
-    Users are scored in blocks (``model._row_blocks``) whose gathered
-    (users, candidates, d) embeddings hold about ``model.BLOCK_FLOATS``
-    float64: at once, the Ciao-shaped test users' were 9.9 MB.
+    Users are scored in blocks (``model._row_blocks``, ``model._run_blocks``)
+    whose gathered (users, candidates, d) embeddings hold about
+    ``model.BLOCK_FLOATS`` float64: at once, the Ciao-shaped test users'
+    were 9.9 MB.
     """
     cands = np.concatenate([positives[:, None], negatives], axis=1)
     ordered = np.sort(cands, axis=1)
@@ -65,8 +67,11 @@ def _candidate_ranks(q_users: np.ndarray, hstar: np.ndarray, num_users: int,
         raise EvaluationError(f"duplicate candidate ids for user {users[np.argwhere(dup)[0][0]]} "
                               f"(positive overlaps negatives?)")
     scores = np.empty(cands.shape)
-    for b in _row_blocks(users.size, cands.shape[1] * hstar.shape[-1]):
+
+    def score(b, _):
         np.einsum("ud,ucd->uc", q_users[users[b]], hstar[num_users + cands[b]], out=scores[b])
+
+    _run_blocks(_row_blocks(users.size, cands.shape[1] * hstar.shape[-1]), score)
     # NaN compares false both ways, so a NaN score would rank the positive first.
     bad = ~np.isfinite(scores)
     if bad.any():

@@ -63,7 +63,7 @@ input as it reaches them, so they die when that layer's backward step
 returns.
 
 Every temporary that grows with the rows stays within ``BLOCK_FLOATS``
-float64 (2 MB; K times fewer rows for a stack of K). The mixing's
+float64 (1 MB; K times fewer rows for a stack of K). The mixing's
 (rows, M*d) products, forward and backward, are made block by block into
 one buffer each, and a neighbour sum gathers its sources a chunk of whole
 degree runs at a time (what each cost unblocked is measured at
@@ -73,11 +73,23 @@ is short, so each forward row gets the bits that one product over all
 rows gives it: at the default budget for d <= 64 and M <= 8, and at any
 budget for d <= 16. A chunked gather adds every sum in the same order as
 one gather.
+
+A call of two or more blocks (the mixing, forward and backward, a
+neighbour sum and the candidate scoring) shares them between the caller
+and one helper thread when the process may run on two CPUs
+(``_run_blocks``); numpy releases the GIL inside the products and
+gathers. Each thread has buffers of its own and every output row is
+written by one block, so no bit depends on which thread ran a block, and
+two blocks in flight hold what one block of a 2 MB budget held.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import queue
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -88,7 +100,7 @@ from .hetgraph import Adjacency, EdgeType, HeteroGraph
 
 DEFAULT_LN_EPS = 1e-6
 # Every row-blocked temporary on the hot path holds about this many float64
-# (2 MB): the mixing's (rows, M*d) products, forward and backward, a
+# (1 MB): the mixing's (rows, M*d) products, forward and backward, a
 # neighbour sum's gathered sources and the candidate scoring's gathered
 # embeddings. Measured on the Ciao-shaped graph (d = 16, M = 8, one BLAS
 # thread): one backward pass over all rows cost ciao-train op_s 2.816 ->
@@ -97,9 +109,14 @@ DEFAULT_LN_EPS = 1e-6
 # (15,053 x 16 @ 16 x 128) took 5.5 ms writing a fresh 15.4 MB array and
 # 3.5 ms in blocks written into one buffer; and unblocked, the gathers of
 # the user recalibration and of the candidate scoring were 24 MB and 9.9 MB.
-# Another value regroups the backward's dW sums, which changes the bits of a
-# trained checkpoint.
-BLOCK_FLOATS = 1 << 18
+# The budget is half of the 2 MB those figures were taken at, as the caller
+# and the helper thread each hold a block (``_run_blocks``): with both, three
+# Ciao-shaped epochs peaked at 106.8-109.2 MB RSS at 2 MB and 100.7-101.0 MB
+# here, and the item self loop's _mix and _mix_backward took 2.4-2.7 ms and
+# 6.8-8.0 ms here against 3.8-4.1 and 11.4-11.8 ms on one thread. On one
+# thread, 1 MB took 0.93-0.97x the epoch CPU of 2 MB. Another value regroups
+# the backward's dW sums, which changes the bits of a trained checkpoint.
+BLOCK_FLOATS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -374,29 +391,135 @@ def _row_blocks(n: int, width: int) -> list[slice]:
     return list(map(slice, [0, *cuts], [*cuts, n]))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (``taskset`` narrows them)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _SharedBlocks:
+    """One call's blocks, which the caller and the helper thread claim in turn."""
+
+    def __init__(self, blocks: list, work, scratch):
+        self.blocks, self.work, self.scratch = blocks, work, scratch
+        self.results = [None] * len(blocks)
+        self.lock = threading.Lock()
+        self.claimed = self.finished = 0
+        self.error: BaseException | None = None
+        self.done = threading.Event()
+        # the caller's numpy error state (np.errstate) holds on the helper too
+        self.context = contextvars.copy_context()
+
+    def take(self) -> None:
+        """Run blocks until none is left to claim; whoever finishes the last sets ``done``.
+
+        Once a block has raised, the blocks claimed after it are skipped,
+        but each still counts as finished, so ``done`` is always set.
+        """
+        buf, made, n = None, False, len(self.blocks)
+        while True:
+            with self.lock:
+                i = self.claimed
+                self.claimed += 1
+            if i >= n:
+                return
+            try:
+                if self.error is None:
+                    if not made:
+                        buf, made = self.scratch(), True
+                    self.results[i] = self.work(self.blocks[i], buf)
+            except BaseException as exc:
+                self.error = exc
+            with self.lock:
+                self.finished += 1
+                last = self.finished == n
+            if last:
+                self.done.set()
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    while True:
+        job = jobs.get()
+        job.context.run(job.take)
+        del job  # its buffers go with the call, not with the next wait
+
+
+_helper_lock = threading.Lock()
+_helper_jobs: queue.SimpleQueue | None = None  # the helper thread's inbox, once started
+
+
+def _forget_helper() -> None:
+    """In a forked child: the helper thread did not come along, so start afresh."""
+    global _helper_lock, _helper_jobs
+    _helper_lock, _helper_jobs = threading.Lock(), None
+
+
+os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _run_blocks(blocks: list, work, scratch=lambda: None) -> list:
+    """``[work(block, buf) for block in blocks]``, shared with one helper thread.
+
+    ``buf`` is what ``scratch()`` returns, made once in each thread that
+    runs a block. With two or more blocks and two or more usable CPUs the
+    caller and one long-lived helper thread take the blocks from a shared
+    counter; otherwise the caller runs them all, in order. A block must
+    write only rows of the outputs that no other block writes, so no bit
+    depends on which thread ran it. An exception raised in a block is
+    raised here, with its own type, once every claimed block has finished.
+    """
+    if len(blocks) == 1:  # most calls; cheaper than the loop below
+        return [work(blocks[0], scratch())]
+    if len(blocks) < 2 or _usable_cpus() < 2:
+        buf = scratch()
+        return [work(b, buf) for b in blocks]
+    global _helper_jobs
+    with _helper_lock:
+        if _helper_jobs is None:
+            _helper_jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(_helper_jobs,), name="dgnnrec-blocks",
+                             daemon=True).start()
+        jobs = _helper_jobs
+    job = _SharedBlocks(blocks, work, scratch)
+    jobs.put(job)
+    job.take()
+    job.done.wait()
+    if job.error is not None:
+        raise job.error
+    return job.results
+
+
 def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
     """Sum of ``rows[..., s, :]`` over the neighbours s of each of ``adj.plan.targets``.
 
     One output row per target that has a neighbour, in ascending order;
     leading axes (a parameter stack's) are kept. The sources are gathered
-    a chunk of whole degree runs at a time, a chunk holding about
-    BLOCK_FLOATS float64 unless one run is larger. Each run adds its k
-    slabs in edge order, so a row's sum does not depend on the other rows
-    or on the chunks.
+    a chunk of whole degree runs at a time (``_run_blocks``), a chunk
+    holding about BLOCK_FLOATS float64 unless one run is larger. Each run
+    adds its k slabs in edge order, so a row's sum does not depend on the
+    other rows or on the chunks.
     """
     plan = adj.plan
     lead, d = rows.shape[:-2], rows.shape[-1]
     budget = BLOCK_FLOATS // (d * math.prod(lead))  # edges per chunk
     ends = plan.run_ends
+    chunks, first = [], 0
+    while first < len(ends):  # a chunk: run ``first`` and the whole runs after it that fit
+        lo = plan.runs[first][2].start
+        stop = bisect_right(ends, max(ends[first], lo + budget))
+        chunks.append((lo, plan.runs[first:stop]))
+        first = stop
     out = np.empty((*lead, plan.num_targets, d))
-    lo = hi = 0
-    for k, run_rows, run_edges in plan.runs:
-        if run_edges.stop > hi:  # gather this run and the whole runs after it that fit
-            lo = run_edges.start
-            hi = ends[bisect_right(ends, max(run_edges.stop, lo + budget)) - 1]
-            gathered = rows.take(plan.sources[lo:hi], axis=-2)
-        run = gathered[..., run_edges.start - lo:run_edges.stop - lo, :]
-        np.add.reduce(run.reshape(*lead, k, -1, d), axis=-3, out=out[..., run_rows, :])
+
+    def gather_and_sum(chunk, _):
+        lo, runs = chunk
+        gathered = rows.take(plan.sources[lo:runs[-1][2].stop], axis=-2)
+        for k, run_rows, run_edges in runs:
+            run = gathered[..., run_edges.start - lo:run_edges.stop - lo, :]
+            np.add.reduce(run.reshape(*lead, k, -1, d), axis=-3, out=out[..., run_rows, :])
+
+    _run_blocks(chunks, gather_and_sum)
     return out if plan.unsort is None else out[..., plan.unsort, :]
 
 
@@ -448,7 +571,8 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
     kernel's, so one row is mixed as two: a row set that leaves one row
     of a type gets it as the full forward does. The (rows, M*d) product
     of the sums with the transforms is made block by block
-    (``_row_blocks``), the blocks writing into one buffer.
+    (``_row_blocks``, ``_run_blocks``), each thread's blocks writing into
+    one buffer of its own.
     """
     if rows.shape[-2] == 1:
         mixed, pre = _mix(np.repeat(rows, 2, axis=-2), np.repeat(sums, 2, axis=-2),
@@ -459,12 +583,15 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
     lead, n = sums.shape[:-2], sums.shape[-2]
     flat_t = bank.transforms.reshape(*lead, M * d, d).swapaxes(-1, -2)
     blocks = _row_blocks(n, math.prod(lead) * M * d)
-    buf = np.empty((*lead, max(b.stop - b.start for b in blocks), M * d))
+    most = max(blocks[0].stop, n - blocks[-1].start)  # only the last block may be longer
     mixed = np.empty(sums.shape)
-    for b in blocks:
+
+    def mix(b, buf):
         trans = np.matmul(sums[..., b, :], flat_t, out=buf[..., :b.stop - b.start, :])
         np.einsum("...nm,...nmd->...nd", att[..., b, :], trans.reshape(*trans.shape[:-1], M, d),
                   out=mixed[..., b, :])
+
+    _run_blocks(blocks, mix, lambda: np.empty((*lead, most, M * d)))
     return mixed, pre
 
 
@@ -613,8 +740,10 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
     """Backward of ``_mix`` given dL/d(mixed) ``g``; adds into ``gbank``.
 
     Returns (dL/d rows through the attention, dL/d sums). The rows are
-    worked through in the forward's blocks (``_row_blocks``), one pass when
-    they fit, with one buffer for each (rows, M*d) temporary. The blocks
+    worked through in the forward's blocks (``_row_blocks``, one pass when
+    they fit; ``_run_blocks``), with one buffer in each thread for each
+    (rows, M*d) temporary. Each block returns its parts of the bank's
+    gradient, which are added into ``gbank`` in block order: the blocks
     fix how the dW sums group, and with it the bits of a trained
     checkpoint. The caller passes only the rows it needs: in the last
     layer those of the forward's row set.
@@ -624,23 +753,31 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
     d_rows = np.zeros_like(rows)
     d_sums = np.empty_like(sums)
     blocks = _row_blocks(g.shape[0], M * d)
-    most = max(b.stop - b.start for b in blocks)
-    d_trans_buf = np.empty((most, M, d))
-    trans_buf = None if pre is None else np.empty((most, M * d))
-    for b in blocks:
+    most = max(blocks[0].stop, g.shape[0] - blocks[-1].start)
+
+    def scratch():
+        return np.empty((most, M, d)), None if pre is None else np.empty((most, M * d))
+
+    def step(b, bufs):
+        d_trans_buf, trans_buf = bufs
         gb, sb = g[b], sums[b]
         n = gb.shape[0]
         att = de.leaky_relu(pre[b]) if pre is not None else np.ones((n, M))
         d_trans = np.einsum("nm,nd->nmd", att, gb, out=d_trans_buf[:n]).reshape(n, M * d)
-        gbank.transforms += (d_trans.T @ sb).reshape(M, d, d)
+        d_w = d_trans.T @ sb
         np.matmul(d_trans, flat, out=d_sums[b])
         if pre is None:
-            continue
+            return d_w, None, None
         trans = np.matmul(sb, flat.T, out=trans_buf[:n]).reshape(n, M, d)
         d_pre = de.leaky_relu_backward(pre[b], np.einsum("nmd,nd->nm", trans, gb))
-        gbank.keys += d_pre.T @ rows[b]
-        gbank.biases += d_pre.sum(axis=0)
         d_rows[b] = d_pre @ bank.keys
+        return d_w, d_pre.T @ rows[b], d_pre.sum(axis=0)
+
+    for d_w, d_keys, d_biases in _run_blocks(blocks, step, scratch):
+        gbank.transforms += d_w.reshape(M, d, d)
+        if d_keys is not None:
+            gbank.keys += d_keys
+            gbank.biases += d_biases
     return d_rows, d_sums
 
 
