@@ -47,6 +47,8 @@ def time_layer_steps(settings, reps: int, seed: int = 0) -> list[float]:
     acceptance test's two ratios peaked at x2.83 with each side timed after
     the other and at x1.79 with the two sides in alternation.
     """
+    if reps < 1:  # a median of no times is NaN
+        raise ValueError(f"reps must be >= 1, not {reps!r}")
     steps = []
     for graph, dim, memory_units in settings:
         params = ModelParams.init(graph.num_nodes, dim, memory_units, 1,
@@ -77,6 +79,8 @@ def scaling_table(base_edges: int, reps: int, seed: int) -> list[BenchRow]:
 
     The rows of one sweep are timed in alternation (``time_layer_steps``).
     """
+    if base_edges < 1:  # an empty graph's ratios read near 1
+        raise ValueError(f"base_edges must be >= 1, not {base_edges!r}")
     graphs = [_graph_with_edges(base_edges * mult, seed) for mult in (1, 2, 4)]
     sweeps = ([(f"edges x{mult}", g, total, 8) for mult, (g, total) in zip((1, 2, 4), graphs)],
               [(f"units {units}", *graphs[0], units) for units in (4, 8, 16)])

@@ -68,7 +68,7 @@ def _candidate_ranks(q_users: np.ndarray, hstar: np.ndarray, num_users: int,
                               f"(positive overlaps negatives?)")
     scores = np.empty(cands.shape)
 
-    def score(b, _):
+    def score(b):
         np.einsum("ud,ucd->uc", q_users[users[b]], hstar[num_users + cands[b]], out=scores[b])
 
     _run_blocks(_row_blocks(users.size, cands.shape[1] * hstar.shape[-1]), score)

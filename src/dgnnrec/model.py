@@ -64,9 +64,9 @@ returns.
 
 Every temporary that grows with the rows stays within ``BLOCK_FLOATS``
 float64 (1 MB; K times fewer rows for a stack of K). The mixing's
-(rows, M*d) products, forward and backward, are made block by block into
-one buffer each, and a neighbour sum gathers its sources a chunk of whole
-degree runs at a time (what each cost unblocked is measured at
+(rows, M*d) products, forward and backward, are made block by block, and
+a neighbour sum gathers its sources a chunk of whole degree runs at a
+time (what each cost unblocked is measured at
 ``BLOCK_FLOATS``). Forward and backward cut their rows with the same
 ``_row_blocks``: the blocks start at multiples of a power of two and none
 is short, so each forward row gets the bits that one product over all
@@ -78,8 +78,8 @@ A call of two or more blocks (the mixing, forward and backward, a
 neighbour sum and the candidate scoring) shares them between the caller
 and one helper thread when the process may run on two CPUs
 (``_run_blocks``); numpy releases the GIL inside the products and
-gathers. Each thread has buffers of its own and every output row is
-written by one block, so no bit depends on which thread ran a block, and
+gathers. Each block makes its own temporaries and writes output rows that
+no other block writes, so no bit depends on which thread ran a block, and
 two blocks in flight hold what one block of a 2 MB budget held.
 """
 
@@ -88,7 +88,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import queue
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -105,17 +104,17 @@ DEFAULT_LN_EPS = 1e-6
 # embeddings. Measured on the Ciao-shaped graph (d = 16, M = 8, one BLAS
 # thread): one backward pass over all rows cost ciao-train op_s 2.816 ->
 # 3.177 s (+12.8%) and peak_rss_mb 149.2 -> 165.7 (+11%) in alternating
-# perfbench pairs; inside a forward, the item self loop's product
-# (15,053 x 16 @ 16 x 128) took 5.5 ms writing a fresh 15.4 MB array and
-# 3.5 ms in blocks written into one buffer; and unblocked, the gathers of
-# the user recalibration and of the candidate scoring were 24 MB and 9.9 MB.
-# The budget is half of the 2 MB those figures were taken at, as the caller
-# and the helper thread each hold a block (``_run_blocks``): with both, three
-# Ciao-shaped epochs peaked at 106.8-109.2 MB RSS at 2 MB and 100.7-101.0 MB
-# here, and the item self loop's _mix and _mix_backward took 2.4-2.7 ms and
-# 6.8-8.0 ms here against 3.8-4.1 and 11.4-11.8 ms on one thread. On one
-# thread, 1 MB took 0.93-0.97x the epoch CPU of 2 MB. Another value regroups
-# the backward's dW sums, which changes the bits of a trained checkpoint.
+# perfbench pairs, and unblocked, the gathers of the user recalibration and
+# of the candidate scoring were 24 MB and 9.9 MB. The budget is half of the
+# 2 MB those figures were taken at, as the caller and the helper thread each
+# hold a block (``_run_blocks``): with both, three Ciao-shaped epochs peaked
+# at 106.8-109.2 MB RSS at 2 MB and 100.7-101.0 MB here, and the item self
+# loop's _mix and _mix_backward took 2.4-2.7 ms and 6.8-8.0 ms here against
+# 3.8-4.1 and 11.4-11.8 ms on one thread. On one thread, 1 MB took
+# 0.93-0.97x the epoch CPU of 2 MB, and that loop's product (15,053 x 16 @
+# 16 x 128) took 1.75-1.78 ms in fresh 1 MB blocks against 2.4-2.6 ms as one
+# 15.4 MB array. Another value regroups the backward's dW sums, which
+# changes the bits of a trained checkpoint.
 BLOCK_FLOATS = 1 << 17
 
 
@@ -398,96 +397,70 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-class _SharedBlocks:
-    """One call's blocks, which the caller and the helper thread claim in turn."""
-
-    def __init__(self, blocks: list, work, scratch):
-        self.blocks, self.work, self.scratch = blocks, work, scratch
-        self.results = [None] * len(blocks)
-        self.lock = threading.Lock()
-        self.claimed = self.finished = 0
-        self.error: BaseException | None = None
-        self.done = threading.Event()
-        # the caller's numpy error state (np.errstate) holds on the helper too
-        self.context = contextvars.copy_context()
-
-    def take(self) -> None:
-        """Run blocks until none is left to claim; whoever finishes the last sets ``done``.
-
-        Once a block has raised, the blocks claimed after it are skipped,
-        but each still counts as finished, so ``done`` is always set.
-        """
-        buf, made, n = None, False, len(self.blocks)
-        while True:
-            with self.lock:
-                i = self.claimed
-                self.claimed += 1
-            if i >= n:
-                return
-            try:
-                if self.error is None:
-                    if not made:
-                        buf, made = self.scratch(), True
-                    self.results[i] = self.work(self.blocks[i], buf)
-            except BaseException as exc:
-                self.error = exc
-            with self.lock:
-                self.finished += 1
-                last = self.finished == n
-            if last:
-                self.done.set()
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    while True:
-        job = jobs.get()
-        job.context.run(job.take)
-        del job  # its buffers go with the call, not with the next wait
-
-
-_helper_lock = threading.Lock()
-_helper_jobs: queue.SimpleQueue | None = None  # the helper thread's inbox, once started
+_pool_lock = threading.Lock()
+_pool = None  # the helper thread's executor, made on the first shared call
 
 
 def _forget_helper() -> None:
     """In a forked child: the helper thread did not come along, so start afresh."""
-    global _helper_lock, _helper_jobs
-    _helper_lock, _helper_jobs = threading.Lock(), None
+    global _pool_lock, _pool
+    _pool_lock, _pool = threading.Lock(), None
 
 
-os.register_at_fork(after_in_child=_forget_helper)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
 
 
-def _run_blocks(blocks: list, work, scratch=lambda: None) -> list:
-    """``[work(block, buf) for block in blocks]``, shared with one helper thread.
+def _run_blocks(blocks: list, work) -> list:
+    """``[work(block) for block in blocks]``, shared with one helper thread.
 
-    ``buf`` is what ``scratch()`` returns, made once in each thread that
-    runs a block. With two or more blocks and two or more usable CPUs the
-    caller and one long-lived helper thread take the blocks from a shared
-    counter; otherwise the caller runs them all, in order. A block must
-    write only rows of the outputs that no other block writes, so no bit
-    depends on which thread ran it. An exception raised in a block is
-    raised here, with its own type, once every claimed block has finished.
+    With two or more blocks and two or more usable CPUs the caller and one
+    long-lived helper thread take the blocks from a shared counter;
+    otherwise the caller runs them all, in order. A block must write only
+    rows of the outputs that no other block writes, so no bit depends on
+    which thread ran it. Once a block has raised, no block is claimed
+    again. The caller's own error is raised here, or else the helper's,
+    with its own type, once every claimed block has finished. A helper
+    busy with another call when this one's blocks are all done ran none of
+    them, so the caller does not wait for it.
     """
     if len(blocks) == 1:  # most calls; cheaper than the loop below
-        return [work(blocks[0], scratch())]
+        return [work(blocks[0])]
     if len(blocks) < 2 or _usable_cpus() < 2:
-        buf = scratch()
-        return [work(b, buf) for b in blocks]
-    global _helper_jobs
-    with _helper_lock:
-        if _helper_jobs is None:
-            _helper_jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(_helper_jobs,), name="dgnnrec-blocks",
-                             daemon=True).start()
-        jobs = _helper_jobs
-    job = _SharedBlocks(blocks, work, scratch)
-    jobs.put(job)
-    job.take()
-    job.done.wait()
-    if job.error is not None:
-        raise job.error
-    return job.results
+        return [work(b) for b in blocks]
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: it loads logging, which a process of one-block calls never needs
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="dgnnrec-blocks")
+    n = len(blocks)
+    results, lock, claimed = [None] * n, threading.Lock(), 0
+
+    def take():
+        nonlocal claimed
+        while True:
+            with lock:
+                i, claimed = claimed, claimed + 1
+            if i >= n:
+                return
+            try:
+                results[i] = work(blocks[i])
+            except BaseException:
+                with lock:
+                    claimed = n  # no thread claims again
+                raise
+
+    # the caller's numpy error state (np.errstate) holds on the helper too
+    helper = _pool.submit(contextvars.copy_context().run, take)
+    try:
+        take()
+    finally:
+        if not helper.cancel():
+            helper.exception()  # waits until the helper's claimed blocks are done
+    if not helper.cancelled():
+        helper.result()  # the helper's error, with its own type
+    return results
 
 
 def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
@@ -512,7 +485,7 @@ def _neighbor_sum(rows: np.ndarray, adj: Adjacency) -> np.ndarray:
         first = stop
     out = np.empty((*lead, plan.num_targets, d))
 
-    def gather_and_sum(chunk, _):
+    def gather_and_sum(chunk):
         lo, runs = chunk
         gathered = rows.take(plan.sources[lo:runs[-1][2].stop], axis=-2)
         for k, run_rows, run_edges in runs:
@@ -571,8 +544,7 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
     kernel's, so one row is mixed as two: a row set that leaves one row
     of a type gets it as the full forward does. The (rows, M*d) product
     of the sums with the transforms is made block by block
-    (``_row_blocks``, ``_run_blocks``), each thread's blocks writing into
-    one buffer of its own.
+    (``_row_blocks``, ``_run_blocks``).
     """
     if rows.shape[-2] == 1:
         mixed, pre = _mix(np.repeat(rows, 2, axis=-2), np.repeat(sums, 2, axis=-2),
@@ -582,16 +554,14 @@ def _mix(rows: np.ndarray, sums: np.ndarray, bank: MemoryBank, variant: ModelVar
     M, d = bank.num_units, bank.dim
     lead, n = sums.shape[:-2], sums.shape[-2]
     flat_t = bank.transforms.reshape(*lead, M * d, d).swapaxes(-1, -2)
-    blocks = _row_blocks(n, math.prod(lead) * M * d)
-    most = max(blocks[0].stop, n - blocks[-1].start)  # only the last block may be longer
     mixed = np.empty(sums.shape)
 
-    def mix(b, buf):
-        trans = np.matmul(sums[..., b, :], flat_t, out=buf[..., :b.stop - b.start, :])
+    def mix(b):
+        trans = sums[..., b, :] @ flat_t
         np.einsum("...nm,...nmd->...nd", att[..., b, :], trans.reshape(*trans.shape[:-1], M, d),
                   out=mixed[..., b, :])
 
-    _run_blocks(blocks, mix, lambda: np.empty((*lead, most, M * d)))
+    _run_blocks(_row_blocks(n, math.prod(lead) * M * d), mix)
     return mixed, pre
 
 
@@ -741,8 +711,8 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
 
     Returns (dL/d rows through the attention, dL/d sums). The rows are
     worked through in the forward's blocks (``_row_blocks``, one pass when
-    they fit; ``_run_blocks``), with one buffer in each thread for each
-    (rows, M*d) temporary. Each block returns its parts of the bank's
+    they fit; ``_run_blocks``), each block making its own (rows, M*d)
+    temporaries. Each block returns its parts of the bank's
     gradient, which are added into ``gbank`` in block order: the blocks
     fix how the dW sums group, and with it the bits of a trained
     checkpoint. The caller passes only the rows it needs: in the last
@@ -752,28 +722,22 @@ def _mix_backward(g: np.ndarray, rows: np.ndarray, sums: np.ndarray, pre,
     flat = bank.transforms.reshape(M * d, d)
     d_rows = np.zeros_like(rows)
     d_sums = np.empty_like(sums)
-    blocks = _row_blocks(g.shape[0], M * d)
-    most = max(blocks[0].stop, g.shape[0] - blocks[-1].start)
 
-    def scratch():
-        return np.empty((most, M, d)), None if pre is None else np.empty((most, M * d))
-
-    def step(b, bufs):
-        d_trans_buf, trans_buf = bufs
+    def step(b):
         gb, sb = g[b], sums[b]
         n = gb.shape[0]
         att = de.leaky_relu(pre[b]) if pre is not None else np.ones((n, M))
-        d_trans = np.einsum("nm,nd->nmd", att, gb, out=d_trans_buf[:n]).reshape(n, M * d)
+        d_trans = np.einsum("nm,nd->nmd", att, gb).reshape(n, M * d)
         d_w = d_trans.T @ sb
         np.matmul(d_trans, flat, out=d_sums[b])
         if pre is None:
             return d_w, None, None
-        trans = np.matmul(sb, flat.T, out=trans_buf[:n]).reshape(n, M, d)
+        trans = (sb @ flat.T).reshape(n, M, d)
         d_pre = de.leaky_relu_backward(pre[b], np.einsum("nmd,nd->nm", trans, gb))
         d_rows[b] = d_pre @ bank.keys
         return d_w, d_pre.T @ rows[b], d_pre.sum(axis=0)
 
-    for d_w, d_keys, d_biases in _run_blocks(blocks, step, scratch):
+    for d_w, d_keys, d_biases in _run_blocks(_row_blocks(g.shape[0], M * d), step):
         gbank.transforms += d_w.reshape(M, d, d)
         if d_keys is not None:
             gbank.keys += d_keys

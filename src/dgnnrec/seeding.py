@@ -20,6 +20,8 @@ DATASET = 5
 
 
 def rng_for(seed: int, purpose: int, *extra: int) -> np.random.Generator:
-    """Generator for (root seed, purpose, optional sub-keys like epoch)."""
+    """Generator for (root seed, purpose, optional sub-keys like epoch); ValueError for a seed < 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed!r}")
     entropy = [int(seed), int(purpose)] + [int(x) for x in extra]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -576,6 +576,21 @@ def test_bench_command_emits_table(capsys):
     assert "edges x2" in out and "units" in out
 
 
+@pytest.mark.parametrize("argv, setting", [
+    (["bench", "--reps", "0", "--base-edges", "200"], "reps"),  # a table of nan times, exit 0
+    (["bench", "--base-edges", "0"], "base_edges"),  # a table of empty graphs, exit 0
+    (["bench", "--base-edges", "-5"], "base_edges"),  # numpy's "negative dimensions"
+    (["bench", "--seed", "-1"], "seed"),  # numpy's "expected non-negative integer"
+    (["grad-check", "--seed", "-1"], "seed"),
+], ids=["bench-reps-0", "bench-base-edges-0", "bench-base-edges-negative", "bench-seed",
+        "grad-check-seed"])
+def test_a_bench_or_grad_check_setting_out_of_range_is_a_usage_error(argv, setting, capsys):
+    assert cli.main(argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {setting} must be >= " in captured.err
+
+
 # ---------------------------------------------------------------------------
 # property test over the run settings
 

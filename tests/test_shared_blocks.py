@@ -8,6 +8,8 @@ the caller.
 
 import hashlib
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -50,15 +52,16 @@ def _planted():
 def _record_block_threads(monkeypatch) -> set:
     """From here on, the id of every thread that runs a block is added to the set returned."""
     threads = set()
-    share = model._SharedBlocks.__init__
+    run_blocks = model._run_blocks
 
-    def recording(job, blocks, work, scratch):
-        def run(block, buf):
+    def recording(blocks, work):
+        def run(block):
             threads.add(threading.get_ident())
-            return work(block, buf)
-        share(job, blocks, run, scratch)
+            return work(block)
+        return run_blocks(blocks, run)
 
-    monkeypatch.setattr(model._SharedBlocks, "__init__", recording)
+    for module in (model, ev):  # evaluation holds its own name for the runner
+        monkeypatch.setattr(module, "_run_blocks", recording)
     return threads
 
 
@@ -92,7 +95,7 @@ def test_the_helper_changes_no_bit(monkeypatch, fast_switching):
     threads = _record_block_threads(monkeypatch)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
     serial = _outputs(graph, split)
-    assert not threads  # one CPU: the caller runs every block itself
+    assert threads == {threading.get_ident()}  # one CPU: the caller runs every block itself
     monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     shared = _outputs(graph, split)
     assert len(threads) == 2  # the caller and the helper both ran blocks
@@ -110,7 +113,7 @@ def test_an_error_in_a_helper_block_reaches_the_caller(monkeypatch, fast_switchi
     main = threading.get_ident()
     helper_failed = threading.Event()
 
-    def work(block, _):
+    def work(block):
         if threading.get_ident() == main:
             helper_failed.wait(10)  # hold the caller until the helper has raised
             return block
@@ -135,7 +138,7 @@ def test_an_error_in_a_caller_block_waits_for_the_helper(monkeypatch):
     main = threading.get_ident()
     helper_started, helper_done = threading.Event(), threading.Event()
 
-    def work(block, _):
+    def work(block):
         if threading.get_ident() != main:
             helper_started.set()
             time.sleep(0.05)
@@ -154,7 +157,7 @@ def test_the_callers_numpy_error_state_holds_on_the_helper(monkeypatch):
     main = threading.get_ident()
     helper_ran = threading.Event()
 
-    def work(block, _):
+    def work(block):
         if threading.get_ident() == main:
             helper_ran.wait(10)
             return None
@@ -165,6 +168,53 @@ def test_the_callers_numpy_error_state_holds_on_the_helper(monkeypatch):
         with pytest.raises(FloatingPointError):
             model._run_blocks(list(range(8)), work)
     assert helper_ran.is_set()
+
+
+def test_a_caller_does_not_wait_for_a_helper_busy_with_another_call(monkeypatch):
+    """A second call whose blocks the caller ran alone returns while the helper is still held."""
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    held, release, helper_done = threading.Event(), threading.Event(), threading.Event()
+
+    def hold(block):
+        if threading.current_thread().name.startswith("dgnnrec-blocks"):
+            held.set()
+            release.wait(10)
+            helper_done.set()
+        else:
+            held.wait(10)  # hold the first caller until the helper has claimed a block
+        return block
+
+    first = threading.Thread(target=model._run_blocks, args=(list(range(8)), hold))
+    first.start()
+    try:
+        assert held.wait(10)
+        assert model._run_blocks(list(range(8)), lambda b: 2 * b) == [2 * b for b in range(8)]
+        assert not helper_done.is_set()  # returned without waiting for the held helper
+    finally:
+        release.set()
+        first.join(10)
+    assert not first.is_alive()
+
+
+_START_THE_HELPER = """
+import sys, threading
+from dgnnrec import model
+assert "concurrent.futures" not in sys.modules  # loaded only by the first shared call
+model._usable_cpus = lambda: 2
+assert model._run_blocks([1, 2, 3], lambda b: 2 * b) == [2, 4, 6]
+assert any(t.name.startswith("dgnnrec-blocks") for t in threading.enumerate())
+"""
+
+
+@pytest.mark.parametrize("fork_hook", [True, False], ids=["unix", "no_register_at_fork"])
+def test_a_process_that_started_the_helper_exits(fork_hook):
+    """Interpreter exit joins the helper, which is no daemon; a platform without fork hooks imports."""
+    code = _START_THE_HELPER if fork_hook else "import os\ndel os.register_at_fork" + _START_THE_HELPER
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(model.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _forward_in_a_child():
@@ -181,7 +231,7 @@ def test_a_forked_child_starts_its_own_helper(monkeypatch, fast_switching):
     monkeypatch.setattr(model, "BLOCK_FLOATS", TINY_BUDGET)
     graph = _planted()
     forward(graph, random_params(graph, 4, 2, 2))  # the helper thread is up in this process
-    assert any(t.name == "dgnnrec-blocks" for t in threading.enumerate())
+    assert any(t.name.startswith("dgnnrec-blocks") for t in threading.enumerate())
     # the child inherits the patched budget and CPU count and the switch
     # interval, but not the helper thread
     child = multiprocessing.get_context("fork").Process(target=_forward_in_a_child)
@@ -251,7 +301,7 @@ def test_concurrent_callers_run_every_block_once(monkeypatch):
         try:
             for call in range(100):
                 runs = [0] * 37
-                def work(block, _):
+                def work(block):
                     runs[block] += 1
                     return block * seed
                 assert model._run_blocks(list(range(37)), work) == [b * seed for b in range(37)]
