@@ -124,8 +124,14 @@ def _resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _load_split(cfg: RunConfig):
-    """The data's graph and its split under ``cfg.seed``; creates the output directory."""
+def _prepare(args):
+    """(run config, its output directory, created, the data's graph, its split under the seed).
+
+    Every data command's one path from flags to data. ``build`` rewrites
+    ``split.txt``; the others write it when absent and otherwise require the
+    file to hold exactly the split's bytes (SplitError).
+    """
+    cfg = _resolve_config(args)
     if not cfg.interactions:
         raise GraphBuildError("no interactions file configured")
     no_edges = np.empty((0, 2), dtype=np.int64)
@@ -137,28 +143,23 @@ def _load_split(cfg: RunConfig):
     graph = build_graph(ui, uu, ir, 1 + int(max(ui[:, 0].max(), uu.max(initial=-1))),
                         1 + int(max(ui[:, 1].max(), ir[:, 0].max(initial=-1))),
                         1 + int(ir[:, 1].max(initial=-1)))
-    Path(cfg.out).mkdir(parents=True, exist_ok=True)
-    return graph, split_leave_one_out(graph, cfg.seed)
-
-
-def _manifest_path(cfg: RunConfig) -> Path:
-    return Path(cfg.out) / "split.txt"
-
-
-def _prepare(args):
-    """(run config, its output directory, created, and the split of its data).
-
-    The split is written to ``split.txt`` when that is absent, and must be
-    exactly what the file holds otherwise (SplitError).
-    """
-    cfg = _resolve_config(args)
-    _, split = _load_split(cfg)
-    path = _manifest_path(cfg)
-    if path.exists():
+    out = Path(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
+    split = split_leave_one_out(graph, cfg.seed)
+    path = out / "split.txt"
+    if args.command != "build" and path.exists():
         check_split_manifest(split, path)
     else:
         save_split_manifest(split, path)
-    return cfg, Path(cfg.out), split
+    return cfg, out, graph, split
+
+
+def _variant_run(args):
+    """``_prepare``'s (config, output directory, split) with the split on the graph of
+    variant ``cfg.variant``, then that variant's model switches and training config."""
+    cfg, out, _, split = _prepare(args)
+    split, model_variant, tc = AblationVariant.parse(cfg.variant).apply(split, cfg)
+    return cfg, out, split, model_variant, tc
 
 
 def _forward_checkpoint(args):
@@ -169,8 +170,7 @@ def _forward_checkpoint(args):
     differ from the data's or its (dim, layers, memory_units) from the
     variant's config, which is how ``-M`` (one unit) is told apart.
     """
-    cfg, out, split = _prepare(args)
-    split, model_variant, tc = AblationVariant.parse(cfg.variant).apply(split, cfg)
+    cfg, out, split, model_variant, tc = _variant_run(args)
     graph = split.train_graph
     ckpt = load_checkpoint(args.checkpoint or out / "model.ckpt")
     if (ckpt.num_users, ckpt.num_items, ckpt.num_relations) != (
@@ -190,9 +190,7 @@ def _forward_checkpoint(args):
 
 
 def cmd_build(args) -> int:
-    cfg = _resolve_config(args)
-    graph, split = _load_split(cfg)
-    save_split_manifest(split, _manifest_path(cfg))
+    _, out, graph, split = _prepare(args)
 
     y_density = graph.num_interactions / (graph.num_users * graph.num_items)
     s_density = (graph.uu.num_edges / (graph.num_users ** 2)) if graph.num_users else 0.0
@@ -203,13 +201,12 @@ def cmd_build(args) -> int:
     print(f"social ties (directed): {graph.uu.num_edges} (density {100 * s_density:.4f}%)")
     print(f"item-relation links: {graph.ir.num_edges}")
     print(f"test users: {split.test_users.size} (skipped single-interaction: {split.num_skipped})")
-    print(f"wrote {_manifest_path(cfg)}")
+    print(f"wrote {out / 'split.txt'}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    cfg, out, split = _prepare(args)
-    split, model_variant, tc = AblationVariant.parse(cfg.variant).apply(split, cfg)
+    cfg, out, split, model_variant, tc = _variant_run(args)
     graph = split.train_graph
 
     log_path = out / "train_log.tsv"
@@ -249,7 +246,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, out, split = _prepare(args)
+    cfg, out, _, split = _prepare(args)
     wanted = (list(AblationVariant) if cfg.variant == "all"
               else [AblationVariant.parse(cfg.variant)])
     cutoffs = cfg.cutoff_list()

@@ -164,13 +164,13 @@ class AblationVariant(Enum):
 
 
 def strip_graph(graph: HeteroGraph, drop_social: bool, drop_relations: bool) -> HeteroGraph:
-    """The graph with S and/or T removed; node counts are preserved."""
+    """The graph with S and/or T removed, each by emptying its one stored adjacency
+    (``uu``, ``ir``; ``ri`` follows from ``ir``); node counts are preserved."""
     empty = np.empty((0, 2), dtype=np.int64)
     if drop_social:
         graph = replace(graph, uu=Adjacency.from_pairs(empty, graph.num_users))
     if drop_relations:
-        graph = replace(graph, ir=Adjacency.from_pairs(empty, graph.num_items),
-                        ri=Adjacency.from_pairs(empty, graph.num_relations))
+        graph = replace(graph, ir=Adjacency.from_pairs(empty, graph.num_items))
     return graph
 
 

@@ -2,9 +2,11 @@
 
 The graph unifies three binary relations: user-item interactions,
 user-user social ties (kept symmetric, no self-loops) and item to
-meta-relation-node links. Adjacency is CSR with sorted, deduplicated
-neighbor lists and is frozen after construction, so a built graph can be
-shared freely across threads.
+meta-relation-node links, one stored adjacency each (``ui``, ``uu``, ``ir``);
+the reverse ``iu`` and ``ri`` are their transposes, built on first use, so a
+``dataclasses.replace`` copy never holds a stale one. Adjacency is CSR with
+sorted, deduplicated neighbor lists and is frozen after construction, so a
+built graph can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -153,10 +155,6 @@ class DegreeRuns:
     unsort: np.ndarray | None
 
 
-def _reverse_pairs(pairs: np.ndarray) -> np.ndarray:
-    return pairs[:, ::-1] if pairs.size else pairs.reshape(-1, 2)
-
-
 def _in_sorted(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Mask of the ``query`` values that occur in the ascending ``keys``."""
     if not keys.size:
@@ -213,16 +211,23 @@ class HeteroGraph:
     num_items: int
     num_relations: int
     ui: Adjacency  # user -> items
-    iu: Adjacency  # item -> users
     uu: Adjacency  # user -> users, symmetric
     ir: Adjacency  # item -> relation nodes
-    ri: Adjacency  # relation node -> items
 
     @property
     def num_nodes(self) -> int:
         return self.num_users + self.num_items + self.num_relations
 
-    # The edge layout, built once per graph object; a copy made by ``replace`` builds its own.
+    # The reverse relations and the edge layout, built once per graph object;
+    # a copy made by ``replace`` builds its own.
+    @cached_property
+    def iu(self) -> Adjacency:  # item -> users, the transpose of ``ui``
+        return Adjacency.from_pairs(self.ui.pairs()[:, ::-1], self.num_items)
+
+    @cached_property
+    def ri(self) -> Adjacency:  # relation node -> items, the transpose of ``ir``
+        return Adjacency.from_pairs(self.ir.pairs()[:, ::-1], self.num_relations)
+
     @cached_property
     def type_rows(self) -> dict:
         """Self-loop EdgeType -> the rows of its node type, in EdgeType order."""
@@ -362,9 +367,10 @@ def build_graph(interactions, social, item_relations,
                 num_users: int, num_items: int, num_relations: int) -> HeteroGraph:
     """Assemble the immutable graph from edge pairs in any order, duplicates allowed.
 
-    Social ties are symmetrized here; ``Adjacency.from_pairs`` sorts and
-    deduplicates each adjacency's pairs. Each node count must be below
-    2**31, so that its int64 keys (row * width + col) stay below 2**63.
+    One adjacency per relation (the graph derives ``iu`` and ``ri``): social
+    ties are symmetrized here, and ``Adjacency.from_pairs`` sorts and dedups
+    each one's pairs. Each node count must be below 2**31, so that its int64
+    keys (row * width + col) stay below 2**63.
     """
     for kind, count in (("users", num_users), ("items", num_items),
                         ("relation nodes", num_relations)):
@@ -380,15 +386,11 @@ def build_graph(interactions, social, item_relations,
     if uu_pairs.size and np.any(uu_pairs[:, 0] == uu_pairs[:, 1]):
         u = uu_pairs[np.flatnonzero(uu_pairs[:, 0] == uu_pairs[:, 1])[0], 0]
         raise GraphBuildError(f"social edge ({u}, {u}) is a self-loop")
-    if uu_pairs.size:
-        uu_pairs = np.vstack([uu_pairs, _reverse_pairs(uu_pairs)])
     return HeteroGraph(
         num_users=num_users, num_items=num_items, num_relations=num_relations,
         ui=Adjacency.from_pairs(ui_pairs, num_users),
-        iu=Adjacency.from_pairs(_reverse_pairs(ui_pairs), num_items),
-        uu=Adjacency.from_pairs(uu_pairs, num_users),
+        uu=Adjacency.from_pairs(np.vstack([uu_pairs, uu_pairs[:, ::-1]]), num_users),
         ir=Adjacency.from_pairs(ir_pairs, num_items),
-        ri=Adjacency.from_pairs(_reverse_pairs(ir_pairs), num_relations),
     )
 
 
@@ -418,7 +420,8 @@ def split_leave_one_out(graph: HeteroGraph, seed: int) -> Split:
     Users with a single interaction stay train-only and are counted in
     ``num_skipped``. NUM_EVAL_NEGATIVES negatives, the count ``evaluate`` and
     the manifest take, are drawn once per test user from items the user
-    never interacted with (train or test) and are fixed thereafter.
+    never interacted with (train or test) and are fixed thereafter. The
+    train graph replaces ``ui`` only; its ``iu`` follows.
     """
     deg = graph.ui.degrees()
     eligible = np.flatnonzero(deg >= 2)
@@ -440,9 +443,8 @@ def split_leave_one_out(graph: HeteroGraph, seed: int) -> Split:
     negatives = _draw_negatives(graph, eligible, NUM_EVAL_NEGATIVES, rng_for(seed, NEGATIVES))
     keep = np.ones(graph.num_interactions, dtype=bool)
     keep[held_pos] = False
-    pairs = graph.interaction_pairs()[keep]
-    train = replace(graph, ui=Adjacency.from_pairs(pairs, graph.num_users),
-                    iu=Adjacency.from_pairs(_reverse_pairs(pairs), graph.num_items))
+    train = replace(graph, ui=Adjacency.from_pairs(graph.interaction_pairs()[keep],
+                                                   graph.num_users))
     return Split(train, eligible.astype(np.int64), held_items.astype(np.int64), negatives,
                  num_skipped, int(seed))
 

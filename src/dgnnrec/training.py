@@ -203,7 +203,7 @@ def train_model(train_graph: HeteroGraph, config: TrainingConfig,
     else:
         params = ModelParams.init(train_graph.num_nodes, config.dim, config.memory_units,
                                   config.layers, rng_for(config.seed, PARAM_INIT))
-    adam_state = None  # the first epoch starts from zeros
+    adam_state = de.AdamState.zeros(params.num_params)
     losses = []
     for epoch in range(1, config.epochs + 1):
         rng = rng_for(config.seed, TRIPLETS, epoch)
@@ -216,8 +216,6 @@ def train_model(train_graph: HeteroGraph, config: TrainingConfig,
         losses.append(mean_loss)
         if on_epoch is not None:
             on_epoch(epoch, params, mean_loss, time.perf_counter() - started)
-    if adam_state is None:  # no epoch ran
-        adam_state = de.AdamState.zeros(params.num_params)
     return params, adam_state, losses
 
 

@@ -1,5 +1,6 @@
 """The package's public surface: what ``dgnnrec.__all__`` promises must exist."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -21,6 +22,12 @@ def test_public_names_resolve_once_and_removed_names_are_gone():
 def test_the_cli_has_one_config_reader():
     """Every command reads a config file through ``_config_values``; nothing writes one."""
     assert [name for name in ("save_config", "load_config") if hasattr(cli, name)] == []
+
+
+def test_a_graph_stores_one_adjacency_per_relation():
+    """``iu`` and ``ri`` are derived from ``ui`` and ``ir``, so no constructor takes them."""
+    assert [f.name for f in dataclasses.fields(hetgraph.HeteroGraph)] == [
+        "num_users", "num_items", "num_relations", "ui", "uu", "ir"]
 
 
 def test_the_graph_owns_its_edge_layout():

@@ -1,5 +1,6 @@
 from dataclasses import asdict, fields
 import math
+import os
 from pathlib import Path
 import re
 import tempfile
@@ -69,6 +70,24 @@ def test_build_then_train_on_the_same_flags(dataset_dir, tmp_path):
     out = tmp_path / "run"
     assert cli.main(["build", *_base_args(dataset_dir, out)]) == 0
     assert cli.main(["train", *_base_args(dataset_dir, out)]) == 0
+
+
+def test_build_rewrites_a_split_of_another_seed_and_train_reuses_it(dataset_dir, tmp_path):
+    out, fresh = tmp_path / "run", tmp_path / "fresh"
+    args = _base_args(dataset_dir, out)
+    seed_at = args.index("--seed") + 1
+    args[seed_at] = "7"
+    assert cli.main(["build", *args]) == 0
+    old = (out / "split.txt").read_bytes()
+    args[seed_at] = "3"
+    assert cli.main(["build", *args]) == 0
+    assert cli.main(["build", *_base_args(dataset_dir, fresh)]) == 0
+    want = (fresh / "split.txt").read_bytes()
+    assert (out / "split.txt").read_bytes() == want != old
+    os.utime(out / "split.txt", ns=(0, 0))
+    assert cli.main(["train", *args]) == 0
+    assert (out / "split.txt").stat().st_mtime_ns == 0  # checked, not written again
+    assert (out / "split.txt").read_bytes() == want
 
 
 @pytest.mark.parametrize("flag", ["--users", "--items", "--rel-nodes"])

@@ -213,6 +213,30 @@ def test_build_graph_refuses_node_counts_from_2_to_the_31(pairs, counts, named):
         hg.build_graph(*pairs, *counts)
 
 
+def test_a_replaced_relation_brings_its_reverse_along():
+    # A graph stores ui, uu and ir; iu and ri are their transposes, so a copy
+    # made by replace cannot keep the reverse of the relation it replaced.
+    from dataclasses import replace
+    from conftest import random_params
+    from dgnnrec.model import forward
+    ds = make_planted_dataset(num_users=30, num_items=160, num_relations=5,
+                              interactions_per_user=8, seed=9)
+    g = hg.build_graph(ds.interactions, ds.social, ds.item_relations,
+                       ds.num_users, ds.num_items, ds.num_relations)
+    counts = (g.num_users, g.num_items, g.num_relations)
+    ui, uu, ir = g.interaction_pairs(), g.social_pairs(), g.item_relation_pairs()
+    params = random_params(g, 4, 2, 2)
+    for copy, rebuilt in (
+            (replace(g, ui=hg.Adjacency.from_pairs(ui[::2], g.num_users)),
+             hg.build_graph(ui[::2], uu, ir, *counts)),
+            (replace(g, ir=hg.Adjacency.from_pairs(ir[::2], g.num_items)),
+             hg.build_graph(ui, uu, ir[::2], *counts))):
+        validate(copy)
+        got, want = forward(copy, params), forward(rebuilt, params)
+        for x, y in zip(got.layers + [got.hstar], want.layers + [want.hstar]):
+            assert x.tobytes() == y.tobytes()
+
+
 def test_round_trip_rebuild_is_identical(tiny_graph):
     g = tiny_graph
     g2 = hg.build_graph(g.interaction_pairs(), g.social_pairs(),

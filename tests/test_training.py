@@ -707,6 +707,15 @@ def test_train_model_leaves_initial_params_untouched():
     assert again.to_vector().tobytes() == out.to_vector().tobytes()
 
 
+def test_train_model_without_epochs_returns_a_zero_adam_state():
+    g = _small_world()
+    cfg = TrainingConfig(dim=4, layers=1, memory_units=2, batch_size=16, epochs=0, seed=3)
+    params, adam, losses = train_model(g, cfg)
+    assert losses == [] and adam.step == 0
+    assert adam.m.shape == adam.v.shape == (params.num_params,)
+    assert not adam.m.any() and not adam.v.any()
+
+
 def test_training_and_scoring_build_the_layout_once(monkeypatch):
     g = _small_world()
     builds = count_layout_builds(monkeypatch)
