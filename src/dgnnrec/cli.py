@@ -353,7 +353,7 @@ _ERROR_CODES = (
     ((de.NonFiniteError, de.ShapeError), EXIT_NUMERIC),
     ((CheckpointError, OSError), EXIT_IO),
     ((EvaluationError,), EXIT_EVAL),
-    ((ValueError,), EXIT_USAGE),
+    ((ValueError, MemoryError), EXIT_USAGE),
 )
 
 

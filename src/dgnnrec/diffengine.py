@@ -9,8 +9,8 @@ its objective a whole block of perturbed parameter vectors at once, so
 numpy's per-call cost is paid once per block and not once per coordinate.
 
 Everything operates on float64 and is pure, no function mutating its
-arguments, except ``leaky_relu_backward``, which scales the gradient it is
-given in place.
+arguments, except ``leaky_relu_backward`` and ``adam_step``, which update
+in place the gradient and the parameters and Adam state they are given.
 """
 
 from __future__ import annotations
@@ -143,28 +143,31 @@ class AdamState:
         return cls(np.zeros(shape), np.zeros(shape))
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
-    """One Adam update. Pure: returns (new_params, new_state).
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One Adam update of ``params``, ``state.m``, ``state.v`` and ``state.step``, in place.
 
-    ``params`` is one flat vector; a 2-D stack of them raises ShapeError.
+    ``params`` (one flat vector), ``m`` and ``v`` must be writable float64 arrays, or
+    the update would land in a copy. Every check runs before the first write.
     """
-    params, grads = _as_f64(params), _as_f64(grads)
-    if params.ndim != 1:
-        raise ShapeError(f"adam_step takes one flat parameter vector, not shape {params.shape}")
-    if params.shape != grads.shape or params.shape != state.m.shape:
+    grads = _as_f64(grads)
+    if not all(isinstance(a, np.ndarray) and a.dtype == np.float64 and a.flags.writeable
+               for a in (params, state.m, state.v)) or params.ndim != 1:
+        raise ShapeError("adam_step updates one flat parameter vector and its moments "
+                         "in place: each must be a writable float64 array")
+    if not params.shape == grads.shape == state.m.shape == state.v.shape:
         raise ShapeError("adam_step: parameter/gradient/state shapes disagree")
-    if lr < 0.0:
+    if not lr >= 0.0:  # NaN too
         raise ShapeError("adam_step requires lr >= 0")
     if not np.all(np.isfinite(grads)):
         bad = int(np.flatnonzero(~np.isfinite(grads.ravel()))[0])
         raise NonFiniteError(f"non-finite gradient at flat coordinate {bad}")
-    t = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    mhat = m / (1.0 - ADAM_BETA1 ** t)
-    vhat = v / (1.0 - ADAM_BETA2 ** t)
-    new_params = params - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-    return new_params, AdamState(m, v, t)
+    state.step += 1
+    m, v, t = state.m, state.v, state.step
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    params -= lr * (m / (1.0 - ADAM_BETA1 ** t)) / (np.sqrt(v / (1.0 - ADAM_BETA2 ** t)) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

@@ -458,6 +458,7 @@ def _run_blocks(blocks: list, work) -> list:
     finally:
         if not helper.cancel():
             helper.exception()  # waits until the helper's claimed blocks are done
+        del work  # the helper's done job can outlive this call: it must not hold the inputs
     if not helper.cancelled():
         helper.result()  # the helper's error, with its own type
     return results

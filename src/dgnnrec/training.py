@@ -154,7 +154,8 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
     # backward consumes the state; with these gone, H* dies inside it
     del hstar, qp, d_q
     grads = backward(graph, params, state, d_hstar, variant)
-    return loss, grads.to_vector() + (2.0 * reg) * params.vector
+    grads.vector += (2.0 * reg) * params.vector
+    return loss, grads.vector
 
 
 # ---------------------------------------------------------------------------
@@ -162,55 +163,49 @@ def bpr_batch_grad(graph: HeteroGraph, params: ModelParams,
 
 
 def train_epoch(graph: HeteroGraph, params: ModelParams, config: TrainingConfig,
-                rng: np.random.Generator, adam_state: de.AdamState | None = None,
-                variant: ModelVariant = FULL_VARIANT):
+                rng: np.random.Generator, adam_state: de.AdamState,
+                variant: ModelVariant = FULL_VARIANT) -> float:
     """ceil(|Y|/batch) batches of sampled triplets, one Adam step each.
 
-    Returns (params, adam_state, mean batch loss); inputs are not mutated.
+    Updates ``params.vector`` and ``adam_state`` in place and returns the
+    mean batch loss. On an error the steps already taken stay applied.
     """
-    if adam_state is None:
-        adam_state = de.AdamState.zeros(params.num_params)
     num_batches = max(1, math.ceil(graph.num_interactions / config.batch_size))
     losses = []
     for batch_no in range(num_batches):
         users, pos, neg = sample_bpr_batch(graph, rng, config.batch_size)
         loss, grad = bpr_batch_grad(graph, params, users, pos, neg, config.reg, variant)
         if not np.isfinite(loss):
-            raise de.NonFiniteError(
-                f"non-finite loss in batch {batch_no}; "
-                f"parameter norm {float(np.linalg.norm(params.to_vector())):.6g}")
-        new_vec, adam_state = de.adam_step(params.to_vector(), grad, adam_state, config.lr)
-        # ``grad`` lives until the next batch replaces it: freeing it here (glibc
-        # malloc) took a Ciao-shaped epoch's page faults from ~70k to 110k-130k and
-        # its time up ~3%, for ~3 MB less peak RSS.
-        params = params.with_vector(new_vec)
+            raise de.NonFiniteError(f"non-finite loss in batch {batch_no}; parameter norm "
+                                    f"{float(np.linalg.norm(params.vector)):.6g}")
+        de.adam_step(params.vector, grad, adam_state, config.lr)
+        # ``grad`` lives until the next batch replaces it: freed here, it took up to 2x the
+        # minor faults of a Ciao-shaped epoch (glibc malloc) for 2-5 MB less peak RSS.
         losses.append(loss)
-    return params, adam_state, float(np.mean(losses))
+    return float(np.mean(losses))
 
 
 def train_model(train_graph: HeteroGraph, config: TrainingConfig,
                 variant: ModelVariant = FULL_VARIANT,
                 initial: ModelParams | None = None,
                 on_epoch=None):
-    """Full training run from ``initial`` (default ``ModelParams.init`` of the
-    config's seed) and a zero Adam state; per-epoch RNG derives from (seed, epoch).
+    """Full training run from a copy of ``initial`` (default ``ModelParams.init`` of
+    the config's seed; ``initial`` is never written) and a zero Adam state, which
+    every epoch updates in place; per-epoch RNG derives from (seed, epoch).
 
     ``on_epoch(epoch, params, mean_loss, seconds)`` fires after each epoch.
     Returns (params, final adam_state, list of mean epoch losses).
     """
-    if initial is not None:
-        params = initial
-    else:
-        params = ModelParams.init(train_graph.num_nodes, config.dim, config.memory_units,
-                                  config.layers, rng_for(config.seed, PARAM_INIT))
+    params = (initial.with_vector(initial.vector.copy()) if initial is not None else
+              ModelParams.init(train_graph.num_nodes, config.dim, config.memory_units,
+                               config.layers, rng_for(config.seed, PARAM_INIT)))
     adam_state = de.AdamState.zeros(params.num_params)
     losses = []
     for epoch in range(1, config.epochs + 1):
         rng = rng_for(config.seed, TRIPLETS, epoch)
         started = time.perf_counter()
         try:
-            params, adam_state, mean_loss = train_epoch(
-                train_graph, params, config, rng, adam_state, variant)
+            mean_loss = train_epoch(train_graph, params, config, rng, adam_state, variant)
         except de.NonFiniteError as exc:
             raise de.NonFiniteError(f"epoch {epoch}: {exc}") from None
         losses.append(mean_loss)

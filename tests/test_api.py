@@ -50,6 +50,8 @@ def test_the_graph_owns_its_edge_layout():
     (training.check_model_gradients, ["dims", "memory_units", "layers", "seed", "h", "tol",
                                       "variant"]),
     (training.train_model, ["train_graph", "config", "variant", "initial", "on_epoch"]),
+    (training.train_epoch, ["graph", "params", "config", "rng", "adam_state", "variant"]),
+    (diffengine.adam_step, ["params", "grads", "state", "lr"]),
     (training.save_checkpoint, ["path", "params", "num_users", "num_items", "num_relations",
                                 "epoch", "loss"]),
     (synthetic.make_planted_dataset, ["num_users", "num_items", "num_relations", "seed",

@@ -619,7 +619,8 @@ _EDGE_FLOAT = (st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1e-30
                | st.floats())
 _EDGE = {
     "dim": st.sampled_from([-1, 0, 1]), "layers": st.sampled_from([-1, 0, 1]),
-    "memory_units": st.sampled_from([-1, 0, 1]), "batch_size": st.sampled_from([-1, 0, 1, 2]),
+    "memory_units": st.sampled_from([-1, 0, 1]),
+    "batch_size": st.sampled_from([-1, 0, 1, 2, 2 ** 59]),  # 2 ** 59: a 4 EiB batch
     "epochs": st.sampled_from([-1, 0]), "seed": st.sampled_from([-1, 0, 2 ** 64]),
     "eval_every": st.sampled_from([-1, 0, 1]), "lr": _EDGE_FLOAT, "reg": _EDGE_FLOAT,
     "cutoffs": (st.lists(st.sampled_from(["1", "99", "100", "101", "500"]), min_size=1,
@@ -708,6 +709,7 @@ def _numbers_in(path):
 @example(_flags(reg=math.nan))
 @example(_flags(cutoffs="100,101"))
 @example((_flags()[0], ["dim = 4", "dim = 2"]))
+@example(_flags(batch_size=2 ** 59))  # numpy's MemoryError for a 4 EiB batch
 def test_any_run_settings_exit_documented_and_write_finite_numbers(tiny_data, drawn):
     """train, eval and export-attn under drawn settings: a documented exit code, never a
     traceback; what a run that exits 0 writes is finite, and no cutoff is above 100."""

@@ -263,27 +263,30 @@ def test_ops_are_pure_and_deterministic(rng):
 def test_adam_zero_gradient_keeps_params():
     state = de.AdamState.zeros(4)
     params = np.array([1.0, -2.0, 0.5, 3.0])
-    new, state2 = de.adam_step(params, np.zeros(4), state, lr=0.1)
-    assert np.array_equal(new, params)
-    assert state2.step == 1
+    before = params.copy()
+    assert de.adam_step(params, np.zeros(4), state, lr=0.1) is None
+    assert np.array_equal(params, before)
+    assert state.step == 1
 
 
 def test_adam_first_step_is_signed_lr():
     # closed form at t=1: update = -lr * g / (|g| + eps) ~= -lr * sign(g)
     g = np.array([0.3, -2.0, 5.0])
-    new, _ = de.adam_step(np.zeros(3), g, de.AdamState.zeros(3), lr=0.01)
-    assert np.allclose(new, -0.01 * np.sign(g), rtol=1e-6)
+    params = np.zeros(3)
+    de.adam_step(params, g, de.AdamState.zeros(3), lr=0.01)
+    assert np.allclose(params, -0.01 * np.sign(g), rtol=1e-6)
 
 
-def test_adam_is_pure_and_deterministic():
+def test_adam_is_deterministic():
     rng = np.random.default_rng(3)
     params, g = rng.normal(size=6), rng.normal(size=6)
-    s1 = de.AdamState.zeros(6)
-    out1 = de.adam_step(params, g, s1, lr=0.05)
-    out2 = de.adam_step(params, g, s1, lr=0.05)
-    assert np.array_equal(out1[0], out2[0])
-    assert np.array_equal(out1[1].m, out2[1].m)
-    assert s1.step == 0  # input state untouched
+    copies = [(params.copy(), de.AdamState.zeros(6)) for _ in range(2)]
+    for p, s in copies:
+        de.adam_step(p, g, s, lr=0.05)
+    (p1, s1), (p2, s2) = copies
+    assert p1.tobytes() == p2.tobytes() and not np.array_equal(p1, params)
+    assert s1.m.tobytes() == s2.m.tobytes() and s1.v.tobytes() == s2.v.tobytes()
+    assert s1.step == s2.step == 1
 
 
 def test_adam_refuses_a_stack_of_vectors():
@@ -299,8 +302,60 @@ def test_adam_rejects_nonfinite_gradient():
 def test_adam_moments_decay_toward_zero():
     state = de.AdamState.zeros(2)
     params = np.ones(2)
-    _, state = de.adam_step(params, np.ones(2), state, lr=0.0)
+    de.adam_step(params, np.ones(2), state, lr=0.0)
     m1 = np.abs(state.m).max()
     for _ in range(10):
-        params, state = de.adam_step(params, np.zeros(2), state, lr=0.0)
+        de.adam_step(params, np.zeros(2), state, lr=0.0)
     assert np.abs(state.m).max() < m1
+    assert state.step == 11
+
+
+def _pure_adam(params, grads, m, v, t, lr):
+    """The update as Kingma and Ba write it, returning new arrays."""
+    m = 0.9 * m + (1.0 - 0.9) * grads
+    v = 0.999 * v + (1.0 - 0.999) * grads * grads
+    mhat = m / (1.0 - 0.9 ** t)
+    vhat = v / (1.0 - 0.999 ** t)
+    return params - lr * mhat / (np.sqrt(vhat) + 1e-8), m, v
+
+
+def test_adam_in_place_is_the_pure_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    params = rng.normal(size=257)
+    want, m, v = params.copy(), np.zeros(257), np.zeros(257)
+    state = de.AdamState.zeros(257)
+    for t in range(1, 26):
+        g = rng.normal(size=257) * 10.0 ** rng.integers(-6, 3, size=257)
+        de.adam_step(params, g, state, lr=0.01)
+        want, m, v = _pure_adam(want, g, m, v, t, 0.01)
+        assert params.tobytes() == want.tobytes(), t
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+    assert state.step == 25
+
+
+@pytest.mark.parametrize("case", [
+    "nan-last", "shape", "negative-lr", "nan-lr", "read-only", "float32", "read-only-v"])
+def test_a_refused_adam_step_changes_nothing(case):
+    rng = np.random.default_rng(4)
+    params, grads = rng.normal(size=5), rng.normal(size=5)
+    state = de.AdamState.zeros(5)
+    de.adam_step(params, rng.normal(size=5), state, lr=0.1)  # moments away from zero
+    lr, error = 0.1, de.ShapeError
+    if case == "nan-last":
+        grads[-1], error = np.nan, de.NonFiniteError
+    elif case == "shape":
+        grads = grads[:4]
+    elif case == "negative-lr":
+        lr = -0.1
+    elif case == "nan-lr":
+        lr = np.nan
+    elif case == "read-only":
+        params.flags.writeable = False
+    elif case == "float32":
+        params = params.astype(np.float32)
+    else:  # m would be written before v refused the update
+        state.v.flags.writeable = False
+    before = (params.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step)
+    with pytest.raises(error):
+        de.adam_step(params, grads, state, lr)
+    assert (params.tobytes(), state.m.tobytes(), state.v.tobytes(), state.step) == before

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ import pytest
 from conftest import random_params
 from dgnnrec import evaluation as ev
 from dgnnrec import model, training
+from dgnnrec.diffengine import AdamState
 from dgnnrec.hetgraph import sample_bpr_batch, split_leave_one_out
 from dgnnrec.model import ModelParams, backward, forward
 from dgnnrec.synthetic import make_planted_dataset
@@ -79,8 +81,9 @@ def _outputs(graph, split) -> list:
     users, pos, neg = sample_bpr_batch(graph, np.random.default_rng(1), 64)
     out.append(bpr_batch_grad(graph, one, users, pos, neg, 1e-3, model.FULL_VARIANT)[1].tobytes())
     cfg = TrainingConfig(dim=4, layers=2, memory_units=2, batch_size=128, epochs=1)
-    trained, _, loss = train_epoch(split.train_graph, random_params(split.train_graph, 4, 2, 2),
-                                   cfg, np.random.default_rng(2))
+    trained = random_params(split.train_graph, 4, 2, 2)
+    loss = train_epoch(split.train_graph, trained, cfg, np.random.default_rng(2),
+                       AdamState.zeros(trained.num_params))
     out += [trained.vector.tobytes(), repr(loss).encode()]
     q = model.recalibrated_users(hstar, graph)
     out.append(ev._candidate_ranks(q, hstar, graph.num_users, split.test_users,
@@ -150,6 +153,37 @@ def test_an_error_in_a_caller_block_waits_for_the_helper(monkeypatch):
     with pytest.raises(BlockFailed):
         model._run_blocks(list(range(8)), work)
     assert helper_done.is_set()  # no block is still running once the error is raised
+
+
+def test_a_shared_call_leaves_no_reference_to_its_inputs(monkeypatch):
+    """The helper's finished job can outlive the call; it must not keep the work's inputs."""
+    import concurrent.futures.thread as futures_thread
+    real_run = futures_thread._WorkItem.run
+
+    def slow_to_forget(item):  # widens the window before the helper drops its job
+        real_run(item)
+        time.sleep(0.2)
+
+    monkeypatch.setattr(futures_thread._WorkItem, "run", slow_to_forget)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    main, helper_started = threading.get_ident(), threading.Event()
+
+    def run(inputs):
+        def work(block):
+            if threading.get_ident() != main:
+                helper_started.set()
+            else:
+                helper_started.wait(10)
+            return float(inputs[block])
+
+        return model._run_blocks(list(range(4)), work)
+
+    inputs = np.arange(4.0)
+    alive = weakref.ref(inputs)
+    assert run(inputs) == [0.0, 1.0, 2.0, 3.0]
+    assert helper_started.is_set()
+    del inputs
+    assert alive() is None
 
 
 def test_the_callers_numpy_error_state_holds_on_the_helper(monkeypatch):

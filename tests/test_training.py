@@ -94,9 +94,27 @@ def test_train_epoch_zero_lr_keeps_params():
     cfg = TrainingConfig(dim=4, layers=1, memory_units=2, lr=0.0, reg=0.0,
                          batch_size=16, epochs=1, seed=0)
     params = ModelParams.init(g.num_nodes, 4, 2, 1, rng_for(0, PARAM_INIT))
-    out, _, loss = train_epoch(g, params, cfg, rng_for(0, 4))
-    assert np.array_equal(out.to_vector(), params.to_vector())
+    before = params.to_vector().copy()
+    loss = train_epoch(g, params, cfg, rng_for(0, 4), de.AdamState.zeros(params.num_params))
+    assert np.array_equal(params.to_vector(), before)
     assert np.isfinite(loss) and loss > 0
+
+
+def test_train_epoch_updates_the_buffer_and_state_in_place():
+    g = _small_world()
+    cfg = TrainingConfig(dim=4, layers=1, memory_units=2, batch_size=16, epochs=1, seed=0)
+    params = ModelParams.init(g.num_nodes, 4, 2, 1, rng_for(0, PARAM_INIT))
+    buffer, before = params.vector, params.vector.copy()
+    adam = de.AdamState.zeros(params.num_params)
+    m, v = adam.m, adam.v
+    batches = math.ceil(g.num_interactions / cfg.batch_size)
+    loss = train_epoch(g, params, cfg, rng_for(0, 4), adam)
+    assert type(loss) is float and math.isfinite(loss)
+    assert params.vector is buffer and not np.array_equal(buffer, before)
+    assert adam.m is m and adam.v is v
+    assert adam.step == batches > 1
+    train_epoch(g, params, cfg, rng_for(0, 5), adam)
+    assert params.vector is buffer and adam.step == 2 * batches
 
 
 def test_train_epoch_deterministic_given_seed():
@@ -153,7 +171,7 @@ def test_nonfinite_loss_aborts_with_diagnostic():
     params.embeddings[0, 0] = np.inf
     with np.errstate(invalid="ignore"):
         with pytest.raises(de.NonFiniteError):
-            train_epoch(g, params, cfg, rng_for(0, 4))
+            train_epoch(g, params, cfg, rng_for(0, 4), de.AdamState.zeros(params.num_params))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +337,7 @@ def test_an_item_missing_from_the_row_set_poisons_the_loss(monkeypatch):
     monkeypatch.setattr(training, "forward", dropping_an_item)
     with np.errstate(invalid="ignore"):
         with pytest.raises(de.NonFiniteError, match="non-finite loss in batch 0"):
-            train_epoch(g, params, cfg, rng_for(0, 4))
+            train_epoch(g, params, cfg, rng_for(0, 4), de.AdamState.zeros(params.num_params))
 
 
 # ---------------------------------------------------------------------------
