@@ -9,8 +9,9 @@ its objective a whole block of perturbed parameter vectors at once, so
 numpy's per-call cost is paid once per block and not once per coordinate.
 
 Everything operates on float64 and is pure, no function mutating its
-arguments, except ``leaky_relu_backward`` and ``adam_step``, which update
-in place the gradient and the parameters and Adam state they are given.
+arguments, except ``layer_normalize``, ``leaky_relu_backward`` and
+``adam_step``, which update in place the input, the gradient and the
+parameters and Adam state they are given.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ def _row_mean(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
 def layer_normalize(x: np.ndarray, eps: float):
     """(xhat, inv) along the last axis: xhat = (x - mean) * inv, inv = 1/sqrt(var + eps).
 
+    In place: a float64 ``x`` is normalized where it lies and returned as
+    ``xhat``, so a caller passes an array that it owns and reads no more,
+    or a copy. A read-only float64 ``x`` raises ValueError before any
+    write; any other input is first converted to a new float64 array.
     The variance is the population variance, so a constant vector maps to
     zeros; ``inv`` keeps the last axis with size 1. A learned scale and
     shift are the caller's to apply.
@@ -106,10 +111,10 @@ def layer_normalize(x: np.ndarray, eps: float):
     if not eps > 0.0:  # NaN too
         raise ShapeError(f"layer_normalize requires eps > 0, got {eps!r}")
     x = _as_f64(x)
-    xhat = x - _row_mean(x)
-    inv = 1.0 / np.sqrt(_row_mean(xhat, xhat) + eps)
-    xhat *= inv
-    return xhat, inv
+    x -= _row_mean(x)
+    inv = 1.0 / np.sqrt(_row_mean(x, x) + eps)
+    x *= inv
+    return x, inv
 
 
 def layer_normalize_backward(xhat: np.ndarray, inv: np.ndarray,

@@ -66,6 +66,7 @@ def _candidate_ranks(q_users: np.ndarray, hstar: np.ndarray, num_users: int,
     if dup.any():
         raise EvaluationError(f"duplicate candidate ids for user {users[np.argwhere(dup)[0][0]]} "
                               f"(positive overlaps negatives?)")
+    del ordered, dup  # freed before the scores and the blocks' gathers are made
     scores = np.empty(cands.shape)
 
     def score(b):

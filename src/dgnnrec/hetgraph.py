@@ -218,8 +218,8 @@ class HeteroGraph:
     def num_nodes(self) -> int:
         return self.num_users + self.num_items + self.num_relations
 
-    # The reverse relations and the edge layout, built once per graph object;
-    # a copy made by ``replace`` builds its own.
+    # The reverse relations, the interaction keys and the edge layout, built
+    # once per graph object; a copy made by ``replace`` builds its own.
     @cached_property
     def iu(self) -> Adjacency:  # item -> users, the transpose of ``ui``
         return Adjacency.from_pairs(self.ui.pairs()[:, ::-1], self.num_items)
@@ -227,6 +227,14 @@ class HeteroGraph:
     @cached_property
     def ri(self) -> Adjacency:  # relation node -> items, the transpose of ``ir``
         return Adjacency.from_pairs(self.ir.pairs()[:, ::-1], self.num_relations)
+
+    @cached_property
+    def interaction_keys(self) -> np.ndarray:
+        """Sorted u*J+item keys for O(log E) membership tests; read-only."""
+        pairs = self.ui.pairs()
+        keys = pairs[:, 0] * self.num_items + pairs[:, 1]
+        keys.setflags(write=False)
+        return keys
 
     @cached_property
     def type_rows(self) -> dict:
@@ -277,11 +285,6 @@ class HeteroGraph:
 
     def item_relation_pairs(self) -> np.ndarray:
         return self.ir.pairs()
-
-    def interaction_keys(self) -> np.ndarray:
-        """Sorted u*J+item keys for O(log E) membership tests."""
-        pairs = self.ui.pairs()
-        return pairs[:, 0] * self.num_items + pairs[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +471,7 @@ def _draw_negatives(graph: HeteroGraph, users: np.ndarray, num_negatives: int,
     of that user's first chunk, its further chunks are drawn, and the next
     block starts after it.
     """
-    keys = graph.interaction_keys()
+    keys = graph.interaction_keys
     num_items = graph.num_items
     out = np.empty((users.size, num_negatives), dtype=np.int64)
     done = 0
@@ -572,7 +575,7 @@ def sample_bpr_batch(train_graph: HeteroGraph, rng: np.random.Generator, size: i
     num_edges = train_graph.num_interactions
     if num_edges == 0:
         raise SamplingError("graph has no interactions to sample from")
-    keys = train_graph.interaction_keys()
+    keys = train_graph.interaction_keys
     J = train_graph.num_items
 
     edges = rng.integers(0, num_edges, size=size)

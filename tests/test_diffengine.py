@@ -95,7 +95,7 @@ def test_layer_normalize_zero_mean_identity(rng):
 def test_layer_normalize_matches_the_mean_form(width, rng):
     # Row means are products with a 1/d column; they may differ from mean() in the last bits.
     x = rng.normal(size=(300, width)) * 5 + rng.normal(size=(300, 1)) * 3
-    xhat, inv = de.layer_normalize(x, 1e-6)
+    xhat, inv = de.layer_normalize(x.copy(), 1e-6)  # x is read below
     mu = x.mean(-1, keepdims=True)
     want_inv = 1.0 / np.sqrt(x.var(-1, keepdims=True) + 1e-6)
     np.testing.assert_allclose(inv, want_inv, rtol=1e-13)
@@ -111,6 +111,25 @@ def test_layer_normalize_requires_positive_eps():
     for eps in (0.0, float("nan")):  # NaN got through an `eps <= 0` test
         with pytest.raises(de.ShapeError, match=f"eps > 0, got {eps!r}"):
             de.layer_normalize(np.ones(3), eps=eps)
+
+
+def test_layer_normalize_writes_its_float64_input_and_converts_any_other(rng):
+    x = rng.normal(size=(7, 5)) * 4 + 1
+    centred = x - np.einsum("nd->n", x)[:, None] / 5  # x - mean, out of place
+    want_inv = 1.0 / np.sqrt(np.einsum("nd,nd->n", centred, centred)[:, None] / 5 + 1e-6)
+    xhat, inv = de.layer_normalize(x, 1e-6)
+    assert xhat is x
+    assert xhat.tobytes() == (centred * want_inv).tobytes()
+    assert inv.tobytes() == want_inv.tobytes()
+    frozen = rng.normal(size=(2, 3))
+    frozen.flags.writeable = False
+    held = frozen.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        de.layer_normalize(frozen, 1e-6)
+    assert frozen.tobytes() == held
+    ints = np.arange(6).reshape(2, 3)
+    out, _ = de.layer_normalize(ints, 1e-6)
+    assert out.dtype == np.float64 and ints.tolist() == [[0, 1, 2], [3, 4, 5]]
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +247,8 @@ def test_all_ops_pass_finite_differences(dim):
 
         # The backward is built from the forward's saved (xhat, inv), as the model uses it.
         x3 = rng.normal(size=dim) * 2
-        xhat, inv = de.layer_normalize(x3, 1e-6)
-        rep = de.finite_diff_check(lambda s: de.layer_normalize(s, 1e-6)[0] @ w, x3,
+        xhat, inv = de.layer_normalize(x3.copy(), 1e-6)  # x3 is the check's point below
+        rep = de.finite_diff_check(lambda s: de.layer_normalize(s.copy(), 1e-6)[0] @ w, x3,
                                    de.layer_normalize_backward(xhat, inv, w))
         assert rep.passed, f"layer_normalize d={dim} seed={seed}: {rep.max_rel_err}"
 
@@ -246,8 +265,8 @@ def test_ops_finite_on_large_inputs(rng):
 def test_ops_are_pure_and_deterministic(rng):
     x = rng.normal(size=5)
     x_copy = x.copy()
-    a = de.layer_normalize(x, 1e-6)
-    b = de.layer_normalize(x, 1e-6)
+    a = de.layer_normalize(x.copy(), 1e-6)  # it normalizes its input in place
+    b = de.layer_normalize(x.copy(), 1e-6)
     assert all(np.array_equal(u, v) for u, v in zip(a, b))
     assert np.array_equal(x, x_copy)
     g = rng.normal(size=5)

@@ -300,7 +300,7 @@ def test_split_skips_single_interaction_users():
 def test_split_negatives_avoid_all_interactions():
     g = _chain_graph(num_users=6, num_items=130, per_user=4)
     split = hg.split_leave_one_out(g, seed=3)
-    keys = g.interaction_keys()
+    keys = g.interaction_keys
     for row, u in enumerate(split.test_users):
         negs = split.eval_negatives[row]
         assert np.unique(negs).size == negs.size
@@ -604,7 +604,7 @@ def test_sample_batch_matches_contract():
     rng = np.random.default_rng(11)
     users, pos, neg = hg.sample_bpr_batch(g, rng, 256)
     assert users.shape == pos.shape == neg.shape == (256,)
-    keys = g.interaction_keys()
+    keys = g.interaction_keys
     assert hg._in_sorted(keys, users * g.num_items + pos).all()
     assert not hg._in_sorted(keys, users * g.num_items + neg).any()
 
@@ -623,6 +623,21 @@ def test_closed_degrees_are_degrees_plus_one_built_once(tiny_graph):
     assert uu._closed_degrees is col
     with pytest.raises(ValueError):
         col[0, 0] = 5.0
+
+
+def test_interaction_keys_are_built_once_per_graph_and_read_only():
+    from dataclasses import replace
+    g = _chain_graph(num_users=5, num_items=20, per_user=3)
+    keys = g.interaction_keys
+    pairs = g.interaction_pairs()
+    assert keys.tobytes() == (pairs[:, 0] * g.num_items + pairs[:, 1]).tobytes()
+    assert np.all(keys[1:] > keys[:-1])
+    assert g.interaction_keys is keys
+    with pytest.raises(ValueError):
+        keys[0] = -1
+    fewer = replace(g, ui=hg.Adjacency.from_pairs(pairs[1:], g.num_users))
+    assert fewer.interaction_keys.tobytes() == keys[1:].tobytes()
+    assert g.interaction_keys is keys
 
 
 def test_closed_degrees_are_ones_without_social_ties(tiny_graph):

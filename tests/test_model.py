@@ -222,6 +222,34 @@ def test_final_embeddings_rows_have_zero_mean(rng):
     assert np.max(np.abs(hstar.mean(axis=1))) < 1e-10
 
 
+@pytest.mark.parametrize("num_layers", [0, 1, 2])
+def test_final_embeddings_hold_one_full_height_array(num_layers):
+    """Over every row, H* is the concatenation normalized in place: the traced
+    peak above the call's start is that one (N, (L+1)*d) array and its (N, 1)
+    ``inv``, plus a slack of five (N, 1) columns (the normalization's row
+    statistics) and 4 KB. A second full-height copy, as an out-of-place
+    normalization makes at L >= 1, would be (L+1)*8 columns more."""
+    import tracemalloc
+    graph = make_random_graph(300, 1500, 20, 3000, 600, 1500, seed=3)
+    params = ModelParams.init(graph.num_nodes, 8, 2, num_layers, np.random.default_rng(3))
+    layers = forward(graph, params).layers
+    held = [layer.tobytes() for layer in layers]
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        hstar, inv = final_embeddings(layers, params.ln_eps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    N = graph.num_nodes
+    assert hstar.shape == (N, (num_layers + 1) * 8) and inv.shape == (N, 1)
+    assert peak <= hstar.nbytes + inv.nbytes + 5 * N * 8 + 4096, peak
+    assert [layer.tobytes() for layer in layers] == held
+
+
 def test_layer_state_invariant_hstar_is_normalized_concat(tiny_graph):
     p = random_params(tiny_graph, 3, 2, 2)
     st = forward(tiny_graph, p)

@@ -432,16 +432,23 @@ def test_stacked_rows_equal_single_evaluations_on_a_row_set_batch(name):
 @pytest.mark.parametrize("num_layers", [0, 1, 2])
 def test_a_stacked_forward_keeps_no_step_caches(num_layers):
     """A forward records a step cache per layer only when asked for backward;
-    a stack, which backward refuses, cannot ask."""
+    a stack, which backward refuses, cannot ask. No forward writes its
+    parameters, although H* and each layer are normalized in place: at
+    L = 0, H*'s input is the embeddings themselves."""
     graph, params, _ = _random_instance(3, 2, num_layers, 0)
+    held = params.vector.tobytes()
     plain = forward(graph, params)
+    assert params.vector.tobytes() == held
     assert plain.step_caches == [] and len(plain.layers) == num_layers + 1
     one = forward(graph, params, for_backward=True)
+    assert params.vector.tobytes() == held
     assert len(one.step_caches) == num_layers
     assert all(cache.normed.shape == (graph.num_nodes, 3) for cache in one.step_caches)
     assert plain.hstar.tobytes() == one.hstar.tobytes()
     stacked = _stacked(params, np.stack([params.vector, params.vector]))
+    held_stack = stacked.vector.tobytes()
     state = forward(graph, stacked)
+    assert stacked.vector.tobytes() == held_stack and params.vector.tobytes() == held
     assert state.step_caches == [] and len(state.layers) == num_layers + 1
     assert _bitwise_equal(state.hstar[1], one.hstar)
     with pytest.raises(de.ShapeError, match=r"forward\(for_backward=True\) takes one "
